@@ -15,55 +15,29 @@ lexicographic bitstring order; zero rows may be omitted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, qubit_mask
+from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, qubit_mask
 
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _FLOAT_RE = re.compile(rf"^[+-]?{_UFLOAT}$")
 _COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?$")
 _INT_RE = re.compile(r"^\d+$")
+_TOKEN_RE = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")  # a comment, a paren or an atom
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # '(', ')' or 'atom'
     text: str
-    line: int
-    col: int
+    offset: int  # into the source text
 
 
 def tokenize(text: str) -> list[Token]:
-    out = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            out.append(Token("atom", text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
+    return [Token(s if s in "()" else "atom", s, m.start())
+            for m in _TOKEN_RE.finditer(text) if (s := m.group())[0] != ";"]
 
 
 def fmt_float(x: float) -> str:
@@ -93,9 +67,15 @@ def parse_complex_text(text: str) -> complex:
 
 
 class _Reader:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
+
+    def error(self, message: str, t: Token) -> ParseError:
+        """ParseError at the line:column of a token."""
+        return ParseError(message, self.text.count("\n", 0, t.offset) + 1,
+                          t.offset - self.text.rfind("\n", 0, t.offset))
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -103,78 +83,80 @@ class _Reader:
     def next(self) -> Token:
         t = self.peek()
         if t is None:
-            last = self.tokens[-1] if self.tokens else Token("atom", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+            raise self.error("unexpected end of input",
+                             self.tokens[-1] if self.tokens else Token("atom", "", 0))
         self.pos += 1
         return t
 
     def expect(self, kind: str) -> Token:
         t = self.next()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, got {t.text!r}", t.line, t.col)
+            raise self.error(f"expected {kind!r}, got {t.text!r}", t)
         return t
 
+    def complex(self) -> complex:
+        t = self.next()
+        try:
+            return parse_complex_text(t.text)
+        except ValueError:
+            raise self.error(f"expected a complex number, got {t.text!r}", t) from None
 
-def _parse_complex_tok(t: Token) -> complex:
-    try:
-        return parse_complex_text(t.text)
-    except ValueError:
-        raise ParseError(f"expected a complex number, got {t.text!r}", t.line, t.col) from None
 
-
-def _parse_node(r: _Reader) -> Node:
-    r.expect("(")
-    head = r.next()
-    if head.kind != "atom":
-        raise ParseError("expected node head (leaf, + or *)", head.line, head.col)
-    if head.text == "leaf":
-        qt = r.next()
-        if not _INT_RE.match(qt.text):
-            raise ParseError(f"leaf qubit must be an integer, got {qt.text!r}", qt.line, qt.col)
-        alpha = _parse_complex_tok(r.next())
-        beta = _parse_complex_tok(r.next())
-        r.expect(")")
-        return Leaf(int(qt.text), alpha, beta)
-    if head.text == "+":
-        children = []
-        while True:
-            t = r.peek()
-            if t is None:
-                raise ParseError("unterminated (+ ...)", head.line, head.col)
-            if t.kind == ")":
-                r.next()
-                break
-            r.expect("(")
-            coeff = _parse_complex_tok(r.next())
-            node = _parse_node(r)
+def _read_node(r: _Reader) -> Node:
+    """One node, read with an explicit stack of the open (+ and (* vertices."""
+    stack: list[tuple[Token, list]] = []  # head token, children read so far
+    while True:
+        r.expect("(")
+        head = r.next()
+        if head.kind != "atom":
+            raise r.error("expected node head (leaf, + or *)", head)
+        node: Node | None = None
+        if head.text == "leaf":
+            qt = r.next()
+            if not _INT_RE.match(qt.text):
+                raise r.error(f"leaf qubit must be an integer, got {qt.text!r}", qt)
+            alpha = r.complex()
+            beta = r.complex()
             r.expect(")")
-            children.append((coeff, node))
-        if not children:
-            raise ParseError("(+ ...) needs at least one child", head.line, head.col)
-        return Plus(tuple(children))
-    if head.text == "*":
-        children = []
-        while True:
+            node = Leaf(int(qt.text), alpha, beta)
+        elif head.text in ("+", "*"):
+            stack.append((head, []))
+        else:
+            raise r.error(f"unknown node head {head.text!r}", head)
+        # hand finished nodes to their parents until another child starts
+        while stack:
+            head, children = stack[-1]
+            if node is not None:
+                if head.text == "+":
+                    r.expect(")")
+                    children[-1] = (children[-1], node)  # the coefficient read before it
+                else:
+                    children.append(node)
+                node = None
             t = r.peek()
             if t is None:
-                raise ParseError("unterminated (* ...)", head.line, head.col)
-            if t.kind == ")":
-                r.next()
+                raise r.error(f"unterminated ({head.text} ...)", head)
+            if t.kind != ")":
+                if head.text == "+":
+                    r.expect("(")
+                    children.append(r.complex())
                 break
-            children.append(_parse_node(r))
-        if not children:
-            raise ParseError("(* ...) needs at least one child", head.line, head.col)
-        return Tensor(tuple(children))
-    raise ParseError(f"unknown node head {head.text!r}", head.line, head.col)
+            r.next()
+            if not children:
+                raise r.error(f"({head.text} ...) needs at least one child", head)
+            node = Plus(tuple(children)) if head.text == "+" else Tensor(tuple(children))
+            stack.pop()
+        else:
+            return node
 
 
 def parse(text: str, n: int | None = None) -> StateTree:
     """Parse tree DSL text; n defaults to the largest qubit mentioned."""
-    r = _Reader(tokenize(text))
-    node = _parse_node(r)
+    r = _Reader(text)
+    node = _read_node(r)
     t = r.peek()
     if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+        raise r.error(f"trailing input {t.text!r}", t)
     if n is None:
         n = qubit_mask(node).bit_length()
     return StateTree(n, node)
@@ -183,28 +165,46 @@ def parse(text: str, n: int | None = None) -> StateTree:
 _WIDTH = 100
 
 
-def _render(node: Node, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(node, Leaf):
-        return f"(leaf {node.qubit} {fmt_complex(node.alpha)} {fmt_complex(node.beta)})"
-    if isinstance(node, Tensor):
-        parts = [_render(ch, indent + 2) for ch in node.children]
-        flat = "(* " + " ".join(parts) + ")"
-        if len(flat) + indent <= _WIDTH and "\n" not in flat:
-            return flat
-        sep = "\n" + pad + "  "
-        return "(*" + sep + sep.join(parts) + ")"
-    parts = [f"({fmt_complex(c)} {_render(ch, indent + 2)})" for c, ch in node.children]
-    flat = "(+ " + " ".join(parts) + ")"
-    if len(flat) + indent <= _WIDTH and "\n" not in flat:
-        return flat
-    sep = "\n" + pad + "  "
-    return "(+" + sep + sep.join(parts) + ")"
+def _flat(node: Tensor | Plus, kids: list[tuple]) -> tuple[str | None, list]:
+    """Bottom-up pass of the writer: (the vertex on one line, or None when
+    that exceeds the width, its children's pairs)."""
+    parts = [f for f, _ in kids]
+    if None in parts:
+        return None, kids
+    if isinstance(node, Plus):
+        parts = [f"({fmt_complex(c)} {f})" for (c, _), f in zip(node.children, parts)]
+    flat = ("(* " if isinstance(node, Tensor) else "(+ ") + " ".join(parts) + ")"
+    return (flat if len(flat) <= _WIDTH else None), kids
 
 
 def serialize(tree: StateTree | Node) -> str:
+    """Tree DSL text.  A vertex prints on one line when it fits the width at
+    its indent, otherwise one child per line, indented by two more spaces."""
     node = tree.root if isinstance(tree, StateTree) else tree
-    return _render(node, 0) + "\n"
+    leaf = lambda lf: (f"(leaf {lf.qubit} {fmt_complex(lf.alpha)} {fmt_complex(lf.beta)})", ())
+    out: list[str] = []
+    todo: list = [(node, _fold(node, leaf, _flat, _flat), 0)]  # text, or (node, pair, indent)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        nd, (flat, kids), indent = item
+        if isinstance(nd, Leaf) or (flat is not None and len(flat) + indent <= _WIDTH):
+            out.append(flat)
+            continue
+        sep = "\n" + " " * (indent + 2)
+        todo.append(")")
+        if isinstance(nd, Tensor):
+            out.append("(*")
+            for ch, kid in zip(reversed(nd.children), reversed(kids)):
+                todo += [(ch, kid, indent + 2), sep]
+        else:
+            out.append("(+")
+            for (c, ch), kid in zip(reversed(nd.children), reversed(kids)):
+                todo += [")", (ch, kid, indent + 2), f"{sep}({fmt_complex(c)} "]
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ a + b x_i into leaves a|0> + (a+b)|1>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import NonMultilinearError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
+from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, normalize_node
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
 
@@ -265,31 +266,21 @@ def _one_minus_var(q: int) -> Formula:
 def tree_to_formula(tree: StateTree) -> Formula:
     """Multilinear formula whose value at bits x is the amplitude of |x>."""
 
-    def rec(node: Node) -> Formula:
-        if isinstance(node, Leaf):
-            a, b = complex(node.alpha), complex(node.beta)
-            if b == 0:
-                zero = _one_minus_var(node.qubit)
-                return zero if a == 1 else Mul(Const(a), zero)
-            if a == 0:
-                return Var(node.qubit) if b == 1 else Mul(Const(b), Var(node.qubit))
-            return Add(Mul(Const(a), _one_minus_var(node.qubit)),
-                       Mul(Const(b), Var(node.qubit)))
-        if isinstance(node, Tensor):
-            out = rec(node.children[0])
-            for ch in node.children[1:]:
-                out = Mul(out, rec(ch))
-            return out
-        terms = []
-        for coeff, ch in node.children:
-            g = rec(ch)
-            terms.append(g if coeff == 1 else Mul(Const(complex(coeff)), g))
-        out = terms[0]
-        for t in terms[1:]:
-            out = Add(out, t)
-        return out
+    def leaf(node: Leaf) -> Formula:
+        a, b = complex(node.alpha), complex(node.beta)
+        if b == 0:
+            zero = _one_minus_var(node.qubit)
+            return zero if a == 1 else Mul(Const(a), zero)
+        if a == 0:
+            return Var(node.qubit) if b == 1 else Mul(Const(b), Var(node.qubit))
+        return Add(Mul(Const(a), _one_minus_var(node.qubit)),
+                   Mul(Const(b), Var(node.qubit)))
 
-    return rec(tree.root)
+    def plus(node: Plus, kids: list[Formula]) -> Formula:
+        return functools.reduce(Add, [g if coeff == 1 else Mul(Const(complex(coeff)), g)
+                                      for (coeff, _), g in zip(node.children, kids)])
+
+    return _fold(tree.root, leaf, lambda _, kids: functools.reduce(Mul, kids), plus)
 
 
 def formula_to_tree(f: Formula, n: int) -> StateTree:
@@ -556,14 +547,13 @@ def serialize_formula(f: Formula) -> str:
 
 
 def parse_formula(text: str) -> Formula:
-    from .dsl import _Reader, tokenize, parse_complex_text
-    from .errors import ParseError
+    from .dsl import _Reader, parse_complex_text
 
     def node(r) -> Formula:
         r.expect("(")
         head = r.next()
         if head.kind != "atom":
-            raise ParseError("expected formula head (+, *, var, const)", head.line, head.col)
+            raise r.error("expected formula head (+, *, var, const)", head)
         if head.text in ("+", "*"):
             left = node(r)
             right = node(r)
@@ -572,7 +562,7 @@ def parse_formula(text: str) -> Formula:
         if head.text == "var":
             t = r.next()
             if not t.text.isdigit():
-                raise ParseError(f"var index must be an integer, got {t.text!r}", t.line, t.col)
+                raise r.error(f"var index must be an integer, got {t.text!r}", t)
             r.expect(")")
             return Var(int(t.text))
         if head.text == "const":
@@ -580,16 +570,16 @@ def parse_formula(text: str) -> Formula:
             try:
                 z = parse_complex_text(t.text)
             except ValueError:
-                raise ParseError(f"bad complex literal {t.text!r}", t.line, t.col) from None
+                raise r.error(f"bad complex literal {t.text!r}", t) from None
             r.expect(")")
             return Const(z)
-        raise ParseError(f"unknown formula head {head.text!r}", head.line, head.col)
+        raise r.error(f"unknown formula head {head.text!r}", head)
 
-    r = _Reader(tokenize(text))
+    r = _Reader(text)
     f = node(r)
     t = r.peek()
     if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+        raise r.error(f"trailing input {t.text!r}", t)
     return f
 
 

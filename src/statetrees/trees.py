@@ -15,9 +15,11 @@ sits at index sum_i x_i 2^(n-i) of the amplitude vector.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -61,19 +63,51 @@ def tensor(*children: Node) -> Tensor:
     return Tensor(tuple(children))
 
 
+def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
+    """Post-order fold over the vertices under `root`, with an explicit stack.
+
+    leaf(node) gives a leaf's result; tensor(node, kids) and plus(node, kids)
+    get the list of their children's results in child order.  When `path`
+    is a list, it holds the child indices from `root` down to the vertex
+    whose callback is running.
+    """
+    if isinstance(root, Leaf):
+        return leaf(root)
+    path = [] if path is None else path
+    stack = [(root, iter(_children(root)), [])]  # open vertex, its unread children, their results
+    while True:
+        node, unread, kids = stack[-1]
+        for child in unread:
+            path.append(len(kids))
+            if isinstance(child, Leaf):
+                kids.append(leaf(child))
+                path.pop()
+            else:
+                stack.append((child, iter(_children(child)), []))
+                break
+        else:
+            result = (tensor if isinstance(node, Tensor) else plus)(node, kids)
+            stack.pop()
+            if not stack:
+                return result
+            path.pop()
+            stack[-1][2].append(result)
+
+
+def _children(node: Tensor | Plus) -> Sequence[Node]:
+    if isinstance(node, Tensor):
+        return node.children
+    return [ch for _, ch in node.children]
+
+
+def _union(masks: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
 def qubit_mask(node: Node) -> int:
     """Bitmask of the qubits under a node (bit q-1 for qubit q)."""
-    if isinstance(node, Leaf):
-        return 1 << (node.qubit - 1)
-    if isinstance(node, Tensor):
-        m = 0
-        for ch in node.children:
-            m |= qubit_mask(ch)
-        return m
-    m = 0
-    for _, ch in node.children:
-        m |= qubit_mask(ch)
-    return m
+    return _fold(node, lambda lf: 1 << (lf.qubit - 1),
+                 lambda _, ms: _union(ms), lambda _, ms: _union(ms))
 
 
 def mask_qubits(mask: int) -> list[int]:
@@ -83,37 +117,32 @@ def mask_qubits(mask: int) -> list[int]:
 def tree_size(tree: StateTree | Node) -> int:
     """Number of leaf vertices."""
     node = tree.root if isinstance(tree, StateTree) else tree
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, Tensor):
-        return sum(tree_size(ch) for ch in node.children)
-    return sum(tree_size(ch) for _, ch in node.children)
+    return _fold(node, lambda _: 1, lambda _, ks: sum(ks), lambda _, ks: sum(ks))
 
 
 def depth(tree: StateTree | Node) -> int:
     """Maximum number of edges from the root down to a leaf."""
     node = tree.root if isinstance(tree, StateTree) else tree
-    if isinstance(node, Leaf):
-        return 0
-    if isinstance(node, Tensor):
-        return 1 + max(depth(ch) for ch in node.children)
-    return 1 + max(depth(ch) for _, ch in node.children)
+    return _fold(node, lambda _: 0, lambda _, ks: 1 + max(ks), lambda _, ks: 1 + max(ks))
 
 
 # ---------------------------------------------------------------------------
-# vector engine
+# vector engine: fold callbacks on (qubit mask, vector over those qubits in sorted order)
 
 
-def _tensor_vector(masks: list[int], vecs: list[np.ndarray]) -> tuple[int, np.ndarray]:
-    """Kron the per-child vectors, then reorder axes into sorted qubit order."""
+def _leaf_vector(node: Leaf) -> tuple[int, np.ndarray]:
+    return 1 << (node.qubit - 1), np.array([node.alpha, node.beta], dtype=complex)
+
+
+def _tensor_vector(kids: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """Outer product of the children's vectors, axes reordered into sorted qubit order."""
     full = 0
-    for m in masks:
-        full |= m
     concat: list[int] = []
     out = np.ones(1, dtype=complex)
-    for m, v in zip(masks, vecs):
+    for m, v in kids:
+        full |= m
         concat += mask_qubits(m)
-        out = np.kron(out, v)
+        out = np.multiply.outer(out, v).ravel()
     target = mask_qubits(full)
     if concat != target:
         perm = [concat.index(q) for q in target]
@@ -121,33 +150,67 @@ def _tensor_vector(masks: list[int], vecs: list[np.ndarray]) -> tuple[int, np.nd
     return full, out
 
 
-def _node_vector(node: Node) -> tuple[int, np.ndarray]:
-    """(qubit mask, amplitude vector over the masked qubits, sorted order)."""
-    if isinstance(node, Leaf):
-        return 1 << (node.qubit - 1), np.array([node.alpha, node.beta], dtype=complex)
+def _plus_vector(node: Plus, kids: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+    acc = np.zeros_like(kids[0][1])
+    for (coeff, _), (_, v) in zip(node.children, kids):
+        acc = acc + coeff * v
+    return _union(m for m, _ in kids), acc
+
+
+def _faults(node: Tensor | Plus, kids: list) -> list[tuple]:
+    """Structural faults of a vertex: (rule, child index or None, what
+    validate measures, what evaluate raises)."""
+    kind = "tensor" if isinstance(node, Tensor) else "plus"
+    if not kids:
+        return [("empty-children", None, f"{kind} with 0 children", f"{kind} vertex with no children")]
+    if kind == "plus":
+        return [("plus-children-qubitset-mismatch", i, f"child {i}",
+                 "plus children cover different qubit sets")
+                for i, (m, _) in enumerate(kids) if m != kids[0][0]]
+    out, seen = [], 0
+    for i, (m, _) in enumerate(kids):
+        if m & seen:
+            out.append(("tensor-children-overlap", i, f"child {i}", "tensor children overlap on qubits"))
+        seen |= m
+    return out
+
+
+def _checked(node: Tensor | Plus, kids, report, formed=lambda mv: mv):
+    """Tensor and plus callback over (mask, vector) pairs that checks the
+    structure first: report(fault) for each of _faults, and vector None
+    when the vertex or a child is faulty.  formed() gets each plus vertex's
+    pair; a tensor's norm is the product of its children's."""
+    faults = _faults(node, kids)
+    for fault in faults:
+        report(fault)
+    if faults or any(v is None for _, v in kids):
+        return _union(m for m, _ in kids), None
     if isinstance(node, Tensor):
-        if not node.children:
-            raise InvalidTreeError("tensor vertex with no children")
-        masks, vecs = [], []
-        seen = 0
-        for ch in node.children:
-            m, v = _node_vector(ch)
-            if m & seen:
-                raise InvalidTreeError("tensor children overlap on qubits")
-            seen |= m
-            masks.append(m)
-            vecs.append(v)
-        return _tensor_vector(masks, vecs)
-    if not node.children:
-        raise InvalidTreeError("plus vertex with no children")
-    mask0 = qubit_mask(node.children[0][1])
-    acc = np.zeros(1 << bin(mask0).count("1"), dtype=complex)
-    for coeff, ch in node.children:
-        m, v = _node_vector(ch)
-        if m != mask0:
-            raise InvalidTreeError("plus children cover different qubit sets")
-        acc += coeff * v
-    return mask0, acc
+        return _tensor_vector(kids)
+    return formed(_plus_vector(node, kids))
+
+
+def _after(path: list[int], child: int | None = None) -> tuple:
+    """Sort key of a finding made once the subtree at `path` (or at its
+    child `child`) is walked; a stable sort on it gives depth-first order."""
+    return (*path, math.inf) if child is None else (*path, child, math.inf)
+
+
+def _vector(node: Node) -> tuple[int, np.ndarray]:
+    """(qubit mask, amplitude vector) of a node.
+
+    Raises InvalidTreeError for the first structural fault in depth-first
+    order, where a fault between two children comes right after the
+    subtree of the later one.
+    """
+    path: list[int] = []
+    faults: list[tuple[tuple, str]] = []
+    report = lambda fault: faults.append((_after(path, fault[1]), fault[3]))
+    vertex = lambda nd, kids: _checked(nd, kids, report)
+    mask, vec = _fold(node, _leaf_vector, vertex, vertex, path)
+    if faults:
+        raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
+    return mask, vec
 
 
 def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
@@ -160,10 +223,9 @@ def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
     full = (1 << tree.n) - 1
-    mask = qubit_mask(tree.root)
-    if mask & ~full:
+    if qubit_mask(tree.root) & ~full:
         raise InvalidTreeError("tree uses qubits outside 1..n")
-    m, v = _node_vector(tree.root)
+    m, v = _vector(tree.root)
     if m != full:
         raise InvalidTreeError("root does not cover all qubits 1..n")
     return v
@@ -183,73 +245,35 @@ class Violation:
 def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERANCE) -> list[Violation]:
     """Check all structural and normalization invariants.
 
-    Violations come back as data; an empty list means the tree is valid.
+    Violations come back as data, in depth-first order; an empty list
+    means the tree is valid.
     """
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
-    out: list[Violation] = []
-    full = (1 << tree.n) - 1
+    path: list[int] = []
+    found: list[tuple[tuple, Violation]] = []
 
-    def walk(node: Node, path: tuple[int, ...]) -> tuple[int, np.ndarray | None]:
-        """Returns (mask, vector or None when the subtree is broken)."""
-        if isinstance(node, Leaf):
-            if not 1 <= node.qubit <= tree.n:
-                out.append(Violation(path, "leaf-qubit-range", f"qubit {node.qubit}"))
-                return 0, None
-            m, v = _node_vector(node)
-            nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > tol:
-                out.append(Violation(path, "vertex-not-normalized", f"norm {nrm!r}"))
-            return m, v
-        if isinstance(node, Tensor):
-            if not node.children:
-                out.append(Violation(path, "empty-children", "tensor with 0 children"))
-                return 0, None
-            masks, vecs, seen, ok = [], [], 0, True
-            for i, ch in enumerate(node.children):
-                m, v = walk(ch, path + (i,))
-                if v is None:
-                    ok = False
-                if m & seen:
-                    out.append(Violation(path, "tensor-children-overlap", f"child {i}"))
-                    ok = False
-                seen |= m
-                masks.append(m)
-                vecs.append(v)
-            if not ok:
-                return seen, None
-            m, v = _tensor_vector(masks, vecs)  # norm = product of child norms
-            return m, v
-        if not node.children:
-            out.append(Violation(path, "empty-children", "plus with 0 children"))
-            return 0, None
-        results = []
-        ok = True
-        for i, (_, ch) in enumerate(node.children):
-            m, v = walk(ch, path + (i,))
-            if v is None:
-                ok = False
-            results.append((m, v))
-        mask0 = results[0][0]
-        for i, (m, _) in enumerate(results):
-            if m != mask0:
-                out.append(Violation(path, "plus-children-qubitset-mismatch", f"child {i}"))
-                ok = False
-        if not ok:
-            union = 0
-            for m, _ in results:
-                union |= m
-            return union, None
-        acc = np.zeros_like(results[0][1])
-        for (coeff, _), (_, v) in zip(node.children, results):
-            acc = acc + coeff * v
-        nrm = float(np.linalg.norm(acc))
+    def report(rule: str, child: int | None, measured: str) -> None:
+        found.append((_after(path, child), Violation(tuple(path), rule, measured)))
+
+    def normalized(mv: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+        nrm = float(np.linalg.norm(mv[1]))
         if abs(nrm - 1.0) > tol:
-            out.append(Violation(path, "vertex-not-normalized", f"norm {nrm!r}"))
-        return mask0, acc
+            report("vertex-not-normalized", None, f"norm {nrm!r}")
+        return mv
 
-    mask, _ = walk(tree.root, ())
-    if mask != full:
+    def leaf(node: Leaf):
+        if not 1 <= node.qubit <= tree.n:
+            report("leaf-qubit-range", None, f"qubit {node.qubit}")
+            return 0, None
+        return normalized(_leaf_vector(node))
+
+    # an overlap is reported right after the child's subtree, a mismatch after them all
+    fault = lambda f: report(f[0], f[1] if f[0] == "tensor-children-overlap" else None, f[2])
+    vertex = lambda nd, kids: _checked(nd, kids, fault, normalized)
+    mask, _ = _fold(tree.root, leaf, vertex, vertex, path)
+    out = [v for _, v in sorted(found, key=lambda f: f[0])]
+    if mask != (1 << tree.n) - 1:
         out.append(Violation((), "root-qubitset-incomplete",
                              f"covers {sorted(mask_qubits(mask))}, n={tree.n}"))
     return out
@@ -265,34 +289,25 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
     """
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
-    state = {"manifest": True, "orthogonal": True}
+    manifest = orthogonal = True
 
-    def walk(node: Node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return _node_vector(node)[1]
-        if isinstance(node, Tensor):
-            masks = [qubit_mask(ch) for ch in node.children]
-            vecs = [walk(ch) for ch in node.children]
-            return _tensor_vector(masks, vecs)[1]
-        vecs = [walk(ch) for _, ch in node.children]
-        if len(vecs) > 1:
-            stacked = np.stack(vecs)
+    def plus(node: Plus, kids):
+        nonlocal manifest, orthogonal
+        if len(kids) > 1:
+            stacked = np.stack([v for _, v in kids])
             support = np.abs(stacked) > tol
             if np.any(support.sum(axis=0) > 1):
-                state["manifest"] = False
+                manifest = False
             gram = stacked @ stacked.conj().T
             off = gram - np.diag(np.diag(gram))
             if np.max(np.abs(off)) > tol:
-                state["orthogonal"] = False
-        acc = np.zeros_like(vecs[0])
-        for (coeff, _), v in zip(node.children, vecs):
-            acc = acc + coeff * v
-        return acc
+                orthogonal = False
+        return _plus_vector(node, kids)
 
-    walk(tree.root)
-    if not state["orthogonal"]:
+    _fold(tree.root, _leaf_vector, lambda _, kids: _tensor_vector(kids), plus)
+    if not orthogonal:
         return "general"
-    if not state["manifest"]:
+    if not manifest:
         return "orthogonal"
     return "manifestly-orthogonal"
 
@@ -329,43 +344,40 @@ def eps_to_delta(eps: float) -> float:
 
 def _restrict_node(node: Node, assign: dict[int, int]) -> tuple[complex, Node | None]:
     """Fix some qubits to bits; scalar * eval(result) equals the slice."""
-    if isinstance(node, Leaf):
-        if node.qubit in assign:
-            return (node.beta if assign[node.qubit] else node.alpha), None
-        return 1.0 + 0.0j, node
-    if isinstance(node, Tensor):
-        scalar = 1.0 + 0.0j
-        kept = []
-        for ch in node.children:
-            s, c = _restrict_node(ch, assign)
-            scalar *= s
-            if c is not None:
-                kept.append(c)
+
+    def leaf(lf: Leaf):
+        if lf.qubit in assign:
+            return (lf.beta if assign[lf.qubit] else lf.alpha), None
+        return 1.0 + 0.0j, lf
+
+    def tensor(_, kids):
+        scalar = math.prod((s for s, _ in kids), start=1.0 + 0.0j)
+        kept = [c for _, c in kids if c is not None]
         if not kept:
             return scalar, None
         if len(kept) == 1:
             return scalar, kept[0]
         return scalar, Tensor(tuple(kept))
-    terms = []
-    for coeff, ch in node.children:
-        s, c = _restrict_node(ch, assign)
-        terms.append((coeff * s, c))
-    if all(c is None for _, c in terms):
-        return sum(w for w, _ in terms), None
-    kept = [(w, c) for w, c in terms if c is not None and w != 0]
-    if not kept:
-        return 0.0j, None
-    if len(kept) == 1:
-        return kept[0]
-    return 1.0 + 0.0j, Plus(tuple(kept))
+
+    def plus(nd: Plus, kids):
+        terms = [(coeff * s, c) for (coeff, _), (s, c) in zip(nd.children, kids)]
+        if all(c is None for _, c in terms):
+            return sum(w for w, _ in terms), None
+        kept = [(w, c) for w, c in terms if c is not None and w != 0]
+        if not kept:
+            return 0.0j, None
+        if len(kept) == 1:
+            return kept[0]
+        return 1.0 + 0.0j, Plus(tuple(kept))
+
+    return _fold(node, leaf, tensor, plus)
 
 
-def _relabel(node: Node, mapping: dict[int, int]) -> Node:
-    if isinstance(node, Leaf):
-        return Leaf(mapping[node.qubit], node.alpha, node.beta)
+def _rebuild(node: Tensor | Plus, kids: list[Node]) -> Node:
+    """The vertex again, over new children."""
     if isinstance(node, Tensor):
-        return Tensor(tuple(_relabel(ch, mapping) for ch in node.children))
-    return Plus(tuple((c, _relabel(ch, mapping)) for c, ch in node.children))
+        return Tensor(tuple(kids))
+    return Plus(tuple((c, ch) for (c, _), ch in zip(node.children, kids)))
 
 
 def restrict(tree: StateTree, assignment: dict[int, int]) -> tuple[complex, StateTree | None]:
@@ -386,7 +398,8 @@ def restrict(tree: StateTree, assignment: dict[int, int]) -> tuple[complex, Stat
         return scalar, None
     remaining = [q for q in range(1, tree.n + 1) if q not in assignment]
     mapping = {q: i + 1 for i, q in enumerate(remaining)}
-    return scalar, StateTree(len(remaining), _relabel(node, mapping))
+    relabel = lambda lf: Leaf(mapping[lf.qubit], lf.alpha, lf.beta)
+    return scalar, StateTree(len(remaining), _fold(node, relabel, _rebuild, _rebuild))
 
 
 def normalize_node(node: Node) -> tuple[complex, Node]:
@@ -395,30 +408,27 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     Returns (scalar, node') with scalar * eval(node') == eval(node); the
     scalar is real positive.  Raises on an exactly-zero subtree.
     """
-    if isinstance(node, Leaf):
-        s = math.hypot(abs(node.alpha), abs(node.beta))
+
+    def leaf(lf: Leaf):
+        s = math.hypot(abs(lf.alpha), abs(lf.beta))
         if s == 0:
             raise InvalidTreeError("leaf with zero amplitude pair")
-        return s, Leaf(node.qubit, node.alpha / s, node.beta / s)
-    if isinstance(node, Tensor):
-        scalar = 1.0 + 0.0j
-        kids = []
-        for ch in node.children:
-            s, c = normalize_node(ch)
-            scalar *= s
-            kids.append(c)
-        return scalar, Tensor(tuple(kids))
-    coeffs, kids = [], []
-    for coeff, ch in node.children:
-        s, c = normalize_node(ch)
-        coeffs.append(coeff * s)
-        kids.append(c)
-    cand = Plus(tuple(zip(coeffs, kids)))
-    _, v = _node_vector(cand)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise InvalidTreeError("plus vertex sums to the zero vector")
-    return nrm, Plus(tuple((c / nrm, ch) for c, ch in zip(coeffs, kids)))
+        return s, Leaf(lf.qubit, lf.alpha / s, lf.beta / s)
+
+    def tensor(_, kids):
+        return math.prod((s for s, _ in kids), start=1.0 + 0.0j), Tensor(tuple(c for _, c in kids))
+
+    def plus(nd: Plus, kids):
+        coeffs = [coeff * s for (coeff, _), (s, _) in zip(nd.children, kids)]
+        nodes = [c for _, c in kids]
+        # evaluates the whole rescaled subtree, so the cost grows with plus nesting
+        _, v = _vector(Plus(tuple(zip(coeffs, nodes))))
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            raise InvalidTreeError("plus vertex sums to the zero vector")
+        return nrm, Plus(tuple((c / nrm, ch) for c, ch in zip(coeffs, nodes)))
+
+    return _fold(node, leaf, tensor, plus)
 
 
 def _check_unitary(u: np.ndarray, tol: float = TOLERANCE) -> None:
@@ -522,17 +532,13 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
         _check_unitary(g)
         mats.append(g)
 
-    def walk(node: Node) -> Node:
-        if isinstance(node, Leaf):
-            g = mats[node.qubit - 1]
-            a = g[0, 0] * node.alpha + g[0, 1] * node.beta
-            b = g[1, 0] * node.alpha + g[1, 1] * node.beta
-            return Leaf(node.qubit, complex(a), complex(b))
-        if isinstance(node, Tensor):
-            return Tensor(tuple(walk(ch) for ch in node.children))
-        return Plus(tuple((c, walk(ch)) for c, ch in node.children))
+    def leaf(lf: Leaf) -> Leaf:
+        g = mats[lf.qubit - 1]
+        a = g[0, 0] * lf.alpha + g[0, 1] * lf.beta
+        b = g[1, 0] * lf.alpha + g[1, 1] * lf.beta
+        return Leaf(lf.qubit, complex(a), complex(b))
 
-    return StateTree(tree.n, walk(tree.root))
+    return StateTree(tree.n, _fold(tree.root, leaf, _rebuild, _rebuild))
 
 
 def amplitude_index(bits: Iterable[int]) -> int:

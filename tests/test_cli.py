@@ -156,3 +156,61 @@ def test_error_exit_codes():
     assert r.returncode == 2
     r = run(["build", "hamming", "--n", "4"])  # missing --k
     assert r.returncode == 1
+
+
+def _product_text(amps) -> str:
+    return "(* " + " ".join(f"(leaf {q} {a!r} {b!r})" for q, (a, b) in enumerate(amps, 1)) + ")"
+
+
+def _chain_text(depth: int, bottom: str) -> str:
+    """`depth` nested single-child + vertices (coefficient 1) over `bottom`."""
+    return "(+ (1 " * depth + bottom + "))" * depth + "\n"
+
+
+def test_deep_chain_through_cli(tmp_path):
+    from statetrees.dsl import parse_amplitudes
+    from statetrees.formulas import formula_truth_values, parse_formula
+    amps = [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0), (0.0, 1.0)] * 2
+    want = np.ones(1, dtype=complex)
+    for a, b in amps:
+        want = np.kron(want, [a, b])
+    chain = tmp_path / "chain.tree"
+    chain.write_text(_chain_text(10_000, _product_text(amps)))
+    r = run(["eval", str(chain)])
+    assert r.returncode == 0, r.stderr
+    assert np.allclose(parse_amplitudes(r.stdout), want, atol=1e-12)
+    r = run(["validate", str(chain)])
+    assert (r.returncode, r.stdout) == (0, "path\trule\tmeasured\n")
+    r = run(["classify", str(chain)])
+    assert (r.returncode, r.stdout) == (0, "manifestly-orthogonal\n")
+    r = run(["convert", str(chain), "--to", "formula"])
+    assert r.returncode == 0, r.stderr
+    assert np.allclose(formula_truth_values(parse_formula(r.stdout), 8), want, atol=1e-12)
+
+
+def test_deep_chain_serialize_parse_round_trip():
+    from statetrees.dsl import parse, serialize
+    from statetrees.trees import Leaf, Plus, Tensor
+    tree = parse(_chain_text(2000, _product_text([(0.6, 0.8)] * 8)))
+    back = parse(serialize(tree))
+    # compare with a stack: dataclass == recurses once per level
+    todo = [(tree.root, back.root)]
+    while todo:
+        a, b = todo.pop()
+        assert type(a) is type(b)
+        if isinstance(a, Leaf):
+            assert a == b
+        elif isinstance(a, Tensor):
+            assert len(a.children) == len(b.children)
+            todo += zip(a.children, b.children)
+        else:
+            assert isinstance(a, Plus) and [c for c, _ in a.children] == [c for c, _ in b.children]
+            todo += zip((ch for _, ch in a.children), (ch for _, ch in b.children))
+    assert back.n == tree.n == 8
+
+
+def test_deep_formula_is_a_clean_error():
+    deep = "(+ (var 1) " * 5000 + "(var 2)" + ")" * 5000 + "\n"
+    r = run(["balance", "-"], stdin=deep)
+    assert r.returncode == 1
+    assert r.stderr == "ERROR oversize: input nests too deeply for this command\n"

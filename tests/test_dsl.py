@@ -11,6 +11,7 @@ from conftest import random_tree
 from statetrees.dsl import (fmt_complex, fmt_float, format_amplitudes, parse,
                             parse_amplitudes, parse_complex_text, serialize)
 from statetrees.errors import ParseError
+from statetrees.formulas import parse_formula
 from statetrees.gf2 import BitMatrix, format_matrix, parse_matrix
 from statetrees.trees import Leaf, evaluate, fidelity, validate
 
@@ -60,6 +61,29 @@ def test_parse_errors_carry_position():
         assert e.line == 2
     else:
         raise AssertionError("expected a ParseError")
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (parse, "", "1:1: unexpected end of input"),
+    (parse, "(leaf 1 0.5)", "1:12: expected a complex number, got ')'"),
+    (parse, "(+ (0.5 (leaf 1 1 0))\n  (oops))", "2:4: expected a complex number, got 'oops'"),
+    (parse, "; comment (\n  (leaf x 1 0)", "2:9: leaf qubit must be an integer, got 'x'"),
+    (parse, "(* (leaf 1 1 0)\n\t(leaf 2 1 0)", "1:2: unterminated (* ...)"),
+    (parse, "(+ (1 (leaf 1 1 0)))\n(leaf 2 1 0)", "2:1: trailing input '('"),
+    (parse, "(*)", "1:2: (* ...) needs at least one child"),
+    (parse, "((leaf 1 1 0))", "1:2: expected node head (leaf, + or *)"),
+    (parse, "(leaf 1 1 0 )  )", "1:16: trailing input ')'"),
+    (parse_formula, "(+ (var 1)\n   (const q))", "2:11: bad complex literal 'q'"),
+    (parse_formula, "(var x)", "1:6: var index must be an integer, got 'x'"),
+    (parse_formula, "(+ (var 1) (var 2)", "1:18: unexpected end of input"),
+    (parse_formula, "(blah 1)", "1:2: unknown formula head 'blah'"),
+    (parse_formula, "(* (var 1) (var 2))\n  (", "2:3: trailing input '('"),
+    (parse_formula, "(+ ( (var 1))", "1:6: expected formula head (+, *, var, const)"),
+])
+def test_parse_error_line_and_column(reader, text, message):
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert str(err.value) == message
 
 
 def test_roundtrip_random_trees_bit_identical():

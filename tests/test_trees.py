@@ -240,7 +240,77 @@ def test_norm_and_size_invariants_on_random_trees():
         assert tree_size(t) >= n
 
 
+def _kron_reference(node):
+    """(qubits in sorted order, vector), tensor products taken with np.kron."""
+    if isinstance(node, Leaf):
+        return [node.qubit], np.array([node.alpha, node.beta], dtype=complex)
+    if isinstance(node, Tensor):
+        qubits, out = [], np.ones(1, dtype=complex)
+        for ch in node.children:
+            q, v = _kron_reference(ch)
+            qubits += q
+            out = np.kron(out, v)
+        perm = [qubits.index(q) for q in sorted(qubits)]
+        return sorted(qubits), out.reshape([2] * len(qubits)).transpose(perm).reshape(-1)
+    results = [_kron_reference(ch) for _, ch in node.children]
+    acc = np.zeros_like(results[0][1])
+    for (coeff, _), (_, v) in zip(node.children, results):
+        acc = acc + coeff * v
+    return results[0][0], acc
+
+
+def test_evaluate_is_bitwise_the_kron_product():
+    for trial in range(25):
+        t = random_tree(911, 1 + trial % 8, trial)
+        assert evaluate(t).tobytes() == _kron_reference(t.root)[1].tobytes()
+
+
 def test_evaluate_rejects_structural_garbage():
     bad = StateTree(2, Plus(((1.0, Leaf(1, 1, 0)), (1.0, Leaf(2, 1, 0)))))
     with pytest.raises(InvalidTreeError):
         evaluate(bad)
+
+
+@pytest.mark.parametrize("tree, want", [
+    (StateTree(2, Tensor((Leaf(1, 1, 0), Leaf(3, 1, 0)))),
+     [((1,), "leaf-qubit-range", "qubit 3"), ((), "root-qubitset-incomplete", "covers [1], n=2")]),
+    (StateTree(1, Leaf(0, 1, 0)),
+     [((), "leaf-qubit-range", "qubit 0"), ((), "root-qubitset-incomplete", "covers [], n=1")]),
+    (StateTree(1, Plus(((1.0, Leaf(1, 1, 0)), (1.0, Tensor(()))))),
+     [((1,), "empty-children", "tensor with 0 children"),
+      ((), "plus-children-qubitset-mismatch", "child 1")]),
+    (StateTree(2, Tensor((Leaf(1, 1, 0), Plus(())))),
+     [((1,), "empty-children", "plus with 0 children"),
+      ((), "root-qubitset-incomplete", "covers [1], n=2")]),
+    # an overlap is reported right after the overlapping child's subtree
+    (StateTree(3, Tensor((Leaf(1, 1, 0), Leaf(1, 0, 1), Plus(((2.0, Leaf(2, 1, 0)),)),
+                          Leaf(3, 1, 1)))),
+     [((), "tensor-children-overlap", "child 1"), ((2,), "vertex-not-normalized", "norm 2.0"),
+      ((3,), "vertex-not-normalized", "norm 1.4142135623730951")]),
+    # a qubit-set mismatch after all the children's subtrees
+    (StateTree(2, Plus(((R2, Leaf(1, 1, 0)), (R2, Leaf(2, 1, 0)), (1.0, Leaf(1, 3, 0))))),
+     [((2,), "vertex-not-normalized", "norm 3.0"), ((), "plus-children-qubitset-mismatch", "child 1")]),
+    (StateTree(3, Plus(((R2, Tensor((Leaf(1, 1, 0), Plus(((1.0, Leaf(2, 2, 0)),)), Leaf(3, 1, 0)))),
+                        (R2, Tensor((Leaf(1, 0, 1), Leaf(2, 0, 1), Leaf(3, 0, 1))))))),
+     [((0, 1, 0), "vertex-not-normalized", "norm 2.0"), ((0, 1), "vertex-not-normalized", "norm 2.0"),
+      ((), "vertex-not-normalized", "norm 1.5811388300841895")]),
+    (StateTree(3, Tensor((Leaf(1, 1, 0), Leaf(2, 0, 1)))),
+     [((), "root-qubitset-incomplete", "covers [1, 2], n=3")]),
+])
+def test_validate_pins_path_and_measured(tree, want):
+    assert [(v.path, v.rule, v.measured) for v in validate(tree)] == want
+
+
+@pytest.mark.parametrize("root, message", [
+    (Plus(((1, Leaf(1, 1, 0)), (1, Leaf(2, 1, 0)), (1, Tensor((Leaf(1, 1, 0), Leaf(1, 1, 0)))))),
+     "plus children cover different qubit sets"),
+    (Tensor((Leaf(1, 1, 0), Leaf(1, 1, 0), Plus(((1, Leaf(2, 1, 0)), (1, Leaf(3, 1, 0)))))),
+     "tensor children overlap on qubits"),
+    (Tensor((Plus(((1, Leaf(1, 1, 0)), (1, Leaf(2, 1, 0)))), Leaf(1, 1, 0))),
+     "plus children cover different qubit sets"),
+    (Plus(((1, Tensor(())), (1, Leaf(1, 1, 0)))), "tensor vertex with no children"),
+])
+def test_evaluate_reports_first_fault_in_depth_first_order(root, message):
+    with pytest.raises(InvalidTreeError) as err:
+        evaluate(StateTree(4, root))
+    assert str(err.value) == message
