@@ -209,73 +209,67 @@ def compile_tree(tree: StateTree, max_qubits: int = 20) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# dense simulation
+# dense simulation: the state is a tensor with one length-2 axis per wire,
+# wire w on axis w.  Controls are a tuple of per-wire slices, so t[ctrl] is
+# a view of the controlled block that keeps every axis.
+
+_ALL = slice(None)
 
 
-def _bit(total: int, wire: int) -> int:
-    return 1 << (total - 1 - wire)
+def _fix(ctrl: tuple[slice, ...], wire: int, bit: int) -> tuple[slice, ...]:
+    """ctrl narrowed to wire == bit; empty where ctrl already fixes the other bit."""
+    s = slice(bit, bit + 1) if bit in range(2)[ctrl[wire]] else slice(0, 0)
+    return ctrl[:wire] + (s,) + ctrl[wire + 1:]
 
 
-def _control_mask(idx: np.ndarray, total: int, controls: list[tuple[int, int]]) -> np.ndarray:
-    ok = np.ones(len(idx), dtype=bool)
-    for w, pol in controls:
-        bit = (idx & _bit(total, w)) != 0
-        ok &= bit if pol else ~bit
-    return ok
+def _mass(block: np.ndarray) -> float:
+    # one 1-d sum in flat index order, whatever the view's strides
+    return float(np.sum(np.abs(block.ravel()) ** 2))
 
 
-def _apply_gates(vec: np.ndarray, total: int, gates: list[Gate],
-                 controls: list[tuple[int, int]], tol: float) -> None:
-    idx = np.arange(len(vec))
+def _apply_gates(t: np.ndarray, gates: list[Gate], ctrl: tuple[slice, ...], tol: float) -> None:
     for g in gates:
+        wires = ((g.control,) if isinstance(g, ControlledSub) else
+                 (g.target, *g.register) if isinstance(g, OrNot) else
+                 (g.qubit,) if isinstance(g, Prep) else g.qubits)
+        for w in wires:  # a negative index would silently pick a wire from the end
+            if not 0 <= w < t.ndim:
+                raise ValueError(f"wire {w} is outside 0..{t.ndim - 1}")
         if isinstance(g, ControlledSub):
-            _apply_gates(vec, total, g.body.gates, controls + [(g.control, g.polarity)], tol)
+            if g.polarity not in (0, 1):
+                raise ValueError(f"csub polarity {g.polarity} is not 0 or 1")
+            _apply_gates(t, g.body.gates, _fix(ctrl, g.control, g.polarity), tol)
             continue
         if isinstance(g, OrNot):
-            ok = _control_mask(idx, total, controls)
-            reg = 0
+            if g.target in g.register or ctrl[g.target] != _ALL:
+                raise ValueError(f"ornot target {g.target} is in its register or a control wire")
+            zero = ctrl
             for w in g.register:
-                reg |= _bit(total, w)
-            flip = ok & ((idx & reg) != 0)
-            src = np.where(flip, idx ^ _bit(total, g.target), idx)
-            vec[:] = vec[src]
+                zero = _fix(zero, w, 0)
+            keep = t[zero].copy()
+            t[ctrl] = np.flip(t[ctrl], g.target)
+            t[zero] = keep
             continue
         if isinstance(g, Prep):
-            wires = (g.qubit,)
             mat = g.matrix()
-            ok = _control_mask(idx, total, controls)
-            in_slice = float(np.sum(np.abs(vec[ok]) ** 2))
-            bad = ok & ((idx & _bit(total, g.qubit)) != 0)
-            leaked = float(np.sum(np.abs(vec[bad]) ** 2))
+            in_slice = _mass(t[ctrl])
+            leaked = _mass(t[_fix(ctrl, g.qubit, 1)])
             if leaked > tol * max(in_slice, 1e-300):
                 raise PrepStateError(
                     f"prep on wire {g.qubit}: |1> mass {leaked:.3e} of {in_slice:.3e}")
         else:
-            wires = g.qubits
             mat = np.asarray(g.matrix, dtype=complex)
             if len(wires) > 3:
                 raise OversizeError("unitary gates are capped at 3 wires")
         if len(set(wires)) != len(wires):
             raise ValueError("gate wires repeat")
-        if set(wires) & {w for w, _ in controls}:
+        if any(ctrl[w] != _ALL for w in wires):
             raise ValueError("gate acts on one of its control wires")
         k = len(wires)
-        bits = [_bit(total, w) for w in wires]
-        free = _control_mask(idx, total, controls)
-        for b in bits:
-            free &= (idx & b) == 0
-        base = idx[free]
-        offsets = []
-        for z in range(1 << k):
-            off = 0
-            for j in range(k):
-                if (z >> (k - 1 - j)) & 1:
-                    off |= bits[j]
-            offsets.append(off)
-        block = np.stack([vec[base + off] for off in offsets])
-        block = mat @ block
-        for z, off in enumerate(offsets):
-            vec[base + off] = block[z]
+        moved = np.moveaxis(t[ctrl], wires, range(k))
+        # C order keeps `@` on one BLAS path for every view layout
+        block = np.ascontiguousarray(moved).reshape(1 << k, -1)
+        moved[...] = (mat @ block).reshape(moved.shape)
 
 
 def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndarray:
@@ -285,7 +279,7 @@ def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndar
         raise OversizeError(f"{total} wires exceed the dense cap {max_width}")
     vec = np.zeros(1 << total, dtype=complex)
     vec[0] = 1.0
-    _apply_gates(vec, total, c.gates, [], tol)
+    _apply_gates(vec.reshape([2] * total), c.gates, (_ALL,) * total, tol)
     return vec
 
 

@@ -138,3 +138,111 @@ def test_circuit_parse_errors():
         parse_circuit("qubits 2 0\nprep 0 1 0\n")  # wrong arity
     with pytest.raises(ParseError):
         parse_circuit("qubits 2 0\ncsub 0 1 {\nprep 1 1 0 0 0\n")  # unterminated
+
+
+# ---------------------------------------------------------------------------
+# reference simulator: every gate as a full 2^w x 2^w matrix
+
+
+def _full(width: int, wires: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
+    """mat on the given wires (first wire most significant), identity elsewhere."""
+    order = list(wires) + [w for w in range(width) if w not in wires]
+    x = np.arange(1 << width)
+    y = np.zeros_like(x)  # x with its wire bits moved into `order`
+    for i, w in enumerate(order):
+        y |= ((x >> (width - 1 - w)) & 1) << (width - 1 - i)
+    return np.kron(mat, np.eye(1 << (width - len(wires))))[np.ix_(y, y)]
+
+
+def _reference(c: Circuit) -> np.ndarray:
+    w = c.width
+    x = np.arange(1 << w)
+
+    def bit(wire):
+        return (x >> (w - 1 - wire)) & 1
+
+    vec = np.zeros(1 << w, dtype=complex)
+    vec[0] = 1
+
+    def run(gates, ok):
+        nonlocal vec
+        for g in gates:
+            if isinstance(g, ControlledSub):
+                run(g.body.gates, ok & (bit(g.control) == g.polarity))
+                continue
+            if isinstance(g, OrNot):
+                on = ok & np.any([bit(r) for r in g.register], axis=0)
+                op = _full(w, (g.target,), np.array([[0, 1], [1, 0]]))
+            elif isinstance(g, Prep):
+                on, op = ok, _full(w, (g.qubit,), g.matrix())
+            else:
+                on, op = ok, _full(w, g.qubits, g.matrix)
+            # the gate leaves its controls alone, so it commutes with diag(on)
+            vec = (on[:, None] * op + np.diag(~on)) @ vec
+
+    run(c.gates, np.ones(1 << w, dtype=bool))
+    return vec
+
+
+def _random_gates(rng, width, ctrls, depth, fresh, seen):
+    """Valid gates under the controls ctrls; preps only on wires still |0>."""
+    cw = {w for w, _ in ctrls}
+    free = [w for w in range(width) if w not in cw]
+    gates = []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(0, 4))
+        unset = sorted(set(free) & fresh)
+        if kind == 0 and depth < 3:
+            if ctrls and rng.random() < 0.4:
+                w, pol = ctrls[int(rng.integers(len(ctrls)))]
+                if rng.random() < 0.5:
+                    pol = 1 - pol
+                    seen.add("contradictory csub")
+                else:
+                    seen.add("repeated csub")
+            else:
+                w, pol = int(rng.integers(width)), int(rng.integers(2))
+            if depth == 2:
+                seen.add("csub 3 deep")
+            body = _random_gates(rng, width, ctrls + [(w, pol)], depth + 1, fresh, seen)
+            gates.append(ControlledSub(w, pol, Circuit(width, 0, body)))
+        elif kind == 1 and unset:
+            w = unset[int(rng.integers(len(unset)))]
+            fresh.discard(w)
+            a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+            s = np.hypot(abs(a), abs(b))
+            gates.append(Prep(w, a / s, b / s))
+            seen.add("prep under controls" if ctrls else "prep")
+        elif kind == 2 and free:
+            k = int(rng.integers(1, min(3, len(free)) + 1))
+            ws = tuple(int(free[i]) for i in rng.permutation(len(free))[:k])
+            fresh.difference_update(ws)
+            gates.append(Unitary(ws, random_unitary(rng, 1 << k)))
+            seen.add(f"{k}-wire unitary")
+        elif kind == 3 and free and width > 1:
+            t = free[int(rng.integers(len(free)))]
+            others = [w for w in range(width) if w != t]
+            r = int(rng.integers(1, len(others) + 1))
+            reg = tuple(int(others[i]) for i in rng.permutation(len(others))[:r])
+            fresh.discard(t)
+            gates.append(OrNot(t, reg))
+            seen.update(f"ornot on a polarity-{p} control" for w, p in ctrls if w in reg)
+    return gates
+
+
+def test_simulate_matches_full_matrix_reference():
+    seen: set[str] = set()
+    for trial in range(120):
+        rng = stream(47, trial)
+        width = int(rng.integers(1, 8))
+        fresh = set(range(width))
+        gates: list = []
+        while len(gates) < 4:
+            gates += _random_gates(rng, width, [], 0, fresh, seen)
+        n_data = int(rng.integers(0, width + 1))
+        c = Circuit(n_data, width - n_data, gates)
+        assert np.max(np.abs(simulate(c) - _reference(c))) < 1e-12, trial
+    assert seen >= {"contradictory csub", "repeated csub", "csub 3 deep", "prep",
+                    "prep under controls", "1-wire unitary", "2-wire unitary",
+                    "3-wire unitary", "ornot on a polarity-0 control",
+                    "ornot on a polarity-1 control"}

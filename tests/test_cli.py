@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 CLI = [sys.executable, "-m", "statetrees.cli"]
 
@@ -156,6 +157,22 @@ def test_error_exit_codes():
     assert r.returncode == 2
     r = run(["build", "hamming", "--n", "4"])  # missing --k
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("qubits 2 0\nprep -1 1 0 0 0\n", "wire -1 is outside 0..1"),
+    ("qubits 2 0\nprep 5 1 0 0 0\n", "wire 5 is outside 0..1"),
+    ("qubits 2 0\nprep 1 0 0 1 0\ncsub 0 2 {\nprep 1 1 0 0 0\n}\n",
+     "csub polarity 2 is not 0 or 1"),
+    ("qubits 2 0\nprep 1 0 0 1 0\nornot 1 0 1\n",
+     "ornot target 1 is in its register or a control wire"),
+    ("qubits 2 0\nprep 1 0 0 1 0\ncsub 0 1 {\nornot 0 1\n}\n",
+     "ornot target 0 is in its register or a control wire"),
+], ids=["negative-wire", "wire-past-width", "polarity", "target-in-register",
+        "target-on-control"])
+def test_simulate_malformed_wires(text, message):
+    r = run(["simulate", "-"], stdin=text)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR domain: {message}\n")
 
 
 def _product_text(amps) -> str:

@@ -108,6 +108,20 @@ def test_amplitude_listing_roundtrip():
     assert np.allclose(parse_amplitudes(sparse), v)
 
 
+def test_skip_zeros_keeps_rows_by_python_abs():
+    # tol set to each row's own |z|, as numpy and as Python compute it: the
+    # two differ in the last bit on some rows, and Python's abs decides
+    rng = np.random.default_rng(5)
+    v = (rng.normal(size=256) + 1j * rng.normal(size=256)) * 1e-9
+    v[::7] = 0
+    v[3] = complex("nan")
+    rows = format_amplitudes(v).splitlines()
+    tols = [0.0] + [t for z in v[1:60] for t in (abs(complex(z)), float(np.abs(z)))]
+    for tol in tols:
+        want = [ln for z, ln in zip(v, rows) if not abs(complex(z)) <= tol]
+        assert format_amplitudes(v, skip_zeros=True, tol=tol).splitlines() == want
+
+
 def test_amplitude_listing_errors():
     with pytest.raises(ParseError):
         parse_amplitudes("00 0.5\n")
