@@ -22,13 +22,15 @@ whole section the conditioned block may touch.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .dsl import fmt_float
-from .errors import NonOrthogonalError, OversizeError, ParseError, StateTreesError
+from .errors import (NonOrthogonalError, NonUnitaryError, OversizeError, ParseError,
+                     StateTreesError)
 from .trees import (Leaf, Node, Plus, StateTree, Tensor, TOLERANCE,
                     classify_tree, evaluate, mask_qubits, qubit_mask)
 
@@ -272,11 +274,47 @@ def _apply_gates(t: np.ndarray, gates: list[Gate], ctrl: tuple[slice, ...], tol:
         moved[...] = (mat @ block).reshape(moved.shape)
 
 
+def _check_unitary(c: Circuit, tol: float) -> None:
+    """NonUnitaryError for the first prep or u gate that is not unitary within tol.
+
+    The u matrices are tested in one stacked product per matrix shape: a
+    test per gate would cost more than simulating a compiled circuit with
+    thousands of small gates.  NaN entries fail every test.
+    """
+    gates: list[Prep | Unitary] = []
+    todo = c.gates[::-1]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, ControlledSub):
+            todo += g.body.gates[::-1]
+        elif not isinstance(g, OrNot):
+            gates.append(g)
+    faults: list[tuple[int, str]] = []
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for pos, g in enumerate(gates):
+        if isinstance(g, Prep):
+            norm = abs(complex(g.alpha)) ** 2 + abs(complex(g.beta)) ** 2
+            if not abs(norm - 1) <= tol:
+                faults.append((pos, f"prep on wire {g.qubit}: |alpha|^2 + |beta|^2 = {norm!r}"))
+        else:
+            by_shape.setdefault(np.shape(g.matrix), []).append(pos)
+    for shape, where in by_shape.items():
+        u = np.array([gates[pos].matrix for pos in where], dtype=complex)
+        err = np.abs(np.einsum("bij,bkj->bik", u, u.conj()) - np.eye(shape[0])).max(axis=(1, 2))
+        bad = np.flatnonzero(~(err <= tol))
+        if len(bad):
+            pos = where[bad[0]]
+            faults.append((pos, f"u on wires {gates[pos].qubits}: max |U U^+ - I| = {err[bad[0]]:.3e}"))
+    if faults:
+        raise NonUnitaryError(min(faults)[1])
+
+
 def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndarray:
     """Dense state vector after running the circuit on |0..0>."""
     total = c.width
     if total > max_width:
         raise OversizeError(f"{total} wires exceed the dense cap {max_width}")
+    _check_unitary(c, tol)
     vec = np.zeros(1 << total, dtype=complex)
     vec[0] = 1.0
     _apply_gates(vec.reshape([2] * total), c.gates, (_ALL,) * total, tol)
@@ -346,6 +384,10 @@ def parse_circuit(text: str) -> Circuit:
         n_data, n_anc = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(f"bad qubit counts in {head!r}", ln_no, 1) from None
+    cols = [m.start() + 1 for m in re.finditer(r"\S+", text.splitlines()[ln_no - 1])]
+    for count, col in zip((n_data, n_anc), cols[1:]):
+        if count < 0:
+            raise ParseError(f"qubit count {count} is negative", ln_no, col)
 
     pos = 1
 

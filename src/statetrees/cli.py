@@ -160,13 +160,15 @@ def _cmd_mots(args) -> int:
     a, b = gf2.parse_matrix(_read(args.matrix))
     need_witness = args.witness is not None
     res = mots.mots_coset(a, convention=args.convention, b=b or 0,
-                          witness=need_witness, table=True)
+                          witness=need_witness, table=args.table is not None)
     if need_witness:
         Path(args.witness).write_text(dsl.serialize(res.witness))
     if args.table is not None:
-        rows = [[format(m, f"0{a.n}b"), v, (format(i, f"0{a.n}b") if i is not None else "-")]
-                for m, (v, i) in sorted(res.table.items())]
-        Path(args.table).write_text(_tsv(["columns", "value", "argmin"], rows))
+        names = [format(m, f"0{a.n}b") for m in range(1 << a.n)]
+        # res.table is keyed in ascending mask order
+        lines = [f"{names[m]}\t{v}\t{'-' if i is None else names[i]}"
+                 for m, (v, i) in res.table.items()]
+        Path(args.table).write_text("columns\tvalue\targmin\n" + "\n".join(lines) + "\n")
     rank = gf2.rank_gf2(a)
     out = _tsv(["key", "value"], [
         ["value", res.value],

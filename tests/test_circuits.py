@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary
-from statetrees.builders import (build_cat, build_coset_fourier_otree,
-                                 build_knill_tree, build_parity,
+from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier_otree,
+                                 build_coset_sigma1, build_divisibility_tree,
+                                 build_hamming, build_knill_tree, build_parity,
                                  build_parity_fourier)
 from statetrees.circuits import (Circuit, ControlledSub, OrNot, Prep,
                                  PrepStateError, Unitary, compile_tree,
                                  format_circuit, gate_count, invert,
                                  parse_circuit, simulate, verify_prepare)
-from statetrees.errors import NonOrthogonalError, OversizeError
-from statetrees.gf2 import BitMatrix, Coset
+from statetrees.errors import NonOrthogonalError, NonUnitaryError, OversizeError, ParseError
+from statetrees.gf2 import BitMatrix, Coset, random_bitmatrix
 from statetrees.rng import stream
 from statetrees.trees import Leaf, StateTree, Tensor
 
@@ -131,13 +132,49 @@ def test_circuit_text_roundtrip():
 
 
 def test_circuit_parse_errors():
-    from statetrees.errors import ParseError
     with pytest.raises(ParseError):
         parse_circuit("nonsense\n")
     with pytest.raises(ParseError):
         parse_circuit("qubits 2 0\nprep 0 1 0\n")  # wrong arity
     with pytest.raises(ParseError):
         parse_circuit("qubits 2 0\ncsub 0 1 {\nprep 1 1 0 0 0\n")  # unterminated
+    with pytest.raises(ParseError, match="^2:12: qubit count -2 is negative$"):
+        parse_circuit("; header\n  qubits 3 -2\n")
+
+
+@pytest.mark.parametrize("gates", [
+    [Unitary((0,), np.array([[2, 0], [0, 2]]))],
+    [Prep(0, 1, 1)],
+    [Prep(0, float("nan"), 0)],
+    [Unitary((0,), np.array([[np.nan, 0], [0, 1]]))],
+    [Prep(1, 1, 0), ControlledSub(1, 0, Circuit(2, 0, [Unitary((0,), np.eye(2) * 1.5)]))],
+], ids=["u-not-unitary", "prep-norm-2", "prep-nan", "u-nan", "u-inside-csub"])
+def test_simulate_rejects_non_unitary_gates(gates):
+    with pytest.raises(NonUnitaryError):
+        simulate(Circuit(2, 0, gates))
+
+
+def test_every_compiled_builder_tree_simulates_after_a_text_round_trip():
+    cosets = [Coset(a, a.mul_vec(t)) for t, a in
+              enumerate(random_bitmatrix(1 + t % 4, 6, 77, t) for t in range(6))]
+    trees = ([build_cat(n) for n in (2, 5, 8)]
+             + [build_parity(n, j) for n in (3, 6) for j in (0, 1)]
+             + [build_parity_fourier(n, j) for n in (3, 6) for j in (0, 1)]
+             + [build_hamming(6, k) for k in range(7)]
+             + [build_coset_sigma1(c) for c in cosets]
+             + [build_coset_fourier_otree(c) for c in cosets]
+             + [build_knill_tree(), build_cluster1d(4), build_divisibility_tree(5, 3)])
+    compiled = 0
+    for t in trees:
+        try:
+            c = compile_tree(t)
+        except NonOrthogonalError:
+            continue
+        compiled += 1
+        back = simulate(parse_circuit(format_circuit(c)))
+        assert np.max(np.abs(back - simulate(c))) < 1e-12
+        assert verify_prepare(t)["fidelity"] > 1 - 1e-9
+    assert compiled >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,18 @@ def test_mots_value(tmp_path):
     assert tab.read_text().startswith("columns\tvalue\targmin")
 
 
+def test_mots_over_the_cap_is_one_error_line(tmp_path):
+    from statetrees.mots import MAX_N
+    mat = tmp_path / "wide.mat"
+    mat.write_text(f"1 {MAX_N + 1}\n" + "1" * (MAX_N + 1) + "\n")
+    tab = tmp_path / "t.tsv"
+    r = run(["mots", "--matrix", str(mat), "--table", str(tab)])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith(f"ERROR oversize: n={MAX_N + 1}: ")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith(f"n <= {MAX_N}\n")
+    assert not tab.exists()
+
+
 def test_compile_simulate_pipe():
     built = run(["build", "parity", "--n", "4"]).stdout
     circ = run(["compile", "-"], stdin=built)
@@ -173,6 +185,21 @@ def test_error_exit_codes():
 def test_simulate_malformed_wires(text, message):
     r = run(["simulate", "-"], stdin=text)
     assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR domain: {message}\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("qubits -1 0\n", "ERROR parse: 1:8: qubit count -1 is negative"),
+    ("qubits 2 -3 ; ancillas\n", "ERROR parse: 1:10: qubit count -3 is negative"),
+    ("qubits 1 0\nu 1 0 2 0 0 0 0 0 2 0\n",
+     "ERROR non-unitary: u on wires (0,): max |U U^+ - I| = 3.000e+00"),
+    ("qubits 1 0\nprep 0 1 0 1 0\n",
+     "ERROR non-unitary: prep on wire 0: |alpha|^2 + |beta|^2 = 2.0"),
+    ("qubits 1 0\nu 1 0 nan 0 0 0 0 0 1 0\n",
+     "ERROR non-unitary: u on wires (0,): max |U U^+ - I| = nan"),
+], ids=["negative-data", "negative-ancilla", "u-not-unitary", "prep-not-normalized", "u-nan"])
+def test_simulate_bad_header_and_gates(text, error):
+    r = run(["simulate", "-"], stdin=text)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", error + "\n")
 
 
 def _product_text(amps) -> str:

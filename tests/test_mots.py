@@ -8,8 +8,9 @@ import pytest
 from statetrees.builders import build_coset_sigma1
 from statetrees.errors import OversizeError
 from statetrees.gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix
-from statetrees.mots import (mots_bruteforce, mots_coset,
-                             mots_random_experiment)
+from statetrees.mots import (MAX_N, _leaf_base, _subset_ranks, mots_bruteforce,
+                             mots_coset, mots_random_experiment)
+from statetrees.rng import stream
 from statetrees.trees import classify_tree, evaluate, fidelity, tree_size, validate
 
 
@@ -146,3 +147,165 @@ def test_random_experiment_edges():
 def test_oversize_guard():
     with pytest.raises(OversizeError):
         mots_coset(BitMatrix(1, 23, (0,)), witness=False, table=False)
+
+
+def test_oversize_message_names_the_work_and_the_cap():
+    with pytest.raises(OversizeError, match=rf"3\^n/2 = 5\.81e\+08 .*n <= {MAX_N}"):
+        mots_coset(BitMatrix(1, MAX_N + 1, (0,)), witness=False, table=False)
+    with pytest.raises(OversizeError):
+        mots_random_experiment(MAX_N + 1, 2, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python loops the numpy kernels replaced, kept as their oracles
+
+
+def _loop_ranks(cols: list[int]) -> list[int]:
+    """GF(2) rank of every column subset, by incremental basis insertion."""
+    size = 1 << len(cols)
+    rank = [0] * size
+    bases: list[tuple[int, ...]] = [()] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        prev = mask ^ low
+        v = cols[low.bit_length() - 1]
+        for b in bases[prev]:
+            if (v ^ b) < v:
+                v ^= b
+        if v:
+            rank[mask] = rank[prev] + 1
+            bases[mask] = bases[prev] + (v,)
+        else:
+            rank[mask] = rank[prev]
+            bases[mask] = bases[prev]
+    return rank
+
+
+def _loop_table(a: BitMatrix, convention: str) -> dict[int, tuple[int, int | None]]:
+    cols = a.columns()
+    rank = _loop_ranks(cols)
+    size = 1 << a.n
+    val = [0] * size
+    arg: list[int | None] = [None] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        if rest == 0:
+            val[mask] = _leaf_base(convention, cols[low.bit_length() - 1] == 0)
+            continue
+        best = None
+        best_i = -1
+        s = (rest - 1) & rest  # largest proper submask; I always keeps the low bit
+        while True:
+            i_mask = low | s
+            j_mask = mask ^ i_mask
+            v = (val[i_mask] + val[j_mask]) << (rank[i_mask] + rank[j_mask] - rank[mask])
+            if best is None or v < best or (v == best and i_mask < best_i):
+                best, best_i = v, i_mask
+            if s == 0:
+                break
+            s = (s - 1) & rest
+        val[mask] = best
+        arg[mask] = best_i
+    return {m: (val[m], arg[m]) for m in range(1, size)}
+
+
+def _matrix(bits: np.ndarray) -> BitMatrix:
+    k, n = bits.shape
+    return BitMatrix(k, n, tuple(int("".join(map(str, row)), 2) for row in bits))
+
+
+def _tie_heavy_matrix(trial: int) -> tuple[str, BitMatrix]:
+    """Seeded k x n bit matrices, n <= 10, cycling through four families."""
+    rng = stream(4242, trial)
+    n = int(rng.integers(1, 11))
+    k = int(rng.integers(1, 7))
+    kind = ("uniform", "zero columns", "repeated columns", "low rank")[trial % 4]
+    if kind == "low rank":
+        base = rng.integers(0, 2, size=(int(rng.integers(1, 3)), n))
+        bits = rng.integers(0, 2, size=(k, len(base))) @ base % 2
+    else:
+        bits = rng.integers(0, 2, size=(k, n))
+    if kind == "zero columns":
+        bits[:, rng.random(n) < 0.4] = 0
+    elif kind == "repeated columns":
+        bits = bits[:, rng.integers(0, max(1, n // 2), size=n)]
+    return kind, _matrix(bits)
+
+
+def test_subset_ranks_match_basis_insertion():
+    for trial in range(60):
+        rng = stream(4343, trial)
+        n = int(rng.integers(1, 12))
+        k = int(rng.integers(0, 80))  # past 62 rows the columns no longer fit an int64
+        a = _matrix(rng.integers(0, 2, size=(k, n))) if k else BitMatrix(0, n, ())
+        assert _subset_ranks(a).tolist() == _loop_ranks(a.columns()), trial
+
+
+def test_kernel_matches_split_loop():
+    kinds = set()
+    for trial in range(120):
+        kind, a = _tie_heavy_matrix(trial)
+        kinds.add(kind)
+        rank = _loop_ranks(a.columns())
+        for conv in ("classical", "free"):
+            table = mots_coset(a, conv, witness=False).table
+            assert table == _loop_table(a, conv), (trial, kind, conv)
+            # the bound behind the int64 scores (see mots._split_dp)
+            for m, (v, _) in table.items():
+                p = m.bit_count()
+                assert v <= p << (p - rank[m])
+    assert len(kinds) == 4
+
+
+# ---------------------------------------------------------------------------
+# metamorphic checks beyond the brute-force oracle's reach
+
+
+def _row_mixed(a: BitMatrix, rng) -> BitMatrix:
+    """T A for a random invertible T: a sequence of row swaps and row additions."""
+    rows = list(a.rows)
+    for _ in range(3 * a.k):
+        i, j = (int(x) for x in rng.integers(0, a.k, size=2))
+        if i == j:
+            continue
+        if rng.random() < 0.5:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] ^= rows[j]
+    return BitMatrix(a.k, a.n, tuple(rows))
+
+
+def test_metamorphic_row_operations_and_column_permutations():
+    for trial in range(12):
+        rng = stream(5151, trial)
+        n = 8 + trial % 7  # 8..14
+        k = int(rng.integers(1, n))
+        a = random_bitmatrix(k, n, 5151, 1000 + trial)
+        base = mots_coset(a, witness=False).table
+        # M depends on the row space only, so the whole table (argmin too) stays
+        assert mots_coset(_row_mixed(a, rng), witness=False).table == base, trial
+        perm = [int(x) for x in rng.permutation(n)]
+        moved = mots_coset(a.column_submatrix(perm), witness=False, table=True).table
+        # column perm[t] of a is column t of the permuted matrix
+        for m, (v, _) in base.items():
+            pm = sum(1 << t for t in range(n) if (m >> perm[t]) & 1)
+            assert moved[pm][0] == v, (trial, m)
+
+
+def test_witness_metamorphic_up_to_14():
+    for trial in range(8):
+        rng = stream(6161, trial)
+        n = 9 + trial % 6  # 9..14
+        k = int(rng.integers(n // 2, n))
+        a = random_bitmatrix(k, n, 6161, 1000 + trial)
+        b = a.mul_vec(int(rng.integers(0, 1 << n)))  # a nonempty coset, often b != 0
+        conv = ("classical", "free")[trial % 2]
+        res = mots_coset(a, conv, b=b, table=False)
+        w = res.witness
+        assert tree_size(w) == res.value
+        assert classify_tree(w) == "manifestly-orthogonal"
+        elems = enumerate_coset(Coset(a, b))
+        expect = np.zeros(1 << n, dtype=complex)
+        expect[elems] = len(elems) ** -0.5
+        assert fidelity(evaluate(w), expect) >= 1 - 1e-9
