@@ -360,7 +360,7 @@ def dispatch(argv: list[str]) -> int:
     except ValueError as e:
         print(f"ERROR domain: {e}", file=sys.stderr)
         return 1
-    except RecursionError:  # the formula DSL, balance and compile still recurse
+    except RecursionError:  # compile and the circuit text (parse_circuit, simulate) still recurse
         print(f"ERROR {OversizeError.code}: input nests too deeply for this command",
               file=sys.stderr)
         return 1

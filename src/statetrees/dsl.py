@@ -3,10 +3,11 @@
 Tree grammar (whitespace-insensitive, ';' comments run to end of line):
 
     node   := leaf | plus | tensor
-    leaf   := "(leaf" INT COMPLEX COMPLEX ")"      ; qubit, alpha, beta
+    leaf   := "(leaf" INDEX COMPLEX COMPLEX ")"    ; qubit, alpha, beta
     plus   := "(+" {"(" COMPLEX node ")"}+ ")"     ; edge coefficient per child
     tensor := "(*" node+ ")"
     COMPLEX := FLOAT | FLOAT ("+"|"-") FLOAT "i"   ; e.g. 0.5, -0.5+0.5i
+    INDEX  := an integer >= 1                      ; numbers use ASCII digits
 
 Amplitude listing: one line per basis state, "BITSTRING RE IM", in
 lexicographic bitstring order; zero rows may be omitted.
@@ -22,10 +23,11 @@ import numpy as np
 from .errors import ParseError
 from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, qubit_mask
 
+# re.ASCII: \d must not match other scripts' digits, which int() and float() accept
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_FLOAT_RE = re.compile(rf"^[+-]?{_UFLOAT}$")
-_COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?$")
-_INT_RE = re.compile(r"^\d+$")
+_FLOAT_RE = re.compile(rf"^[+-]?{_UFLOAT}$", re.ASCII)
+_COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?$", re.ASCII)
+_INT_RE = re.compile(r"^\d+$", re.ASCII)
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")  # a comment, a paren or an atom
 
 
@@ -94,6 +96,15 @@ class _Reader:
             raise self.error(f"expected {kind!r}, got {t.text!r}", t)
         return t
 
+    def index(self, what: str) -> int:
+        """A qubit or variable index: an integer, at least 1."""
+        t = self.next()
+        if not _INT_RE.match(t.text):
+            raise self.error(f"{what} must be an integer, got {t.text!r}", t)
+        if int(t.text) < 1:
+            raise self.error(f"{what} must be at least 1, got {t.text!r}", t)
+        return int(t.text)
+
     def complex(self) -> complex:
         t = self.next()
         try:
@@ -112,13 +123,11 @@ def _read_node(r: _Reader) -> Node:
             raise r.error("expected node head (leaf, + or *)", head)
         node: Node | None = None
         if head.text == "leaf":
-            qt = r.next()
-            if not _INT_RE.match(qt.text):
-                raise r.error(f"leaf qubit must be an integer, got {qt.text!r}", qt)
+            qubit = r.index("leaf qubit")
             alpha = r.complex()
             beta = r.complex()
             r.expect(")")
-            node = Leaf(int(qt.text), alpha, beta)
+            node = Leaf(qubit, alpha, beta)
         elif head.text in ("+", "*"):
             stack.append((head, []))
         else:
@@ -165,46 +174,51 @@ def parse(text: str, n: int | None = None) -> StateTree:
 _WIDTH = 100
 
 
-def _flat(node: Tensor | Plus, kids: list[tuple]) -> tuple[str | None, list]:
-    """Bottom-up pass of the writer: (the vertex on one line, or None when
-    that exceeds the width, its children's pairs)."""
-    parts = [f for f, _ in kids]
-    if None in parts:
-        return None, kids
-    if isinstance(node, Plus):
-        parts = [f"({fmt_complex(c)} {f})" for (c, _), f in zip(node.children, parts)]
-    flat = ("(* " if isinstance(node, Tensor) else "(+ ") + " ".join(parts) + ")"
-    return (flat if len(flat) <= _WIDTH else None), kids
+def _layout(head: str, kids: list[tuple[str, tuple, str]]) -> tuple:
+    """Bottom-up pass of the writer, shared with the formula DSL: a vertex's
+    (text on one line, or None past the width; head; children as (text
+    before, layout, text after)).  A leaf's is (its text, None, ())."""
+    parts = []
+    for pre, kid, post in kids:
+        if kid[0] is None:
+            return None, head, kids
+        parts.append(pre + kid[0] + post)
+    flat = f"{head} {' '.join(parts)})"
+    return (flat if len(flat) <= _WIDTH else None), head, kids
 
 
-def serialize(tree: StateTree | Node) -> str:
-    """Tree DSL text.  A vertex prints on one line when it fits the width at
-    its indent, otherwise one child per line, indented by two more spaces."""
-    node = tree.root if isinstance(tree, StateTree) else tree
-    leaf = lambda lf: (f"(leaf {lf.qubit} {fmt_complex(lf.alpha)} {fmt_complex(lf.beta)})", ())
+def _write(layout: tuple) -> str:
+    """Top-down pass of the writer: a vertex goes on one line when it fits
+    the width at its indent (then so do its children), otherwise its head
+    and one child per line, indented by two more spaces."""
     out: list[str] = []
-    todo: list = [(node, _fold(node, leaf, _flat, _flat), 0)]  # text, or (node, pair, indent)
+    todo: list = [(layout, 0)]  # text, or (layout, indent)
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        nd, (flat, kids), indent = item
-        if isinstance(nd, Leaf) or (flat is not None and len(flat) + indent <= _WIDTH):
+        (flat, head, kids), indent = item
+        if head is None or (flat is not None and len(flat) + indent <= _WIDTH):
             out.append(flat)
             continue
         sep = "\n" + " " * (indent + 2)
+        out.append(head)
         todo.append(")")
-        if isinstance(nd, Tensor):
-            out.append("(*")
-            for ch, kid in zip(reversed(nd.children), reversed(kids)):
-                todo += [(ch, kid, indent + 2), sep]
-        else:
-            out.append("(+")
-            for (c, ch), kid in zip(reversed(nd.children), reversed(kids)):
-                todo += [")", (ch, kid, indent + 2), f"{sep}({fmt_complex(c)} "]
+        for pre, kid, post in reversed(kids):
+            todo += [post, (kid, indent + 2), sep + pre]
     out.append("\n")
     return "".join(out)
+
+
+def serialize(tree: StateTree | Node) -> str:
+    """Tree DSL text, laid out by _write."""
+    node = tree.root if isinstance(tree, StateTree) else tree
+    leaf = lambda lf: (f"(leaf {lf.qubit} {fmt_complex(lf.alpha)} {fmt_complex(lf.beta)})", None, ())
+    tensor = lambda _, kids: _layout("(*", [("", kid, "") for kid in kids])
+    plus = lambda nd, kids: _layout("(+", [(f"({fmt_complex(c)} ", kid, ")")
+                                           for (c, _), kid in zip(nd.children, kids)])
+    return _write(_fold(node, leaf, tensor, plus))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from typing import Union
 
 import numpy as np
 
+from .dsl import Token, _Reader, _layout, _write, fmt_complex, parse_complex_text
 from .errors import NonMultilinearError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, normalize_node
+from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
+from .trees import _fold as _fold_tree
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
 
@@ -49,89 +51,67 @@ class Mul:
 Formula = Union[Var, Const, Add, Mul]
 
 
+def _fold(f: Formula, leaf, node):
+    """Post-order fold over the vertices under `f`, with an explicit stack.
+
+    leaf(g) gives a Var's or Const's result; node(g, left, right) gets an
+    Add's or Mul's children's results.  Results are kept by vertex identity
+    for the call, so a subformula shared by several parents is folded once.
+    (trees._fold keeps no such memo: validate reports a vertex shared by
+    several parents once per path to it.)
+    """
+    done: dict[int, object] = {}
+    stack: list = [f]  # vertices to fold, and (vertex,) once its children are folded
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            g = g[0]
+            done[id(g)] = node(g, done[id(g.left)], done[id(g.right)])
+        elif id(g) not in done:
+            if isinstance(g, (Var, Const)):
+                done[id(g)] = leaf(g)
+            else:
+                stack += ((g,), g.right, g.left)  # the left subtree is folded first
+    return done[id(f)]
+
+
+def _leaf_vars(g: Var | Const) -> frozenset[int]:
+    return frozenset((g.index,)) if isinstance(g, Var) else frozenset()
+
+
+def _arith(g: Add | Mul, a, b):
+    return a + b if isinstance(g, Add) else a * b
+
+
 def formula_size(f: Formula) -> int:
     """Number of leaf vertices (constants and variables)."""
-    memo: dict[int, int] = {}
-
-    def rec(g: Formula) -> int:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
-        if isinstance(g, (Var, Const)):
-            s = 1
-        else:
-            s = rec(g.left) + rec(g.right)
-        memo[id(g)] = s
-        return s
-
-    return rec(f)
+    return _fold(f, lambda _: 1, lambda _, a, b: a + b)
 
 
 def formula_depth(f: Formula) -> int:
-    memo: dict[int, int] = {}
-
-    def rec(g: Formula) -> int:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
-        d = 0 if isinstance(g, (Var, Const)) else 1 + max(rec(g.left), rec(g.right))
-        memo[id(g)] = d
-        return d
-
-    return rec(f)
+    return _fold(f, lambda _: 0, lambda _, a, b: 1 + max(a, b))
 
 
 def formula_vars(f: Formula) -> frozenset[int]:
     """Variables appearing syntactically in the subtree."""
-    memo: dict[int, frozenset[int]] = {}
-
-    def rec(g: Formula) -> frozenset[int]:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
-        if isinstance(g, Var):
-            s = frozenset((g.index,))
-        elif isinstance(g, Const):
-            s = frozenset()
-        else:
-            s = rec(g.left) | rec(g.right)
-        memo[id(g)] = s
-        return s
-
-    return rec(f)
+    return _fold(f, _leaf_vars, lambda _, a, b: a | b)
 
 
 def formula_eval(f: Formula, point: dict[int, complex]) -> complex:
-    if isinstance(f, Var):
-        return complex(point[f.index])
-    if isinstance(f, Const):
-        return complex(f.value)
-    a = formula_eval(f.left, point)
-    b = formula_eval(f.right, point)
-    return a + b if isinstance(f, Add) else a * b
+    leaf = lambda g: complex(point[g.index]) if isinstance(g, Var) else complex(g.value)
+    return _fold(f, leaf, _arith)
 
 
 def formula_truth_values(f: Formula, nvars: int) -> np.ndarray:
     """Values on all 2^nvars bit points, x_1 as the most significant bit."""
     points = np.arange(1 << nvars)
-    memo: dict[int, np.ndarray] = {}
 
-    def rec(g: Formula) -> np.ndarray:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
+    def leaf(g: Var | Const) -> np.ndarray:
         if isinstance(g, Var):
-            v = ((points >> (nvars - g.index)) & 1).astype(complex)
-        elif isinstance(g, Const):
-            v = np.full(1 << nvars, complex(g.value))
-        elif isinstance(g, Add):
-            v = rec(g.left) + rec(g.right)
-        else:
-            v = rec(g.left) * rec(g.right)
-        memo[id(g)] = v
-        return v
+            return ((points >> (nvars - g.index)) & 1).astype(complex)
+        return np.full(1 << nvars, complex(g.value))
 
-    return rec(f)
+    return _fold(f, leaf, _arith)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +131,12 @@ def expand_polynomial(f: Formula, max_vars: int = 24,
     if nv and max(nv) > max_vars:
         raise NonMultilinearError(f"expansion capped at {max_vars} variables")
 
-    def rec(g: Formula) -> dict[int, complex]:
+    def leaf(g: Var | Const) -> dict[int, complex]:
         if isinstance(g, Var):
             return {1 << (g.index - 1): 1.0 + 0.0j}
-        if isinstance(g, Const):
-            return {} if g.value == 0 else {0: complex(g.value)}
-        lp = rec(g.left)
-        rp = rec(g.right)
+        return {} if g.value == 0 else {0: complex(g.value)}
+
+    def node(g: Add | Mul, lp: dict[int, complex], rp: dict[int, complex]) -> dict[int, complex]:
         if isinstance(g, Add):
             out = dict(lp)
             for m, c in rp.items():
@@ -183,7 +162,7 @@ def expand_polynomial(f: Formula, max_vars: int = 24,
                     out[m] = nc
         return out
 
-    return rec(f)
+    return _fold(f, leaf, node)
 
 
 def polys_close(p: dict[int, complex], q: dict[int, complex], tol: float = 1e-9) -> bool:
@@ -203,21 +182,19 @@ def is_multilinear(f: Formula, max_vars: int = 24) -> bool:
 
 def is_syntactic(f: Formula) -> bool:
     """True when every * vertex has children on disjoint variable sets."""
-    if isinstance(f, (Var, Const)):
-        return True
-    if isinstance(f, Mul) and formula_vars(f.left) & formula_vars(f.right):
-        return False
-    return is_syntactic(f.left) and is_syntactic(f.right)
+
+    def node(g: Add | Mul, a: frozenset[int] | None, b: frozenset[int] | None):
+        """The variables under g, or None once a * vertex shares some."""
+        if a is None or b is None or (isinstance(g, Mul) and a & b):
+            return None
+        return a | b
+
+    return _fold(f, _leaf_vars, node) is not None
 
 
 def _substitute_zero(f: Formula, var: int) -> Formula:
-    if isinstance(f, Var):
-        return Const(0.0 + 0.0j) if f.index == var else f
-    if isinstance(f, Const):
-        return f
-    l = _substitute_zero(f.left, var)
-    r = _substitute_zero(f.right, var)
-    return Add(l, r) if isinstance(f, Add) else Mul(l, r)
+    leaf = lambda g: Const(0.0 + 0.0j) if isinstance(g, Var) and g.index == var else g
+    return _fold(f, leaf, lambda g, l, r: type(g)(l, r))
 
 
 def make_syntactic(f: Formula) -> Formula:
@@ -228,31 +205,32 @@ def make_syntactic(f: Formula) -> Formula:
     child's occurrences of it are set to 0, which leaves the child's
     polynomial untouched.  The size never grows.
     """
-    nv = formula_vars(f)
-    return _make_syntactic(f, max(24, max(nv) if nv else 0))
+    return _make_syntactic(f, max(24, max(formula_vars(f), default=0)))
 
 
 def _make_syntactic(f: Formula, cap: int) -> Formula:
-    if isinstance(f, (Var, Const)):
-        return f
-    left = _make_syntactic(f.left, cap)
-    right = _make_syntactic(f.right, cap)
-    if isinstance(f, Add):
-        return Add(left, right)
-    shared = formula_vars(left) & formula_vars(right)
-    if shared:
-        lp = expand_polynomial(left, max_vars=cap)
-        rp = expand_polynomial(right, max_vars=cap)
-        for x in sorted(shared):
-            bit = 1 << (x - 1)
-            if not any(m & bit for m in lp):
-                left = _substitute_zero(left, x)
-            elif not any(m & bit for m in rp):
-                right = _substitute_zero(right, x)
-            else:
-                raise NonMultilinearError(
-                    f"variable x{x} has positive degree in both factors")
-    return Mul(left, right)
+    """make_syntactic, folding each vertex to (new vertex, its variables)."""
+
+    def node(g: Add | Mul, lv: tuple, rv: tuple) -> tuple[Formula, frozenset[int]]:
+        (left, lvars), (right, rvars) = lv, rv
+        if isinstance(g, Add):
+            return Add(left, right), lvars | rvars
+        shared = lvars & rvars
+        if shared:
+            lp = expand_polynomial(left, max_vars=cap)
+            rp = expand_polynomial(right, max_vars=cap)
+            for x in sorted(shared):
+                bit = 1 << (x - 1)
+                if not any(m & bit for m in lp):
+                    left, lvars = _substitute_zero(left, x), lvars - {x}
+                elif not any(m & bit for m in rp):
+                    right, rvars = _substitute_zero(right, x), rvars - {x}
+                else:
+                    raise NonMultilinearError(
+                        f"variable x{x} has positive degree in both factors")
+        return Mul(left, right), lvars | rvars
+
+    return _fold(f, lambda g: (g, _leaf_vars(g)), node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +258,7 @@ def tree_to_formula(tree: StateTree) -> Formula:
         return functools.reduce(Add, [g if coeff == 1 else Mul(Const(complex(coeff)), g)
                                       for (coeff, _), g in zip(node.children, kids)])
 
-    return _fold(tree.root, leaf, lambda _, kids: functools.reduce(Mul, kids), plus)
+    return _fold_tree(tree.root, leaf, lambda _, kids: functools.reduce(Mul, kids), plus)
 
 
 def formula_to_tree(f: Formula, n: int) -> StateTree:
@@ -293,7 +271,8 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
     zero function.
     """
     g = make_syntactic(f)
-    if formula_vars(g) and max(formula_vars(g)) > n:
+    used = formula_vars(g)
+    if used and max(used) > n:
         raise ValueError("formula mentions variables beyond n")
 
     def pad(node: Node | None, have: int, need: int) -> Node | None:
@@ -315,14 +294,14 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
         assert isinstance(node, Leaf)
         return scalar * (node.beta if bit else node.alpha)
 
-    def rec(g2: Formula) -> tuple[complex, Node | None, int]:
+    def leaf(g2: Var | Const) -> tuple[complex, Node | None, int]:
         if isinstance(g2, Var):
             return 1.0 + 0.0j, Leaf(g2.index, 0.0, 1.0), 1 << (g2.index - 1)
-        if isinstance(g2, Const):
-            return complex(g2.value), None, 0
+        return complex(g2.value), None, 0
+
+    def vertex(g2: Add | Mul, left, right) -> tuple[complex, Node | None, int]:
+        (s1, t1, m1), (s2, t2, m2) = left, right
         if isinstance(g2, Mul):
-            s1, t1, m1 = rec(g2.left)
-            s2, t2, m2 = rec(g2.right)
             if m1 & m2:
                 raise NonMultilinearError("product of overlapping variable sets")
             s = s1 * s2
@@ -333,8 +312,6 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
             if t2 is None:
                 return s, t1, m1
             return s, Tensor((t1, t2)), m1 | m2
-        s1, t1, m1 = rec(g2.left)
-        s2, t2, m2 = rec(g2.right)
         union = m1 | m2
         if s1 == 0 and s2 == 0:
             return 0.0 + 0.0j, None, 0
@@ -356,7 +333,7 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
         p2 = pad(t2, m2, union)
         return 1.0 + 0.0j, Plus(((s1, p1), (s2, p2))), union
 
-    scalar, node, mask = rec(g)
+    scalar, node, mask = _fold(g, leaf, vertex)
     full = (1 << n) - 1
     if scalar == 0:
         raise ValueError("the zero function has no state")
@@ -373,25 +350,18 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
 # Brent balancing
 
 
-def _mul(a: Formula | None, b: Formula) -> Formula:
-    """a * b with None meaning the constant 1."""
-    return b if a is None else Mul(a, b)
+# id -> (the vertex, held so that its id is not reused; its size; its variables)
+_Stats = dict[int, tuple[Formula, int, frozenset[int]]]
 
 
-def _locate_split(f: Formula) -> list[tuple[Formula, str]]:
-    """Path (vertex, taken-side) from the root to a 1/3..2/3 subformula."""
-    total = formula_size(f)
-    path: list[tuple[Formula, str]] = []
-    cur = f
-    while formula_size(cur) * 3 > 2 * total:
-        if isinstance(cur, (Var, Const)):
-            break
-        lsz = formula_size(cur.left)
-        rsz = formula_size(cur.right)
-        side = "l" if lsz >= rsz else "r"
-        path.append((cur, side))
-        cur = cur.left if side == "l" else cur.right
-    return path
+def _note(stats: _Stats, g: Formula) -> Formula:
+    """Enter g in stats from its children's entries; returns g."""
+    if isinstance(g, (Var, Const)):
+        stats[id(g)] = (g, 1, _leaf_vars(g))
+    else:
+        (_, sa, va), (_, sb, vb) = stats[id(g.left)], stats[id(g.right)]
+        stats[id(g)] = (g, sa + sb, va | vb)
+    return g
 
 
 def balance(f: Formula) -> Formula:
@@ -403,38 +373,45 @@ def balance(f: Formula) -> Formula:
     balances the three pieces.  The input is made syntactic first, which
     guarantees H and I share no variables; that guard is asserted.
     """
-    nv = formula_vars(f)
-    cap = max(24, max(nv) if nv else 0)
+    cap = max(24, max(formula_vars(f), default=0))
     expand_polynomial(f, max_vars=cap)  # raises on non-multilinear input
-    return _balance(_make_syntactic(f, cap))
+    g = _make_syntactic(f, cap)
+    stats: _Stats = {}
+    _fold(g, lambda v: _note(stats, v), lambda v, *_: _note(stats, v))
+    return _balance(g, stats)
 
 
-def _balance(f: Formula) -> Formula:
-    if formula_size(f) <= 3:
+def _balance(f: Formula, stats: _Stats) -> Formula:
+    size = lambda g: stats[id(g)][1]
+    if size(f) <= 3:
         return f
-    path = _locate_split(f)
+    # walk down the larger side to the first subformula of at most 2/3 of the leaves
+    path: list[tuple[Formula, str]] = []  # (vertex, side taken)
+    target = f
+    while size(target) * 3 > 2 * size(f) and not isinstance(target, (Var, Const)):
+        side = "l" if size(target.left) >= size(target.right) else "r"
+        path.append((target, side))
+        target = target.left if side == "l" else target.right
     if not path:
         return f
-    sub = path[-1][0]
-    target = sub.left if path[-1][1] == "l" else sub.right
 
     g: Formula | None = None  # running sum, None = 0
     h: Formula | None = None  # running product, None = 1
     for vertex, side in reversed(path):
         other = vertex.right if side == "l" else vertex.left
         if isinstance(vertex, Add):
-            g = other if g is None else Add(g, other)
+            g = other if g is None else _note(stats, Add(g, other))
         else:
-            g = None if g is None else Mul(g, other)
-            h = other if h is None else Mul(h, other)
+            g = None if g is None else _note(stats, Mul(g, other))
+            h = other if h is None else _note(stats, Mul(h, other))
 
-    if h is not None and formula_vars(h) & formula_vars(target):
+    if h is not None and stats[id(h)][2] & stats[id(target)][2]:
         raise NonMultilinearError("balancing would multiply shared variables")
 
-    bi = _balance(target)
-    bh = None if h is None else _balance(h)
-    bg = None if g is None else _balance(g)
-    prod = _mul(bh, bi)
+    bi = _balance(target, stats)  # depth O(log size): every piece has <= 2/3 of the leaves
+    bh = None if h is None else _balance(h, stats)
+    bg = None if g is None else _balance(g, stats)
+    prod = bi if bh is None else Mul(bh, bi)
     return prod if bg is None else Add(bg, prod)
 
 
@@ -527,60 +504,51 @@ def function_to_state(table: np.ndarray) -> np.ndarray:
 
 
 def serialize_formula(f: Formula) -> str:
-    from .dsl import fmt_complex
+    """Formula DSL text, laid out by the rules of the tree DSL writer."""
 
-    def rend(g: Formula, indent: int) -> str:
-        if isinstance(g, Var):
-            return f"(var {g.index})"
-        if isinstance(g, Const):
-            return f"(const {fmt_complex(g.value)})"
-        op = "+" if isinstance(g, Add) else "*"
-        a = rend(g.left, indent + 2)
-        b = rend(g.right, indent + 2)
-        flat = f"({op} {a} {b})"
-        if len(flat) + indent <= 100 and "\n" not in flat:
-            return flat
-        pad = " " * (indent + 2)
-        return f"({op}\n{pad}{a}\n{pad}{b})"
+    def leaf(g: Var | Const) -> tuple:
+        text = f"(var {g.index})" if isinstance(g, Var) else f"(const {fmt_complex(g.value)})"
+        return text, None, ()
 
-    return rend(f, 0) + "\n"
+    node = lambda g, a, b: _layout("(+" if isinstance(g, Add) else "(*", [("", a, ""), ("", b, "")])
+    return _write(_fold(f, leaf, node))
 
 
 def parse_formula(text: str) -> Formula:
-    from .dsl import _Reader, parse_complex_text
-
-    def node(r) -> Formula:
+    """One formula, read with an explicit stack of the open (+ and (* vertices."""
+    r = _Reader(text)
+    stack: list[tuple[Token, list[Formula]]] = []  # head token, operands read so far
+    while True:
         r.expect("(")
         head = r.next()
         if head.kind != "atom":
             raise r.error("expected formula head (+, *, var, const)", head)
         if head.text in ("+", "*"):
-            left = node(r)
-            right = node(r)
-            r.expect(")")
-            return Add(left, right) if head.text == "+" else Mul(left, right)
+            stack.append((head, []))
+            continue
         if head.text == "var":
-            t = r.next()
-            if not t.text.isdigit():
-                raise r.error(f"var index must be an integer, got {t.text!r}", t)
-            r.expect(")")
-            return Var(int(t.text))
-        if head.text == "const":
+            g: Formula = Var(r.index("var index"))
+        elif head.text == "const":
             t = r.next()
             try:
-                z = parse_complex_text(t.text)
+                g = Const(parse_complex_text(t.text))
             except ValueError:
                 raise r.error(f"bad complex literal {t.text!r}", t) from None
+        else:
+            raise r.error(f"unknown formula head {head.text!r}", head)
+        r.expect(")")
+        # hand finished operands to their parents until one still needs a second
+        while stack and len(stack[-1][1]) == 1:
+            head, (left,) = stack.pop()
             r.expect(")")
-            return Const(z)
-        raise r.error(f"unknown formula head {head.text!r}", head)
-
-    r = _Reader(text)
-    f = node(r)
+            g = Add(left, g) if head.text == "+" else Mul(left, g)
+        if not stack:
+            break
+        stack[-1][1].append(g)
     t = r.peek()
     if t is not None:
         raise r.error(f"trailing input {t.text!r}", t)
-    return f
+    return g
 
 
 __all__ = [

@@ -47,6 +47,7 @@ class Tensor:
 
 
 Node = Union[Leaf, Plus, Tensor]
+_VERTICES = frozenset((Tensor, Plus))  # exact types: a set lookup is the fold's cheapest test
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,12 @@ def tensor(*children: Node) -> Tensor:
 def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
     """Post-order fold over the vertices under `root`, with an explicit stack.
 
-    leaf(node) gives a leaf's result; tensor(node, kids) and plus(node, kids)
-    get the list of their children's results in child order.  When `path`
-    is a list, it holds the child indices from `root` down to the vertex
-    whose callback is running.
+    leaf(x) gives the result of a Leaf (or of anything but a Tensor or Plus);
+    tensor(node, kids) and plus(node, kids) get the list of their children's
+    results in child order.  When `path` is a list, it holds the child
+    indices from `root` down to the vertex whose callback is running.
     """
-    if isinstance(root, Leaf):
+    if type(root) not in _VERTICES:
         return leaf(root)
     path = [] if path is None else path
     stack = [(root, iter(_children(root)), [])]  # open vertex, its unread children, their results
@@ -79,7 +80,7 @@ def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
         node, unread, kids = stack[-1]
         for child in unread:
             path.append(len(kids))
-            if isinstance(child, Leaf):
+            if type(child) not in _VERTICES:
                 kids.append(leaf(child))
                 path.pop()
             else:
@@ -407,28 +408,41 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
 
     Returns (scalar, node') with scalar * eval(node') == eval(node); the
     scalar is real positive.  Raises on an exactly-zero subtree.
+
+    Up the fold, a leaf carries the (mask, vector) pair of its rescaled self
+    and a vertex carries its rescaled self over its children's carried
+    values.  A + vertex folds its children's into pairs with _vector's
+    callbacks instead of evaluating their subtrees again, so no vector is
+    built that no + vertex above needs, and each is built at most once.
     """
+    vertex = lambda nd, kids: _checked(nd, kids, lambda _: None)
 
     def leaf(lf: Leaf):
         s = math.hypot(abs(lf.alpha), abs(lf.beta))
         if s == 0:
             raise InvalidTreeError("leaf with zero amplitude pair")
-        return s, Leaf(lf.qubit, lf.alpha / s, lf.beta / s)
+        out = Leaf(lf.qubit, lf.alpha / s, lf.beta / s)
+        return s, out, _leaf_vector(out)
 
     def tensor(_, kids):
-        return math.prod((s for s, _ in kids), start=1.0 + 0.0j), Tensor(tuple(c for _, c in kids))
+        scalar = math.prod((s for s, _, _ in kids), start=1.0 + 0.0j)
+        return scalar, Tensor(tuple(c for _, c, _ in kids)), Tensor(tuple(mv for _, _, mv in kids))
 
     def plus(nd: Plus, kids):
-        coeffs = [coeff * s for (coeff, _), (s, _) in zip(nd.children, kids)]
-        nodes = [c for _, c in kids]
-        # evaluates the whole rescaled subtree, so the cost grows with plus nesting
-        _, v = _vector(Plus(tuple(zip(coeffs, nodes))))
+        coeffs = [coeff * s for (coeff, _), (s, _, _) in zip(nd.children, kids)]
+        nodes = [c for _, c, _ in kids]
+        pairs = [_fold(mv, lambda pair: pair, vertex, vertex) for _, _, mv in kids]
+        summed = Plus(tuple(zip(coeffs, nodes)))
+        _, v = vertex(summed, pairs)
+        if v is None:
+            _vector(summed)  # a fault below: raise the first one in depth-first order
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise InvalidTreeError("plus vertex sums to the zero vector")
-        return nrm, Plus(tuple((c / nrm, ch) for c, ch in zip(coeffs, nodes)))
+        scaled = [c / nrm for c in coeffs]
+        return nrm, Plus(tuple(zip(scaled, nodes))), Plus(tuple(zip(scaled, pairs)))
 
-    return _fold(node, leaf, tensor, plus)
+    return _fold(node, leaf, tensor, plus)[:2]
 
 
 def _check_unitary(u: np.ndarray, tol: float = TOLERANCE) -> None:

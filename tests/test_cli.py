@@ -253,8 +253,47 @@ def test_deep_chain_serialize_parse_round_trip():
     assert back.n == tree.n == 8
 
 
-def test_deep_formula_is_a_clean_error():
-    deep = "(+ (var 1) " * 5000 + "(var 2)" + ")" * 5000 + "\n"
-    r = run(["balance", "-"], stdin=deep)
-    assert r.returncode == 1
+DEEP_FORMULA = "(+ (var 1) " * 5000 + "(var 2)" + ")" * 5000 + "\n"  # 5000 x1 + x2
+
+
+def test_deep_formula_balances():
+    from statetrees.formulas import (formula_depth, formula_size, formula_truth_values,
+                                     parse_formula)
+    r = run(["balance", "-"], stdin=DEEP_FORMULA)
+    assert r.returncode == 0, r.stderr
+    b = parse_formula(r.stdout)
+    assert formula_size(b) == 5001
+    assert formula_depth(b) <= 4 * np.log2(5001) + 8
+    assert np.array_equal(formula_truth_values(b, 2), [0, 1, 5000, 5001])
+
+
+def test_deep_formula_converts_to_a_tree():
+    from statetrees.dsl import parse
+    from statetrees.trees import evaluate, fidelity
+    r = run(["convert", "-", "--to", "tree"], stdin=DEEP_FORMULA)
+    assert r.returncode == 0, r.stderr
+    want = np.array([0, 1, 5000, 5001]) / np.linalg.norm([0, 1, 5000, 5001])
+    assert fidelity(evaluate(parse(r.stdout)), want.astype(complex)) >= 1 - 1e-9
+
+
+def test_deep_formula_serialize_parse_round_trip():
+    from statetrees.formulas import Var, parse_formula, serialize_formula
+    f = parse_formula(DEEP_FORMULA)
+    back = parse_formula(serialize_formula(f))
+    # compare with a stack: dataclass == recurses once per level
+    todo = [(f, back)]
+    while todo:
+        a, b = todo.pop()
+        assert type(a) is type(b)
+        if isinstance(a, Var):
+            assert a == b
+        else:
+            todo += [(a.left, b.left), (a.right, b.right)]
+
+
+def test_deep_chain_compile_is_a_clean_error(tmp_path):
+    chain = tmp_path / "chain.tree"
+    chain.write_text(_chain_text(10_000, "(leaf 1 1 0)"))
+    r = run(["compile", str(chain)])
+    assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR oversize: input nests too deeply for this command\n"

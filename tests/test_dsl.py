@@ -79,6 +79,15 @@ def test_parse_errors_carry_position():
     (parse_formula, "(blah 1)", "1:2: unknown formula head 'blah'"),
     (parse_formula, "(* (var 1) (var 2))\n  (", "2:3: trailing input '('"),
     (parse_formula, "(+ ( (var 1))", "1:6: expected formula head (+, *, var, const)"),
+    # indices start at 1, and numbers are ASCII (int() and float() accept other digits)
+    (parse_formula, "(+ (var 1)\n  (var 0))", "2:8: var index must be at least 1, got '0'"),
+    (parse_formula, "(var 00)", "1:6: var index must be at least 1, got '00'"),
+    (parse_formula, "(var \u0661)", "1:6: var index must be an integer, got '\u0661'"),
+    (parse_formula, "(var \u00b2)", "1:6: var index must be an integer, got '\u00b2'"),
+    (parse_formula, "(const \u0660.\u0665)", "1:8: bad complex literal '\u0660.\u0665'"),
+    (parse, "(* (leaf 1 1 0)\n   (leaf 0 1 0))", "2:10: leaf qubit must be at least 1, got '0'"),
+    (parse, "(leaf \u0661 0.6 0.8)", "1:7: leaf qubit must be an integer, got '\u0661'"),
+    (parse, "(leaf 1 \u0660.\u0666 0.8)", "1:9: expected a complex number, got '\u0660.\u0666'"),
 ])
 def test_parse_error_line_and_column(reader, text, message):
     with pytest.raises(ParseError) as err:
@@ -127,6 +136,8 @@ def test_amplitude_listing_errors():
         parse_amplitudes("00 0.5\n")
     with pytest.raises(ParseError):
         parse_amplitudes("0x 0.5 0\n")
+    with pytest.raises(ParseError):
+        parse_amplitudes("01 \u0660.\u0665 0\n")
 
 
 def test_matrix_format_roundtrip():

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import random_tree, random_unitary
-from statetrees.builders import build_cat, build_parity, build_parity_fourier
+from statetrees.builders import (build_cat, build_cluster1d, build_divisibility_tree,
+                                 build_hamming, build_knill_tree, build_parity,
+                                 build_parity_fourier)
 from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
 from statetrees.rng import stream
 from statetrees.trees import (Leaf, Plus, StateTree, Tensor, amplitude_index,
                               apply_local_unitary, classify_tree, depth,
                               eps_to_delta, evaluate, fidelity, l2_distance2,
-                              local_basis_change, restrict, tree_size, validate)
+                              local_basis_change, normalize_node, restrict, tree_size,
+                              validate)
+from statetrees.trees import _fold, _rebuild, _vector
 
 R2 = 1 / math.sqrt(2)
 H = np.array([[R2, R2], [R2, -R2]])
@@ -314,3 +318,77 @@ def test_evaluate_reports_first_fault_in_depth_first_order(root, message):
     with pytest.raises(InvalidTreeError) as err:
         evaluate(StateTree(4, root))
     assert str(err.value) == message
+
+
+def ref_normalize_node(node):
+    """normalize_node as it was before it carried vectors up the fold: each
+    + vertex evaluates its whole rescaled subtree again."""
+
+    def leaf(lf):
+        s = math.hypot(abs(lf.alpha), abs(lf.beta))
+        if s == 0:
+            raise InvalidTreeError("leaf with zero amplitude pair")
+        return s, Leaf(lf.qubit, lf.alpha / s, lf.beta / s)
+
+    def tensor(_, kids):
+        return math.prod((s for s, _ in kids), start=1.0 + 0.0j), Tensor(tuple(c for _, c in kids))
+
+    def plus(nd, kids):
+        coeffs = [coeff * s for (coeff, _), (s, _) in zip(nd.children, kids)]
+        nodes = [c for _, c in kids]
+        _, v = _vector(Plus(tuple(zip(coeffs, nodes))))
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            raise InvalidTreeError("plus vertex sums to the zero vector")
+        return nrm, Plus(tuple((c / nrm, ch) for c, ch in zip(coeffs, nodes)))
+
+    return _fold(node, leaf, tensor, plus)
+
+
+def _scaled(node, rng):
+    """The tree with every leaf and + coefficient times a random factor."""
+    factor = lambda: complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
+
+    def leaf(lf):
+        f = factor()
+        return Leaf(lf.qubit, f * lf.alpha, f * lf.beta)
+
+    def plus(nd, kids):
+        return Plus(tuple((factor() * c, ch) for (c, _), ch in zip(nd.children, kids)))
+
+    return _fold(node, leaf, _rebuild, plus)
+
+
+def _normalized(fn, node):
+    try:
+        return fn(node)
+    except InvalidTreeError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("root", [
+    Plus(((1.0, Leaf(1, 0, 0)),)),
+    Plus(((1.0, Leaf(1, 1, 0)), (-1.0, Leaf(1, 1, 0)))),
+    Plus(((1.0, Tensor((Leaf(1, 1, 0), Leaf(1, 0, 1)))),)),
+    Plus(((1.0, Tensor((Plus(()), Leaf(2, 1, 0)))),)),
+    Tensor((Leaf(1, 1, 0), Plus(((1.0, Tensor(())), (2.0, Leaf(1, 1, 0)))))),
+    Plus(((1.0, Tensor((Leaf(1, 1, 0), Leaf(1, 0, 1)))), (1.0, Tensor((Leaf(2, 1, 0), Leaf(3, 1, 0)))))),
+    # faults in both children and between them: the first in depth-first order is raised
+    Plus(((1.0, Tensor((Leaf(2, 1, 0), Leaf(2, 0, 1)))), (1.0, Tensor((Leaf(1, 1, 0), Tensor(())))))),
+    Tensor((Leaf(1, 2, 0), Leaf(1, 0, 3))),  # no + vertex above the overlap: not checked
+])
+def test_normalize_node_errors_match_reference(root):
+    assert _normalized(normalize_node, root) == _normalized(ref_normalize_node, root)
+
+
+def test_normalize_node_is_bitwise_the_reference():
+    rng = stream(912)
+    trees = [random_tree(913, 1 + trial % 8, trial).root for trial in range(100)]
+    trees += [t.root for t in (build_cat(5), build_parity(6, 1), build_parity_fourier(5, 0),
+                               build_cluster1d(8), build_knill_tree(), build_hamming(6, 3),
+                               build_divisibility_tree(6, 5))]
+    for root in trees + [_scaled(root, rng) for root in trees]:
+        scalar, node = normalize_node(root)
+        want_scalar, want_node = ref_normalize_node(root)
+        assert scalar == want_scalar
+        assert node == want_node
