@@ -24,15 +24,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .dsl import fmt_float
+from .dsl import _MAX_INDENT, fmt_float
 from .errors import (NonOrthogonalError, NonUnitaryError, OversizeError, ParseError,
                      StateTreesError)
-from .trees import (Leaf, Node, Plus, StateTree, Tensor, TOLERANCE,
-                    classify_tree, evaluate, mask_qubits, qubit_mask)
+from .trees import (Leaf, Node, Plus, StateTree, Tensor, TOLERANCE, _union,
+                    classify_tree, evaluate, mask_qubits)
 
 
 class PrepStateError(StateTreesError):
@@ -85,12 +85,24 @@ class Circuit:
         return self.n_data + self.n_ancilla
 
 
+def _walk(gates: list[Gate]) -> Iterator[Gate | None]:
+    """Pre-order walk on an explicit stack: every gate, and None where a csub body ends."""
+    stack = [iter(gates)]
+    while stack:
+        for g in stack[-1]:
+            yield g
+            if isinstance(g, ControlledSub):
+                stack.append(iter(g.body.gates))
+                break
+        else:
+            stack.pop()
+            if stack:
+                yield None
+
+
 def gate_count(c: Circuit) -> int:
     """Number of elementary gates, controlled bodies counted through."""
-    total = 0
-    for g in c.gates:
-        total += gate_count(g.body) if isinstance(g, ControlledSub) else 1
-    return total
+    return sum(g is not None and not isinstance(g, ControlledSub) for g in _walk(c.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -120,43 +132,34 @@ def _binarize(children: tuple[tuple[complex, Node], ...]) -> tuple[complex, Node
     return a, t1, b, t2
 
 
-def _invert_gates(gates: list[Gate]) -> list[Gate]:
-    out: list[Gate] = []
-    for g in reversed(gates):
-        if isinstance(g, Prep):
-            out.append(Unitary((g.qubit,), g.matrix().conj().T))
-        elif isinstance(g, Unitary):
-            out.append(Unitary(g.qubits, g.matrix.conj().T))
-        elif isinstance(g, OrNot):
-            out.append(g)
-        else:
-            out.append(ControlledSub(g.control, g.polarity, invert(g.body)))
-    return out
+def _relaxed(gates: list[Gate], inverse: bool) -> list[Gate]:
+    """The gates with each prep relaxed to the unitary it extends, as a prep
+    block replayed on a register no longer |0..0> must act; with inverse,
+    the inverse of that: each gate list reversed when its block closes and
+    each matrix conjugate-transposed."""
+    blocks: list[tuple[ControlledSub | None, list[Gate]]] = [(None, [])]  # open, innermost last
+    for g in _walk(gates):
+        if isinstance(g, ControlledSub):
+            blocks.append((g, []))
+            continue
+        if g is None:
+            sub, body = blocks.pop()
+            if inverse:
+                body.reverse()
+            g = ControlledSub(sub.control, sub.polarity,
+                              Circuit(sub.body.n_data, sub.body.n_ancilla, body))
+        elif isinstance(g, Prep):
+            g = Unitary((g.qubit,), g.matrix().conj().T if inverse else g.matrix())
+        elif isinstance(g, Unitary) and inverse:
+            g = Unitary(g.qubits, g.matrix.conj().T)
+        blocks[-1][1].append(g)
+    out = blocks[0][1]
+    return out[::-1] if inverse else out
 
 
 def invert(c: Circuit) -> Circuit:
     """Reverse the gates and conjugate-transpose each one."""
-    return Circuit(c.n_data, c.n_ancilla, _invert_gates(c.gates))
-
-
-def _as_unitary_gates(gates: list[Gate]) -> list[Gate]:
-    """Preps relaxed to their unitary extensions (recursively).
-
-    Needed when a preparation block is replayed on a register that is no
-    longer |0..0>, where it must act as the unitary it extends to rather
-    than assert its usual precondition.
-    """
-    out: list[Gate] = []
-    for g in gates:
-        if isinstance(g, Prep):
-            out.append(Unitary((g.qubit,), g.matrix()))
-        elif isinstance(g, ControlledSub):
-            out.append(ControlledSub(g.control, g.polarity,
-                                     Circuit(g.body.n_data, g.body.n_ancilla,
-                                             _as_unitary_gates(g.body.gates))))
-        else:
-            out.append(g)
-    return out
+    return Circuit(c.n_data, c.n_ancilla, _relaxed(c.gates, inverse=True))
 
 
 def compile_tree(tree: StateTree, max_qubits: int = 20) -> Circuit:
@@ -164,50 +167,60 @@ def compile_tree(tree: StateTree, max_qubits: int = 20) -> Circuit:
 
     Requires the tree to classify as orthogonal or manifestly
     orthogonal; the ancilla count equals the deepest nesting of sum
-    vertices (with fan-in folded to 2).
+    vertices (with fan-in folded to 2).  Compiled in post-order on an explicit
+    stack: each vertex's (gates, ancilla levels used below, qubit mask) goes up.
     """
-    label = classify_tree(tree, max_qubits=max_qubits)
-    if label == "general":
+    if classify_tree(tree, max_qubits=max_qubits) == "general":
         raise NonOrthogonalError("the sum recursion needs orthogonal children")
     n = tree.n
+    wires: list[int] = []  # shared ints: the ornot registers of a deep tree hold O(depth^2) wires
 
-    def rec(node: Node, depth: int) -> tuple[list[Gate], int]:
-        """Returns (gates, ancilla levels used below this node)."""
-        if isinstance(node, Leaf):
-            return [Prep(node.qubit - 1, node.alpha, node.beta)], 0
+    def frame(node: Tensor | Plus, depth: int) -> tuple:
+        """(how the parts combine, their ancilla depth, unread parts, their results)."""
         if isinstance(node, Tensor):
-            gates: list[Gate] = []
-            used = 0
-            for ch in node.children:
-                g, u = rec(ch, depth)
-                gates += g
-                used = max(used, u)
-            return gates, used
+            return None, depth, iter(node.children), []
         alpha, t1, beta, t2 = _binarize(node.children)
         if t2 is None:
-            gates, used = rec(t1, depth)
-            if alpha != 1:
-                w = mask_qubits(qubit_mask(t1))[0] - 1
-                gates.append(Unitary((w,), np.array([[alpha, 0], [0, alpha]])))
-            return gates, used
-        aw = n + depth
-        u_gates, u_used = rec(t1, depth + 1)
-        v_gates, v_used = rec(t2, depth + 1)
-        used = 1 + max(u_used, v_used)
-        data_wires = [q - 1 for q in mask_qubits(qubit_mask(node))]
-        anc_wires = [n + depth + 1 + i for i in range(max(u_used, v_used))]
-        body = Circuit(n, 0, v_gates + _invert_gates(u_gates))
-        gates = [
-            Prep(aw, alpha, beta),
-            ControlledSub(aw, 1, body),
-            OrNot(aw, tuple(data_wires + anc_wires)),
-        ]
-        # replaying U on the superposition: preps act as plain unitaries
-        gates += _as_unitary_gates(u_gates)
-        return gates, used
+            return (alpha,), depth, iter((t1,)), []
+        return (alpha, beta, n + depth), depth + 1, iter((t1, t2)), []
 
-    gates, used = rec(tree.root, 0)
-    return Circuit(n, used, gates)
+    def combine(how: tuple | None, kids: list) -> tuple[list[Gate], int, int]:
+        if how is None:  # a tensor: the parts side by side
+            return ([g for gates, _, _ in kids for g in gates],
+                    max((used for _, used, _ in kids), default=0), _union(m for _, _, m in kids))
+        if len(how) == 1:
+            gates, used, mask = kids[0]
+            if how[0] != 1:  # on the lowest qubit
+                gates.append(Unitary((mask_qubits(mask)[0] - 1,), np.array([[how[0], 0], [0, how[0]]])))
+            return gates, used, mask
+        alpha, beta, aw = how
+        (u_gates, u_used, u_mask), (v_gates, v_used, v_mask) = kids
+        below = max(u_used, v_used)
+        wires.extend(range(len(wires), aw + 1 + below))
+        data_wires = [q - 1 for q in mask_qubits(u_mask | v_mask)]
+        return [
+            Prep(aw, alpha, beta),
+            ControlledSub(aw, 1, Circuit(n, 0, v_gates + _relaxed(u_gates, inverse=True))),
+            OrNot(aw, tuple(data_wires + wires[aw + 1:aw + 1 + below])),
+            # replaying U on the superposition: preps act as plain unitaries
+            *_relaxed(u_gates, inverse=False),
+        ], 1 + below, u_mask | v_mask
+
+    stack = [(None, 0, iter((tree.root,)), [])]  # the root, as the one part of a tensor
+    while True:
+        how, depth, unread, kids = stack[-1]
+        for node in unread:
+            if isinstance(node, Leaf):
+                kids.append(([Prep(node.qubit - 1, node.alpha, node.beta)], 0, 1 << (node.qubit - 1)))
+            else:
+                stack.append(frame(node, depth))
+                break
+        else:
+            stack.pop()
+            done = combine(how, kids)
+            if not stack:
+                return Circuit(n, done[1], done[0])
+            stack[-1][3].append(done)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +242,13 @@ def _mass(block: np.ndarray) -> float:
     return float(np.sum(np.abs(block.ravel()) ** 2))
 
 
-def _apply_gates(t: np.ndarray, gates: list[Gate], ctrl: tuple[slice, ...], tol: float) -> None:
-    for g in gates:
+def _apply_gates(t: np.ndarray, gates: list[Gate], tol: float) -> None:
+    ctrls = [(_ALL,) * t.ndim]  # the controls of each open csub body, innermost last
+    for g in _walk(gates):
+        if g is None:
+            ctrls.pop()
+            continue
+        ctrl = ctrls[-1]
         wires = ((g.control,) if isinstance(g, ControlledSub) else
                  (g.target, *g.register) if isinstance(g, OrNot) else
                  (g.qubit,) if isinstance(g, Prep) else g.qubits)
@@ -240,7 +258,7 @@ def _apply_gates(t: np.ndarray, gates: list[Gate], ctrl: tuple[slice, ...], tol:
         if isinstance(g, ControlledSub):
             if g.polarity not in (0, 1):
                 raise ValueError(f"csub polarity {g.polarity} is not 0 or 1")
-            _apply_gates(t, g.body.gates, _fix(ctrl, g.control, g.polarity), tol)
+            ctrls.append(_fix(ctrl, g.control, g.polarity))
             continue
         if isinstance(g, OrNot):
             if g.target in g.register or ctrl[g.target] != _ALL:
@@ -281,14 +299,7 @@ def _check_unitary(c: Circuit, tol: float) -> None:
     test per gate would cost more than simulating a compiled circuit with
     thousands of small gates.  NaN entries fail every test.
     """
-    gates: list[Prep | Unitary] = []
-    todo = c.gates[::-1]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, ControlledSub):
-            todo += g.body.gates[::-1]
-        elif not isinstance(g, OrNot):
-            gates.append(g)
+    gates = [g for g in _walk(c.gates) if isinstance(g, (Prep, Unitary))]
     faults: list[tuple[int, str]] = []
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for pos, g in enumerate(gates):
@@ -317,7 +328,7 @@ def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndar
     _check_unitary(c, tol)
     vec = np.zeros(1 << total, dtype=complex)
     vec[0] = 1.0
-    _apply_gates(vec.reshape([2] * total), c.gates, (_ALL,) * total, tol)
+    _apply_gates(vec.reshape([2] * total), c.gates, tol)
     return vec
 
 
@@ -341,33 +352,32 @@ def verify_prepare(tree: StateTree, max_width: int = 20) -> dict:
 
 
 def format_circuit(c: Circuit) -> str:
+    """Circuit text; csub bodies are indented two spaces a level, up to dsl._MAX_INDENT."""
     lines = [f"qubits {c.n_data} {c.n_ancilla}"]
-
-    def emit(gates: list[Gate], indent: int) -> None:
-        pad = "  " * indent
-        for g in gates:
-            if isinstance(g, Prep):
-                a, b = complex(g.alpha), complex(g.beta)
-                lines.append(f"{pad}prep {g.qubit} {fmt_float(a.real)} {fmt_float(a.imag)} "
-                             f"{fmt_float(b.real)} {fmt_float(b.imag)}")
-            elif isinstance(g, Unitary):
-                k = len(g.qubits)
-                nums = []
-                for row in np.asarray(g.matrix):
-                    for z in row:
-                        z = complex(z)
-                        nums += [fmt_float(z.real), fmt_float(z.imag)]
-                qs = " ".join(str(q) for q in g.qubits)
-                lines.append(f"{pad}u {k} {qs} " + " ".join(nums))
-            elif isinstance(g, OrNot):
-                qs = " ".join(str(q) for q in g.register)
-                lines.append(f"{pad}ornot {g.target} {qs}")
-            else:
-                lines.append(f"{pad}csub {g.control} {g.polarity} {{")
-                emit(g.body.gates, indent + 1)
-                lines.append(f"{pad}}}")
-
-    emit(c.gates, 0)
+    level = 0
+    for g in _walk(c.gates):
+        level -= g is None
+        pad = " " * min(2 * level, _MAX_INDENT)
+        if g is None:
+            lines.append(f"{pad}}}")
+        elif isinstance(g, Prep):
+            a, b = complex(g.alpha), complex(g.beta)
+            lines.append(f"{pad}prep {g.qubit} {fmt_float(a.real)} {fmt_float(a.imag)} "
+                         f"{fmt_float(b.real)} {fmt_float(b.imag)}")
+        elif isinstance(g, Unitary):
+            nums = []
+            for row in np.asarray(g.matrix):
+                for z in row:
+                    z = complex(z)
+                    nums += [fmt_float(z.real), fmt_float(z.imag)]
+            qs = " ".join(str(q) for q in g.qubits)
+            lines.append(f"{pad}u {len(g.qubits)} {qs} " + " ".join(nums))
+        elif isinstance(g, OrNot):
+            qs = " ".join(str(q) for q in g.register)
+            lines.append(f"{pad}ornot {g.target} {qs}")
+        else:
+            lines.append(f"{pad}csub {g.control} {g.polarity} {{")
+            level += 1
     return "\n".join(lines) + "\n"
 
 
@@ -389,53 +399,43 @@ def parse_circuit(text: str) -> Circuit:
         if count < 0:
             raise ParseError(f"qubit count {count} is negative", ln_no, col)
 
-    pos = 1
-
-    def parse_gates(n_data: int) -> list[Gate]:
-        nonlocal pos
-        gates: list[Gate] = []
-        while pos < len(rows):
-            ln_no, ln = rows[pos]
-            if ln == "}":
-                return gates
-            pos += 1
-            toks = ln.split()
-            try:
-                if toks[0] == "prep" and len(toks) == 6:
-                    q = int(toks[1])
-                    nums = [float(t) for t in toks[2:]]
-                    gates.append(Prep(q, complex(nums[0], nums[1]), complex(nums[2], nums[3])))
-                elif toks[0] == "u":
-                    k = int(toks[1])
-                    qs = tuple(int(t) for t in toks[2:2 + k])
-                    nums = [float(t) for t in toks[2 + k:]]
-                    dim = 1 << k
-                    if len(nums) != 2 * dim * dim:
-                        raise ValueError("matrix entry count")
-                    mat = np.array([complex(nums[2 * i], nums[2 * i + 1])
-                                    for i in range(dim * dim)]).reshape(dim, dim)
-                    gates.append(Unitary(qs, mat))
-                elif toks[0] == "ornot" and len(toks) >= 3:
-                    gates.append(OrNot(int(toks[1]), tuple(int(t) for t in toks[2:])))
-                elif toks[0] == "csub" and len(toks) == 4 and toks[3] == "{":
-                    control, pol = int(toks[1]), int(toks[2])
-                    body_gates = parse_gates(n_data)
-                    if pos >= len(rows) or rows[pos][1] != "}":
-                        raise ParseError("unterminated csub block", ln_no, 1)
-                    pos += 1
-                    gates.append(ControlledSub(control, pol, Circuit(n_data, 0, body_gates)))
-                else:
-                    raise ValueError("unknown gate")
-            except ParseError:
-                raise
-            except (ValueError, IndexError):
-                raise ParseError(f"bad gate line {ln!r}", ln_no, 1) from None
-        return gates
-
-    gates = parse_gates(n_data)
-    if pos != len(rows):
-        ln_no, ln = rows[pos]
-        raise ParseError(f"unexpected {ln!r}", ln_no, 1)
+    gates: list[Gate] = []
+    frames: list[tuple[int, int, int, list[Gate]]] = []  # open csub: line, control, polarity, outer gates
+    for ln_no, ln in rows[1:]:
+        if ln == "}":
+            if not frames:
+                raise ParseError(f"unexpected {ln!r}", ln_no, 1)
+            _, control, pol, outer = frames.pop()
+            outer.append(ControlledSub(control, pol, Circuit(n_data, 0, gates)))
+            gates = outer
+            continue
+        toks = ln.split()
+        try:
+            if toks[0] == "prep" and len(toks) == 6:
+                q = int(toks[1])
+                nums = [float(t) for t in toks[2:]]
+                gates.append(Prep(q, complex(nums[0], nums[1]), complex(nums[2], nums[3])))
+            elif toks[0] == "u":
+                k = int(toks[1])
+                qs = tuple(int(t) for t in toks[2:2 + k])
+                nums = [float(t) for t in toks[2 + k:]]
+                dim = 1 << k
+                if len(nums) != 2 * dim * dim:
+                    raise ValueError("matrix entry count")
+                mat = np.array([complex(nums[2 * i], nums[2 * i + 1])
+                                for i in range(dim * dim)]).reshape(dim, dim)
+                gates.append(Unitary(qs, mat))
+            elif toks[0] == "ornot" and len(toks) >= 3:
+                gates.append(OrNot(int(toks[1]), tuple(int(t) for t in toks[2:])))
+            elif toks[0] == "csub" and len(toks) == 4 and toks[3] == "{":
+                frames.append((ln_no, int(toks[1]), int(toks[2]), gates))
+                gates = []
+            else:
+                raise ValueError("unknown gate")
+        except (ValueError, IndexError):
+            raise ParseError(f"bad gate line {ln!r}", ln_no, 1) from None
+    if frames:
+        raise ParseError("unterminated csub block", frames[-1][0], 1)
     return Circuit(n_data, n_anc, gates)
 
 

@@ -360,7 +360,7 @@ def dispatch(argv: list[str]) -> int:
     except ValueError as e:
         print(f"ERROR domain: {e}", file=sys.stderr)
         return 1
-    except RecursionError:  # compile and the circuit text (parse_circuit, simulate) still recurse
+    except RecursionError:  # only from the peel branches of builders._hamming_node/_parity_node
         print(f"ERROR {OversizeError.code}: input nests too deeply for this command",
               file=sys.stderr)
         return 1

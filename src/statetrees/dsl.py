@@ -172,6 +172,8 @@ def parse(text: str, n: int | None = None) -> StateTree:
 
 
 _WIDTH = 100
+# a line's indent stops growing 50 levels down, so text grows linearly with depth
+_MAX_INDENT = 100
 
 
 def _layout(head: str, kids: list[tuple[str, tuple, str]]) -> tuple:
@@ -190,7 +192,7 @@ def _layout(head: str, kids: list[tuple[str, tuple, str]]) -> tuple:
 def _write(layout: tuple) -> str:
     """Top-down pass of the writer: a vertex goes on one line when it fits
     the width at its indent (then so do its children), otherwise its head
-    and one child per line, indented by two more spaces."""
+    and one child per line, indented by two more spaces up to _MAX_INDENT."""
     out: list[str] = []
     todo: list = [(layout, 0)]  # text, or (layout, indent)
     while todo:
@@ -202,11 +204,12 @@ def _write(layout: tuple) -> str:
         if head is None or (flat is not None and len(flat) + indent <= _WIDTH):
             out.append(flat)
             continue
-        sep = "\n" + " " * (indent + 2)
+        indent = min(indent + 2, _MAX_INDENT)
+        sep = "\n" + " " * indent
         out.append(head)
         todo.append(")")
         for pre, kid, post in reversed(kids):
-            todo += [post, (kid, indent + 2), sep + pre]
+            todo += [post, (kid, indent), sep + pre]
     out.append("\n")
     return "".join(out)
 

@@ -340,9 +340,10 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
     node = pad(node, mask, full)
     if node is None:
         raise ValueError("n must be at least 1")
-    if scalar != 1:
-        node = Plus(((scalar, node),))
     _, root = normalize_node(node)
+    phase = scalar / abs(scalar)  # the norm goes; the phase stays on a one-child + vertex
+    if phase != 1:
+        root = Plus(((phase, root),))
     return StateTree(n, root)
 
 

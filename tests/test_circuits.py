@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,14 @@ from statetrees.circuits import (Circuit, ControlledSub, OrNot, Prep,
                                  PrepStateError, Unitary, compile_tree,
                                  format_circuit, gate_count, invert,
                                  parse_circuit, simulate, verify_prepare)
-from statetrees.errors import NonOrthogonalError, NonUnitaryError, OversizeError, ParseError
+from statetrees.circuits import _ALL, _binarize, _check_unitary, _fix, _mass, _relaxed
+from statetrees.dsl import fmt_float
+from statetrees.errors import (NonOrthogonalError, NonUnitaryError, OversizeError, ParseError,
+                              StateTreesError)
 from statetrees.gf2 import BitMatrix, Coset, random_bitmatrix
 from statetrees.rng import stream
-from statetrees.trees import Leaf, StateTree, Tensor
+from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, basis_product,
+                              classify_tree, mask_qubits, qubit_mask)
 
 
 def test_product_tree_compiles_to_preps():
@@ -283,3 +289,420 @@ def test_simulate_matches_full_matrix_reference():
                     "prep under controls", "1-wire unitary", "2-wire unitary",
                     "3-wire unitary", "ornot on a polarity-0 control",
                     "ornot on a polarity-1 control"}
+
+
+# ---------------------------------------------------------------------------
+# the recursive walkers circuits.py used to have, kept as references
+
+
+def ref_gate_count(c: Circuit) -> int:
+    return sum(ref_gate_count(g.body) if isinstance(g, ControlledSub) else 1 for g in c.gates)
+
+
+def ref_invert_gates(gates: list) -> list:
+    out = []
+    for g in reversed(gates):
+        if isinstance(g, Prep):
+            out.append(Unitary((g.qubit,), g.matrix().conj().T))
+        elif isinstance(g, Unitary):
+            out.append(Unitary(g.qubits, g.matrix.conj().T))
+        elif isinstance(g, OrNot):
+            out.append(g)
+        else:
+            out.append(ControlledSub(g.control, g.polarity, ref_invert(g.body)))
+    return out
+
+
+def ref_invert(c: Circuit) -> Circuit:
+    return Circuit(c.n_data, c.n_ancilla, ref_invert_gates(c.gates))
+
+
+def ref_as_unitary_gates(gates: list) -> list:
+    out = []
+    for g in gates:
+        if isinstance(g, Prep):
+            out.append(Unitary((g.qubit,), g.matrix()))
+        elif isinstance(g, ControlledSub):
+            out.append(ControlledSub(g.control, g.polarity,
+                                     Circuit(g.body.n_data, g.body.n_ancilla,
+                                             ref_as_unitary_gates(g.body.gates))))
+        else:
+            out.append(g)
+    return out
+
+
+def ref_compile_tree(tree: StateTree) -> Circuit:
+    if classify_tree(tree) == "general":
+        raise NonOrthogonalError("the sum recursion needs orthogonal children")
+    n = tree.n
+
+    def rec(node, depth):
+        if isinstance(node, Leaf):
+            return [Prep(node.qubit - 1, node.alpha, node.beta)], 0
+        if isinstance(node, Tensor):
+            gates, used = [], 0
+            for ch in node.children:
+                g, u = rec(ch, depth)
+                gates += g
+                used = max(used, u)
+            return gates, used
+        alpha, t1, beta, t2 = _binarize(node.children)
+        if t2 is None:
+            gates, used = rec(t1, depth)
+            if alpha != 1:
+                w = mask_qubits(qubit_mask(t1))[0] - 1
+                gates.append(Unitary((w,), np.array([[alpha, 0], [0, alpha]])))
+            return gates, used
+        aw = n + depth
+        u_gates, u_used = rec(t1, depth + 1)
+        v_gates, v_used = rec(t2, depth + 1)
+        data_wires = [q - 1 for q in mask_qubits(qubit_mask(node))]
+        anc_wires = [n + depth + 1 + i for i in range(max(u_used, v_used))]
+        gates = [Prep(aw, alpha, beta),
+                 ControlledSub(aw, 1, Circuit(n, 0, v_gates + ref_invert_gates(u_gates))),
+                 OrNot(aw, tuple(data_wires + anc_wires))]
+        return gates + ref_as_unitary_gates(u_gates), 1 + max(u_used, v_used)
+
+    gates, used = rec(tree.root, 0)
+    return Circuit(n, used, gates)
+
+
+def _ref_apply_gates(t, gates, ctrl, tol):
+    for g in gates:
+        wires = ((g.control,) if isinstance(g, ControlledSub) else
+                 (g.target, *g.register) if isinstance(g, OrNot) else
+                 (g.qubit,) if isinstance(g, Prep) else g.qubits)
+        for w in wires:
+            if not 0 <= w < t.ndim:
+                raise ValueError(f"wire {w} is outside 0..{t.ndim - 1}")
+        if isinstance(g, ControlledSub):
+            if g.polarity not in (0, 1):
+                raise ValueError(f"csub polarity {g.polarity} is not 0 or 1")
+            _ref_apply_gates(t, g.body.gates, _fix(ctrl, g.control, g.polarity), tol)
+            continue
+        if isinstance(g, OrNot):
+            if g.target in g.register or ctrl[g.target] != _ALL:
+                raise ValueError(f"ornot target {g.target} is in its register or a control wire")
+            zero = ctrl
+            for w in g.register:
+                zero = _fix(zero, w, 0)
+            keep = t[zero].copy()
+            t[ctrl] = np.flip(t[ctrl], g.target)
+            t[zero] = keep
+            continue
+        if isinstance(g, Prep):
+            mat = g.matrix()
+            in_slice = _mass(t[ctrl])
+            leaked = _mass(t[_fix(ctrl, g.qubit, 1)])
+            if leaked > tol * max(in_slice, 1e-300):
+                raise PrepStateError(
+                    f"prep on wire {g.qubit}: |1> mass {leaked:.3e} of {in_slice:.3e}")
+        else:
+            mat = np.asarray(g.matrix, dtype=complex)
+            if len(wires) > 3:
+                raise OversizeError("unitary gates are capped at 3 wires")
+        if len(set(wires)) != len(wires):
+            raise ValueError("gate wires repeat")
+        if any(ctrl[w] != _ALL for w in wires):
+            raise ValueError("gate acts on one of its control wires")
+        k = len(wires)
+        moved = np.moveaxis(t[ctrl], wires, range(k))
+        block = np.ascontiguousarray(moved).reshape(1 << k, -1)
+        moved[...] = (mat @ block).reshape(moved.shape)
+
+
+def ref_simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndarray:
+    total = c.width
+    if total > max_width:
+        raise OversizeError(f"{total} wires exceed the dense cap {max_width}")
+    flat, todo = [], c.gates[::-1]  # the unitarity check sees the gates in pre-order
+    while todo:
+        g = todo.pop()
+        if isinstance(g, ControlledSub):
+            todo += g.body.gates[::-1]
+        elif not isinstance(g, OrNot):
+            flat.append(g)
+    _check_unitary(Circuit(c.n_data, c.n_ancilla, flat), tol)
+    vec = np.zeros(1 << total, dtype=complex)
+    vec[0] = 1.0
+    _ref_apply_gates(vec.reshape([2] * total), c.gates, (_ALL,) * total, tol)
+    return vec
+
+
+def ref_format_circuit(c: Circuit) -> str:
+    lines = [f"qubits {c.n_data} {c.n_ancilla}"]
+
+    def emit(gates, indent):
+        pad = "  " * indent
+        for g in gates:
+            if isinstance(g, Prep):
+                a, b = complex(g.alpha), complex(g.beta)
+                lines.append(f"{pad}prep {g.qubit} {fmt_float(a.real)} {fmt_float(a.imag)} "
+                             f"{fmt_float(b.real)} {fmt_float(b.imag)}")
+            elif isinstance(g, Unitary):
+                nums = []
+                for row in np.asarray(g.matrix):
+                    for z in row:
+                        z = complex(z)
+                        nums += [fmt_float(z.real), fmt_float(z.imag)]
+                qs = " ".join(str(q) for q in g.qubits)
+                lines.append(f"{pad}u {len(g.qubits)} {qs} " + " ".join(nums))
+            elif isinstance(g, OrNot):
+                lines.append(f"{pad}ornot {g.target} " + " ".join(str(q) for q in g.register))
+            else:
+                lines.append(f"{pad}csub {g.control} {g.polarity} {{")
+                emit(g.body.gates, indent + 1)
+                lines.append(f"{pad}}}")
+
+    emit(c.gates, 0)
+    return "\n".join(lines) + "\n"
+
+
+def ref_parse_circuit(text: str) -> Circuit:
+    raw = [ln.split(";")[0].strip() for ln in text.splitlines()]
+    rows = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
+    if not rows:
+        raise ParseError("empty circuit text")
+    ln_no, head = rows[0]
+    parts = head.split()
+    if len(parts) != 3 or parts[0] != "qubits":
+        raise ParseError(f"expected 'qubits D A', got {head!r}", ln_no, 1)
+    try:
+        n_data, n_anc = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(f"bad qubit counts in {head!r}", ln_no, 1) from None
+    cols = [m.start() + 1 for m in re.finditer(r"\S+", text.splitlines()[ln_no - 1])]
+    for count, col in zip((n_data, n_anc), cols[1:]):
+        if count < 0:
+            raise ParseError(f"qubit count {count} is negative", ln_no, col)
+    pos = 1
+
+    def parse_gates():
+        nonlocal pos
+        gates = []
+        while pos < len(rows):
+            ln_no, ln = rows[pos]
+            if ln == "}":
+                return gates
+            pos += 1
+            toks = ln.split()
+            try:
+                if toks[0] == "prep" and len(toks) == 6:
+                    nums = [float(t) for t in toks[2:]]
+                    gates.append(Prep(int(toks[1]), complex(nums[0], nums[1]),
+                                      complex(nums[2], nums[3])))
+                elif toks[0] == "u":
+                    k = int(toks[1])
+                    qs = tuple(int(t) for t in toks[2:2 + k])
+                    nums = [float(t) for t in toks[2 + k:]]
+                    dim = 1 << k
+                    if len(nums) != 2 * dim * dim:
+                        raise ValueError("matrix entry count")
+                    gates.append(Unitary(qs, np.array([complex(nums[2 * i], nums[2 * i + 1])
+                                                       for i in range(dim * dim)]).reshape(dim, dim)))
+                elif toks[0] == "ornot" and len(toks) >= 3:
+                    gates.append(OrNot(int(toks[1]), tuple(int(t) for t in toks[2:])))
+                elif toks[0] == "csub" and len(toks) == 4 and toks[3] == "{":
+                    control, pol = int(toks[1]), int(toks[2])
+                    body = parse_gates()
+                    if pos >= len(rows) or rows[pos][1] != "}":
+                        raise ParseError("unterminated csub block", ln_no, 1)
+                    pos += 1
+                    gates.append(ControlledSub(control, pol, Circuit(n_data, 0, body)))
+                else:
+                    raise ValueError("unknown gate")
+            except ParseError:
+                raise
+            except (ValueError, IndexError):
+                raise ParseError(f"bad gate line {ln!r}", ln_no, 1) from None
+        return gates
+
+    gates = parse_gates()
+    if pos != len(rows):
+        raise ParseError(f"unexpected {rows[pos][1]!r}", rows[pos][0], 1)
+    return Circuit(n_data, n_anc, gates)
+
+
+def _same_gates(a: list, b: list) -> bool:
+    """Equal gate lists: same types, fields and csub nesting, matrices by np.array_equal."""
+    todo = [(a, b)]
+    while todo:
+        xs, ys = todo.pop()
+        if len(xs) != len(ys):
+            return False
+        for x, y in zip(xs, ys):
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, ControlledSub):
+                if ((x.control, x.polarity, x.body.n_data, x.body.n_ancilla)
+                        != (y.control, y.polarity, y.body.n_data, y.body.n_ancilla)):
+                    return False
+                todo.append((x.body.gates, y.body.gates))
+            elif isinstance(x, Unitary):
+                if x.qubits != y.qubits or not np.array_equal(x.matrix, y.matrix, equal_nan=True):
+                    return False
+            elif x != y:
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised first."""
+    try:
+        return fn(*args)
+    except (StateTreesError, ValueError, AttributeError) as e:
+        return type(e), str(e)
+
+
+def _random_orthogonal_node(rng, qubits: list[int]):
+    """A random node whose + vertices sum distinct basis states of one or two
+    selector qubits, each tensored with a random node on the other qubits."""
+    if len(qubits) == 1 or rng.random() < 0.2:
+        if len(qubits) == 1:
+            a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+            s = np.hypot(abs(a), abs(b))
+            return Leaf(qubits[0], a / s, b / s)
+        cut = int(rng.integers(1, len(qubits)))
+        perm = [qubits[i] for i in rng.permutation(len(qubits))]
+        return Tensor((_random_orthogonal_node(rng, sorted(perm[:cut])),
+                       _random_orthogonal_node(rng, sorted(perm[cut:]))))
+    m = min(len(qubits), int(rng.integers(1, 3)))
+    perm = [qubits[i] for i in rng.permutation(len(qubits))]
+    sel, rest = sorted(perm[:m]), sorted(perm[m:])
+    k = int(rng.integers(1, (1 << m) + 1))
+    kids = []
+    for bits in rng.permutation(1 << m)[:k]:
+        part = basis_product(sel, int(bits))
+        kids.append(Tensor((part, _random_orthogonal_node(rng, rest))) if rest else part)
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    if k > 2 and rng.random() < 0.3:
+        coeffs[int(rng.integers(k))] = 0  # a zero-weight member in one half
+    coeffs = coeffs / np.linalg.norm(coeffs)
+    return Plus(tuple(zip(map(complex, coeffs), kids)))
+
+
+def _oracle_trees():
+    cosets = [Coset(a, a.mul_vec(t)) for t, a in
+              enumerate(random_bitmatrix(1 + t % 4, 6, 77, t) for t in range(6))]
+    yield from ([build_cat(n) for n in (2, 5, 8)]
+                + [build_parity(n, j) for n in (3, 6) for j in (0, 1)]
+                + [build_parity_fourier(n, j) for n in (3, 6) for j in (0, 1)]
+                + [build_hamming(6, k) for k in range(7)]
+                + [build_coset_sigma1(c) for c in cosets]
+                + [build_coset_fourier_otree(c) for c in cosets]
+                + [build_knill_tree(), build_cluster1d(4), build_divisibility_tree(5, 3)])
+    for trial in range(60):
+        rng = stream(53, trial)
+        n = int(rng.integers(1, 7))
+        yield StateTree(n, _random_orthogonal_node(rng, list(range(1, n + 1))))
+    yield StateTree(1, Plus(((0.0, Leaf(1, 1.0, 0.0)),)))  # all weight zero
+    # structurally invalid, but orthogonal: the + children cover different qubits
+    mixed = Plus(((0.6, Leaf(2, 1.0, 0.0)), (0.8, Leaf(1, 0.0, 1.0))))
+    yield StateTree(2, mixed)
+    yield StateTree(2, Plus(((1j, mixed),)))
+
+
+def _faulty(rng, c: Circuit) -> Circuit:
+    """c with one seeded fault planted at the top level or in a csub body."""
+    gates = c.gates
+    subs = [g for g in gates if isinstance(g, ControlledSub)]
+    if subs and rng.random() < 0.5:
+        gates = subs[int(rng.integers(len(subs)))].body.gates
+    w = c.width
+    fault = [Prep(w, 1, 0), Prep(-1, 1, 0), Unitary((0,), np.eye(2) * 1.5),
+             Prep(0, 1, 1), Prep(0, 0, 1), ControlledSub(0, 2, Circuit(w, 0, [])),
+             OrNot(0, (0,)), Unitary((0, 0), np.eye(4)), Unitary((0, 1, 2, 3), np.eye(16)),
+             Unitary((0,), np.array([[np.nan, 0], [0, 1]]))][int(rng.integers(10))]
+    gates.insert(int(rng.integers(len(gates) + 1)), fault)
+    return c
+
+
+def _oracle_circuits():
+    for trial in range(120):  # as in test_simulate_matches_full_matrix_reference
+        rng = stream(47, trial)
+        width = int(rng.integers(1, 8))
+        fresh = set(range(width))
+        gates: list = []
+        while len(gates) < 4:
+            gates += _random_gates(rng, width, [], 0, fresh, set())
+        n_data = int(rng.integers(0, width + 1))
+        yield Circuit(n_data, width - n_data, gates)
+    for trial in range(60):
+        rng = stream(59, trial)
+        width = int(rng.integers(1, 8))
+        gates = []
+        while len(gates) < 4:
+            gates += _random_gates(rng, width, [], 0, set(range(width)), set())
+        yield _faulty(rng, Circuit(width, 0, gates))
+    for t in _oracle_trees():
+        try:
+            yield compile_tree(t)
+        except (NonOrthogonalError, AttributeError):
+            pass
+
+
+def test_compile_agrees_with_the_recursive_reference():
+    compiled = 0
+    for t in _oracle_trees():
+        got, want = _outcome(compile_tree, t), _outcome(ref_compile_tree, t)
+        if isinstance(want, Circuit):
+            assert (got.n_data, got.n_ancilla) == (want.n_data, want.n_ancilla)
+            assert _same_gates(got.gates, want.gates)
+            compiled += 1
+        else:
+            assert got == want
+    assert compiled >= 85
+
+
+def test_circuit_walks_agree_with_their_recursive_references():
+    errors = simulated = 0
+    for c in _oracle_circuits():
+        assert gate_count(c) == ref_gate_count(c)
+        text = format_circuit(c)
+        assert text == ref_format_circuit(c)
+        parsed = parse_circuit(text)
+        assert _same_gates(parsed.gates, ref_parse_circuit(text).gates)
+        assert _same_gates(invert(c).gates, ref_invert(c).gates)
+        assert _same_gates(_relaxed(c.gates, inverse=False), ref_as_unitary_gates(c.gates))
+        got, want = _outcome(simulate, c), _outcome(ref_simulate, c)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+            simulated += 1
+        else:
+            assert got == want
+            errors += 1
+    assert simulated >= 200 and errors >= 50
+
+
+def _broken_texts():
+    """Circuit texts with one seeded defect: a line dropped, doubled or cut short, or a stray brace."""
+    for i, c in enumerate(_oracle_circuits()):
+        if i % 3:
+            continue
+        rng = stream(61, i)
+        lines = format_circuit(c).splitlines(keepends=True)
+        at = int(rng.integers(1, len(lines) + 1))
+        kind = int(rng.integers(5))
+        if kind == 0 and at < len(lines):
+            del lines[at]
+        elif kind == 1:
+            lines.insert(at, "}\n")
+        elif kind == 2:
+            lines.insert(at, "csub 0 1 {\n")
+        elif kind == 3 and at < len(lines):
+            lines[at] = lines[at].rsplit(" ", 1)[0] + "\n"
+        else:
+            lines.insert(at, "csub 0 1 {  ; open\ncsub 1 0 {\n")
+        yield "".join(lines)
+
+
+def test_circuit_parse_errors_agree_with_the_recursive_reference():
+    kinds = set()
+    for text in _broken_texts():
+        got, want = _outcome(parse_circuit, text), _outcome(ref_parse_circuit, text)
+        if isinstance(want, Circuit):
+            assert _same_gates(got.gates, want.gates)
+        else:
+            assert got == want
+            kinds.add(want[1].split(": ", 1)[1].split(" ", 1)[0])
+    assert kinds == {"unterminated", "unexpected", "bad"}

@@ -211,15 +211,22 @@ def _chain_text(depth: int, bottom: str) -> str:
     return "(+ (1 " * depth + bottom + "))" * depth + "\n"
 
 
-def test_deep_chain_through_cli(tmp_path):
-    from statetrees.dsl import parse_amplitudes
-    from statetrees.formulas import formula_truth_values, parse_formula
-    amps = [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0), (0.0, 1.0)] * 2
+DEEP_AMPS = [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0), (0.0, 1.0)] * 2
+
+
+def _product_state(amps) -> np.ndarray:
     want = np.ones(1, dtype=complex)
     for a, b in amps:
         want = np.kron(want, [a, b])
+    return want
+
+
+def test_deep_chain_through_cli(tmp_path):
+    from statetrees.dsl import parse_amplitudes
+    from statetrees.formulas import formula_truth_values, parse_formula
+    want = _product_state(DEEP_AMPS)
     chain = tmp_path / "chain.tree"
-    chain.write_text(_chain_text(10_000, _product_text(amps)))
+    chain.write_text(_chain_text(10_000, _product_text(DEEP_AMPS)))
     r = run(["eval", str(chain)])
     assert r.returncode == 0, r.stderr
     assert np.allclose(parse_amplitudes(r.stdout), want, atol=1e-12)
@@ -291,9 +298,58 @@ def test_deep_formula_serialize_parse_round_trip():
             todo += [(a.left, b.left), (a.right, b.right)]
 
 
-def test_deep_chain_compile_is_a_clean_error(tmp_path):
-    chain = tmp_path / "chain.tree"
-    chain.write_text(_chain_text(10_000, "(leaf 1 1 0)"))
-    r = run(["compile", str(chain)])
+def test_deep_chain_compiles_and_simulates(tmp_path):
+    from statetrees.dsl import parse_amplitudes
+    from statetrees.trees import fidelity
+    chain, circ = tmp_path / "chain.tree", tmp_path / "chain.circ"
+    chain.write_text(_chain_text(10_000, _product_text(DEEP_AMPS)))
+    r = run(["compile", str(chain), "-o", str(circ)])
+    assert (r.returncode, r.stderr) == (0, "")
+    n_data, n_anc = (int(x) for x in circ.read_text().split("\n", 1)[0].split()[1:])
+    r = run(["simulate", str(circ)])
+    assert r.returncode == 0, r.stderr
+    v = parse_amplitudes(r.stdout).reshape(1 << n_data, 1 << n_anc)
+    assert (n_data, n_anc) == (8, 0) and np.vdot(v[:, 1:], v[:, 1:]).real == 0
+    assert fidelity(v[:, 0], _product_state(DEEP_AMPS)) >= 1 - 1e-9
+
+
+def test_deep_csub_text_simulates():
+    from statetrees.dsl import parse_amplitudes
+    depth = 10_000
+    text = "qubits 2 0\nprep 0 0 0 1 0\n" + "csub 0 1 {\n" * depth + "prep 1 0 0 1 0\n" + "}\n" * depth
+    r = run(["simulate", "-"], stdin=text)
+    assert r.returncode == 0, r.stderr
+    assert np.array_equal(parse_amplitudes(r.stdout), [0, 0, 0, 1])
+
+
+def _comb_text(depth: int) -> str:
+    """A 1-qubit comb of `depth` + vertices, each over a leaf orthogonal to the comb below it."""
+    from statetrees.dsl import serialize
+    from statetrees.trees import Leaf, Plus, StateTree
+    node, (x, y) = Leaf(1, 1.0, 0.0), (1.0, 0.0)
+    for _ in range(depth):
+        node = Plus(((0.6, Leaf(1, -y, x)), (0.8, node)))
+        x, y = 0.8 * x - 0.6 * y, 0.6 * x + 0.8 * y
+    return serialize(StateTree(1, node))
+
+
+def test_deep_comb_round_trips_and_is_too_wide_to_simulate(tmp_path):
+    from statetrees.circuits import compile_tree, format_circuit, gate_count, parse_circuit
+    from statetrees.dsl import parse
+    comb, circ = tmp_path / "comb.tree", tmp_path / "comb.circ"
+    comb.write_text(_comb_text(2000))
+    r = run(["compile", str(comb), "-o", str(circ)])
+    assert (r.returncode, r.stderr) == (0, "")
+    c = parse_circuit(circ.read_text())
+    assert (c.n_data, c.n_ancilla, gate_count(c)) == (1, 2000, 4 * 2000 + 1)
+    assert gate_count(c) == gate_count(compile_tree(parse(comb.read_text())))
+    assert format_circuit(c) == circ.read_text()
+    r = run(["simulate", str(circ)])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR oversize: 2001 wires exceed the dense cap 20\n"
+
+
+def test_deep_peeling_build_is_a_clean_error():
+    r = run(["build", "hamming", "--n", "2047", "--k", "0"])
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR oversize: input nests too deeply for this command\n"

@@ -416,9 +416,10 @@ def ref_formula_to_tree(f, n):
     node = pad(node, mask, (1 << n) - 1)
     if node is None:
         raise ValueError("n must be at least 1")
-    if scalar != 1:
-        node = Plus(((scalar, node),))
-    return StateTree(n, normalize_node(node)[1])
+    root = normalize_node(node)[1]
+    if scalar / abs(scalar) != 1:  # the root keeps only the scalar's phase
+        root = Plus(((scalar / abs(scalar), root),))
+    return StateTree(n, root)
 
 
 def ref_serialize(f):
@@ -528,3 +529,36 @@ def test_walkers_agree_with_their_recursive_references():
         assert _outcome(formula_to_tree, f, nv) == _outcome(ref_formula_to_tree, f, nv)
         count += 1
     assert count == 200 + sum(k + 1 for k in range(1, 13))
+
+
+def test_root_scalar_keeps_only_its_phase():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        tree = formula_to_tree(Mul(Const(2), Var(1)), 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert isinstance(tree.root, Tensor)  # a positive scalar leaves no one-child + vertex
+    for scalar in (2, -3, 2j, 0.5 - 0.5j, 1):
+        f = Mul(Const(scalar), Add(Var(1), Mul(Const(0.5), Var(2))))
+        want = formula_truth_values(f, 3)
+        got = evaluate(formula_to_tree(f, 3))
+        assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-12
+
+
+def _clamped(text: str, cap: int = 100) -> str:
+    """text with every line's indent cut to cap spaces."""
+    return "".join(" " * min(len(ln) - len(ln.lstrip(" ")), cap) + ln.lstrip(" ")
+                   for ln in text.splitlines(keepends=True))
+
+
+def test_writer_indent_stops_50_levels_down():
+    for depth in (30, 50, 51, 120):
+        f = Var(2)
+        for _ in range(depth):
+            f = Add(Var(1), f)
+        text, ref = serialize_formula(f), ref_serialize(f)
+        assert text == _clamped(ref)
+        assert (text == ref) == (depth <= 50)

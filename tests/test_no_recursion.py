@@ -1,8 +1,8 @@
-"""Tree, formula and DSL code walks deep inputs with explicit stacks.
+"""The package walks deep inputs with explicit stacks.
 
-A function that calls itself by name recurses once per nesting level, so
-a deep enough input ends in RecursionError.  Only walks whose depth is
-logarithmic in the input size may recurse.
+A function that can reach itself through calls recurses once per nesting
+level, so a deep enough input ends in RecursionError.  Only walks whose
+depth is bounded by a small parameter may recurse.
 """
 
 from __future__ import annotations
@@ -12,35 +12,96 @@ from pathlib import Path
 
 import statetrees
 
-MODULES = ("trees.py", "dsl.py", "formulas.py")
-
 ALLOWED = {
     # each piece holds at most 2/3 of its parent's leaves: depth O(log size)
     "formulas._balance",
     # halves the variable range at each level: depth O(log k)
     "formulas.build_threshold_formula.rec",
+    # halve the segment at each level: depth O(log n)
+    "builders._cluster_segment",
+    "builders._segment_counts",
+    # splits the column set at each level: depth <= n <= MAX_N
+    "mots._build_witness.build",
+    # fewer qubits or a smaller support at each level, under its max_n cap
+    "mots.mots_bruteforce.rec",
+    # peel one qubit per level when n is not a power of two: until ROADMAP item 1
+    "builders._hamming_node",
+    "builders._parity_node",
 }
 
 
-def _self_calls(tree: ast.Module, module: str) -> list[str]:
-    found = []
-    todo = [(node, module) for node in tree.body]
+def _call_graph(tree: ast.Module, module: str) -> dict[str, set[str]]:
+    """Qualified function name -> the same-module functions it calls by name.
+
+    A name resolves to a function defined in an enclosing function body,
+    innermost first, or else at module level.  Calls made inside a nested
+    function belong to the nested function.
+    """
+    defs: dict[str, dict[str, str]] = {}  # scope -> {name: qualified name of a function defined there}
+    bodies: list[tuple[str, list[str], ast.AST]] = []  # function, its enclosing scopes, its node
+    todo: list[tuple[ast.AST, str, list[str]]] = [(node, module, [module]) for node in tree.body]
     while todo:
-        node, scope = todo.pop()
+        node, scope, chain = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}"
-            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                   and call.func.id == node.name for call in ast.walk(node)):
-                found.append(scope)
+            name = f"{scope}.{node.name}"
+            defs.setdefault(scope, {})[node.name] = name
+            bodies.append((name, chain + [name], node))
+            todo += [(child, name, chain + [name]) for child in node.body]
         elif isinstance(node, ast.ClassDef):
-            scope = f"{scope}.{node.name}"
-        todo += [(child, scope) for child in ast.iter_child_nodes(node)]
-    return sorted(found)
+            # methods are called as attributes, never by a bare name
+            todo += [(child, f"{scope}.{node.name}", chain[:1]) for child in node.body]
+        else:
+            todo += [(child, scope, chain) for child in ast.iter_child_nodes(node)]
+    graph: dict[str, set[str]] = {}
+    for name, chain, node in bodies:
+        calls = graph.setdefault(name, set())
+        todo = list(ast.iter_child_nodes(node))
+        while todo:
+            sub = todo.pop()
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                target = next((defs[s][sub.func.id] for s in reversed(chain)
+                               if sub.func.id in defs.get(s, {})), None)
+                if target is not None:
+                    calls.add(target)
+            todo += ast.iter_child_nodes(sub)
+    return graph
+
+
+def _on_cycles(graph: dict[str, set[str]]) -> set[str]:
+    """The functions that can reach themselves."""
+    found = set()
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            f = todo.pop()
+            if f == start:
+                found.add(start)
+                break
+            if f not in seen:
+                seen.add(f)
+                todo += graph.get(f, ())
+    return found
+
+
+def _recursive() -> set[str]:
+    src = Path(statetrees.__file__).parent
+    found: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _on_cycles(_call_graph(ast.parse(path.read_text()), path.stem))
+    return found
 
 
 def test_no_function_calls_itself():
-    src = Path(statetrees.__file__).parent
-    found = []
-    for name in MODULES:
-        found += _self_calls(ast.parse((src / name).read_text()), name.removesuffix(".py"))
-    assert sorted(found) == sorted(ALLOWED)
+    assert _recursive() == ALLOWED
+
+
+def test_the_guard_sees_self_calls_and_cycles():
+    graph = _call_graph(ast.parse(
+        "def a():\n    b()\n"
+        "def b():\n    a()\n"
+        "def c():\n    def d():\n        d()\n    d()\n"
+        "def e():\n    def a():\n        pass\n    a()\n"
+        "class K:\n    def m(self):\n        m()\n"), "mod")
+    assert _on_cycles(graph) == {"mod.a", "mod.b", "mod.c.d"}
