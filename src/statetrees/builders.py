@@ -37,22 +37,18 @@ def _parity_node(qubits: tuple[int, ...], j: int) -> Node:
     m = len(qubits)
     if m == 1:
         return Leaf(qubits[0], 1.0 - j, float(j))
-    if m & (m - 1) == 0:
-        left, right = qubits[: m // 2], qubits[m // 2:]
-        even = Tensor((_parity_node(left, 0), _parity_node(right, j)))
-        odd = Tensor((_parity_node(left, 1), _parity_node(right, j ^ 1)))
-        return Plus(((_R2, even), (_R2, odd)))
-    head, rest = qubits[0], qubits[1:]
-    lo = Tensor((Leaf(head, 1.0, 0.0), _parity_node(rest, j)))
-    hi = Tensor((Leaf(head, 0.0, 1.0), _parity_node(rest, j ^ 1)))
-    return Plus(((_R2, lo), (_R2, hi)))
+    left, right = qubits[: m // 2], qubits[m // 2:]
+    even = Tensor((_parity_node(left, 0), _parity_node(right, j)))
+    odd = Tensor((_parity_node(left, 1), _parity_node(right, j ^ 1)))
+    return Plus(((_R2, even), (_R2, odd)))
 
 
 def build_parity(n: int, j: int) -> StateTree:
     """Uniform superposition over n-bit strings of parity j.
 
-    Halving recursion when n is a power of two (size exactly n^2),
-    peeling one qubit otherwise.
+    Halving recursion over floor(n/2) and ceil(n/2) qubits: size
+    S(n) = 2 (S(floor(n/2)) + S(ceil(n/2))), exactly n^2 when n is a
+    power of two and the exact MO size of the parity coset for n <= 14.
     """
     if j not in (0, 1):
         raise ValueError("parity j must be 0 or 1")
@@ -78,10 +74,10 @@ def _segment_counts(m: int) -> dict[tuple[int, int, int], int]:
     """#(strings of length m with first bit i, last bit k, pair-product parity j)."""
     if m == 1:
         return {(i, 0, i): 1 for i in (0, 1)}
-    half = _segment_counts(m // 2)
+    left, right = _segment_counts(m // 2), _segment_counts(m - m // 2)
     out: dict[tuple[int, int, int], int] = {}
-    for (i, j1, mid_l), c1 in half.items():
-        for (mid_r, j2, k), c2 in half.items():
+    for (i, j1, mid_l), c1 in left.items():
+        for (mid_r, j2, k), c2 in right.items():
             j = j1 ^ j2 ^ (mid_l & mid_r)
             key = (i, j, k)
             out[key] = out.get(key, 0) + c1 * c2
@@ -96,15 +92,15 @@ def _cluster_segment(qubits: tuple[int, ...], i: int, j: int, k: int) -> Node | 
         return None
     if m == 1:
         return Leaf(qubits[0], 1.0 - i, float(i))
-    half = _segment_counts(m // 2)
+    left_c, right_c = _segment_counts(m // 2), _segment_counts(m - m // 2)
     left_q, right_q = qubits[: m // 2], qubits[m // 2:]
     terms = []
     for mid_l in (0, 1):
         for mid_r in (0, 1):
             for j1 in (0, 1):
                 j2 = j ^ j1 ^ (mid_l & mid_r)
-                c1 = half.get((i, j1, mid_l), 0)
-                c2 = half.get((mid_r, j2, k), 0)
+                c1 = left_c.get((i, j1, mid_l), 0)
+                c2 = right_c.get((mid_r, j2, k), 0)
                 if c1 == 0 or c2 == 0:
                     continue
                 left = _cluster_segment(left_q, i, j1, mid_l)
@@ -121,11 +117,12 @@ def build_cluster1d(n: int) -> StateTree:
 
     Assembled as the uniform superposition minus twice the odd-phase
     part; the odd part splits over the four (first bit, last bit)
-    sectors, each built by a halving recursion with edge coefficients
-    computed from exact sector cardinalities.
+    sectors, each built by a recursion over floor(m/2) and ceil(m/2)
+    qubits with edge coefficients computed from exact sector
+    cardinalities.  O(n^4) leaves for every n >= 2.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError("n must be a power of 2, n >= 2")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     qubits = tuple(range(1, n + 1))
     uniform = Tensor(tuple(Leaf(q, _R2, _R2) for q in qubits))
     counts = _segment_counts(n)
@@ -146,28 +143,15 @@ def _hamming_node(qubits: tuple[int, ...], k: int) -> Node:
     if m == 1:
         return Leaf(qubits[0], 1.0 - k, float(k))
     total = math.comb(m, k)
-    if m & (m - 1) == 0:
-        half = m // 2
-        left_q, right_q = qubits[:half], qubits[half:]
-        terms = []
-        for j in range(max(0, k - half), min(half, k) + 1):
-            ways = math.comb(half, j) * math.comb(half, k - j)
-            if ways == 0:
-                continue
-            coeff = math.sqrt(ways / total)
-            terms.append((coeff, Tensor((_hamming_node(left_q, j),
-                                         _hamming_node(right_q, k - j)))))
-        if len(terms) == 1 and terms[0][0] == 1.0:
-            return terms[0][1]
-        return Plus(tuple(terms))
-    head, rest = qubits[0], qubits[1:]
+    lh = m // 2
+    rh = m - lh
+    left_q, right_q = qubits[:lh], qubits[lh:]
     terms = []
-    if k <= m - 1:
-        coeff = math.sqrt(math.comb(m - 1, k) / total)
-        terms.append((coeff, Tensor((Leaf(head, 1.0, 0.0), _hamming_node(rest, k)))))
-    if k >= 1:
-        coeff = math.sqrt(math.comb(m - 1, k - 1) / total)
-        terms.append((coeff, Tensor((Leaf(head, 0.0, 1.0), _hamming_node(rest, k - 1)))))
+    for j in range(max(0, k - rh), min(lh, k) + 1):
+        ways = math.comb(lh, j) * math.comb(rh, k - j)
+        coeff = math.sqrt(ways / total)
+        terms.append((coeff, Tensor((_hamming_node(left_q, j),
+                                     _hamming_node(right_q, k - j)))))
     if len(terms) == 1 and terms[0][0] == 1.0:
         return terms[0][1]
     return Plus(tuple(terms))

@@ -29,8 +29,8 @@ from typing import Iterator, Union
 import numpy as np
 
 from .dsl import _MAX_INDENT, fmt_float
-from .errors import (NonOrthogonalError, NonUnitaryError, OversizeError, ParseError,
-                     StateTreesError)
+from .errors import (InvalidTreeError, NonOrthogonalError, NonUnitaryError, OversizeError,
+                     ParseError, StateTreesError)
 from .trees import (Leaf, Node, Plus, StateTree, Tensor, TOLERANCE, _union,
                     classify_tree, evaluate, mask_qubits)
 
@@ -128,6 +128,8 @@ def _binarize(children: tuple[tuple[complex, Node], ...]) -> tuple[complex, Node
     a, t1 = side(children[:half])
     b, t2 = side(children[half:])
     if t1 is None:  # all weight sits in the back half
+        if t2 is None:
+            raise InvalidTreeError("plus vertex with all coefficients zero")
         return b, t2, 0.0, None
     return a, t1, b, t2
 

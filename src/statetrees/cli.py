@@ -19,7 +19,7 @@ import numpy as np
 
 from . import builders, circuits, dsl, formulas, gf2, mots, rank, trees
 from .codes import VandermondeParams, build_binary_vandermonde, min_nonzero_image_weight
-from .errors import OversizeError, StateTreesError
+from .errors import StateTreesError
 
 FIXTURE_ENV = "STATETREES_FIXTURES"
 
@@ -359,10 +359,6 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except ValueError as e:
         print(f"ERROR domain: {e}", file=sys.stderr)
-        return 1
-    except RecursionError:  # only from the peel branches of builders._hamming_node/_parity_node
-        print(f"ERROR {OversizeError.code}: input nests too deeply for this command",
-              file=sys.stderr)
         return 1
 
 

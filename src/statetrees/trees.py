@@ -197,17 +197,24 @@ def _after(path: list[int], child: int | None = None) -> tuple:
     return (*path, math.inf) if child is None else (*path, child, math.inf)
 
 
-def _vector(node: Node) -> tuple[int, np.ndarray]:
+def _vector(node: Node, inspect=lambda kids: None) -> tuple[int, np.ndarray]:
     """(qubit mask, amplitude vector) of a node.
 
     Raises InvalidTreeError for the first structural fault in depth-first
     order, where a fault between two children comes right after the
-    subtree of the later one.
+    subtree of the later one.  inspect(kids) sees the children's pairs of
+    each + vertex that has no fault at or below it.
     """
     path: list[int] = []
     faults: list[tuple[tuple, str]] = []
     report = lambda fault: faults.append((_after(path, fault[1]), fault[3]))
-    vertex = lambda nd, kids: _checked(nd, kids, report)
+
+    def vertex(nd: Tensor | Plus, kids):
+        mv = _checked(nd, kids, report)
+        if mv[1] is not None and isinstance(nd, Plus):
+            inspect(kids)
+        return mv
+
     mask, vec = _fold(node, _leaf_vector, vertex, vertex, path)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
@@ -221,12 +228,17 @@ def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     normalization, so it also evaluates the unnormalized trees produced
     by :func:`restrict`.
     """
+    return _checked_vector(tree, max_qubits)
+
+
+def _checked_vector(tree: StateTree, max_qubits: int, inspect=lambda kids: None) -> np.ndarray:
+    """evaluate(), with inspect() passed on to _vector."""
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
     full = (1 << tree.n) - 1
     if qubit_mask(tree.root) & ~full:
         raise InvalidTreeError("tree uses qubits outside 1..n")
-    m, v = _vector(tree.root)
+    m, v = _vector(tree.root, inspect)
     if m != full:
         raise InvalidTreeError("root does not cover all qubits 1..n")
     return v
@@ -286,13 +298,12 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
     A tree is manifestly orthogonal when every + vertex combines children
     with disjoint basis supports, orthogonal when the children are merely
     pairwise orthogonal.  Only structural validity is required, so
-    unnormalized trees can be classified too.
+    unnormalized trees can be classified too; a structural fault raises
+    what evaluate() raises.
     """
-    if tree.n > max_qubits:
-        raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
     manifest = orthogonal = True
 
-    def plus(node: Plus, kids):
+    def inspect(kids):
         nonlocal manifest, orthogonal
         if len(kids) > 1:
             stacked = np.stack([v for _, v in kids])
@@ -303,9 +314,8 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
             off = gram - np.diag(np.diag(gram))
             if np.max(np.abs(off)) > tol:
                 orthogonal = False
-        return _plus_vector(node, kids)
 
-    _fold(tree.root, _leaf_vector, lambda _, kids: _tensor_vector(kids), plus)
+    _checked_vector(tree, max_qubits, inspect)
     if not orthogonal:
         return "general"
     if not manifest:

@@ -13,8 +13,13 @@ from statetrees.builders import (build_cat, build_cluster1d,
                                  build_divisibility_tree, build_hamming,
                                  build_knill_tree, build_parity,
                                  build_parity_fourier)
+from statetrees.dsl import serialize
 from statetrees.gf2 import BitMatrix, Coset, random_bitmatrix, rank_gf2
-from statetrees.trees import classify_tree, evaluate, fidelity, tree_size, validate
+from statetrees.mots import mots_coset
+from statetrees.trees import (Leaf, Plus, StateTree, Tensor, classify_tree, evaluate, fidelity,
+                              tree_size, validate)
+
+_R2 = 1.0 / math.sqrt(2.0)
 
 
 def uniform_over(indices, n):
@@ -45,6 +50,98 @@ def test_parity_vs_enumeration(n, j):
     assert classify_tree(t) == "manifestly-orthogonal"
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_parity_size_is_the_exact_mo_value(n):
+    ones = BitMatrix(1, n, ((1 << n) - 1,))
+    for j in (0, 1):
+        want = mots_coset(ones, "classical", b=j, witness=False).value
+        assert tree_size(build_parity(n, j)) == want
+
+
+def ref_parity_node(qubits, j):
+    """The parity builder before the uneven split: halve at powers of two,
+    peel one qubit otherwise."""
+    m = len(qubits)
+    if m == 1:
+        return Leaf(qubits[0], 1.0 - j, float(j))
+    if m & (m - 1) == 0:
+        left, right = qubits[: m // 2], qubits[m // 2:]
+        even = Tensor((ref_parity_node(left, 0), ref_parity_node(right, j)))
+        odd = Tensor((ref_parity_node(left, 1), ref_parity_node(right, j ^ 1)))
+        return Plus(((_R2, even), (_R2, odd)))
+    head, rest = qubits[0], qubits[1:]
+    lo = Tensor((Leaf(head, 1.0, 0.0), ref_parity_node(rest, j)))
+    hi = Tensor((Leaf(head, 0.0, 1.0), ref_parity_node(rest, j ^ 1)))
+    return Plus(((_R2, lo), (_R2, hi)))
+
+
+def ref_hamming_node(qubits, k):
+    """The Hamming builder before the uneven split."""
+    m = len(qubits)
+    if m == 1:
+        return Leaf(qubits[0], 1.0 - k, float(k))
+    total = math.comb(m, k)
+    if m & (m - 1) == 0:
+        half = m // 2
+        left_q, right_q = qubits[:half], qubits[half:]
+        terms = []
+        for j in range(max(0, k - half), min(half, k) + 1):
+            ways = math.comb(half, j) * math.comb(half, k - j)
+            if ways == 0:
+                continue
+            coeff = math.sqrt(ways / total)
+            terms.append((coeff, Tensor((ref_hamming_node(left_q, j),
+                                         ref_hamming_node(right_q, k - j)))))
+        if len(terms) == 1 and terms[0][0] == 1.0:
+            return terms[0][1]
+        return Plus(tuple(terms))
+    head, rest = qubits[0], qubits[1:]
+    terms = []
+    if k <= m - 1:
+        coeff = math.sqrt(math.comb(m - 1, k) / total)
+        terms.append((coeff, Tensor((Leaf(head, 1.0, 0.0), ref_hamming_node(rest, k)))))
+    if k >= 1:
+        coeff = math.sqrt(math.comb(m - 1, k - 1) / total)
+        terms.append((coeff, Tensor((Leaf(head, 0.0, 1.0), ref_hamming_node(rest, k - 1)))))
+    if len(terms) == 1 and terms[0][0] == 1.0:
+        return terms[0][1]
+    return Plus(tuple(terms))
+
+
+@pytest.mark.parametrize("family, n_max", [("parity", 14), ("hamming", 12)])
+def test_halving_builders_against_the_peel_reference(family, n_max):
+    for n in range(1, n_max + 1):
+        sizes, ref_sizes = 0, 0
+        for w in ((0, 1) if family == "parity" else range(n + 1)):
+            qubits = tuple(range(1, n + 1))
+            if family == "parity":
+                got, want = build_parity(n, w), StateTree(n, ref_parity_node(qubits, w))
+            else:
+                got, want = build_hamming(n, w), StateTree(n, ref_hamming_node(qubits, w))
+            assert tree_size(got) <= tree_size(want)
+            assert fidelity(evaluate(got), evaluate(want)) > 1 - 1e-9
+            if n & (n - 1) == 0:
+                assert serialize(got) == serialize(want)
+            sizes += tree_size(got)
+            ref_sizes += tree_size(want)
+        if n >= 5 and n & (n - 1):  # at n = 3 both rules build the same sizes
+            assert sizes < ref_sizes
+
+
+def test_halving_builder_sizes_follow_their_recurrences():
+    def s(m):
+        return 1 if m == 1 else 2 * (s(m // 2) + s(m - m // 2))
+
+    def h(m, k):
+        if m == 1:
+            return 1
+        lh, rh = m // 2, m - m // 2
+        return sum(h(lh, j) + h(rh, k - j) for j in range(max(0, k - rh), min(lh, k) + 1))
+
+    assert tree_size(build_parity(63, 1)) == s(63) == 4000
+    assert tree_size(build_hamming(40, 20)) == h(40, 20) == 51744
+
+
 def test_parity_base():
     assert np.allclose(evaluate(build_parity(2, 0)), [2**-0.5, 0, 0, 2**-0.5])
     with pytest.raises(ValueError):
@@ -62,7 +159,7 @@ def test_parity_fourier(n):
         assert classify_tree(build_parity_fourier(n, 0)) == "orthogonal"
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 def test_cluster1d_vs_phase_oracle(n):
     t = build_cluster1d(n)
     assert validate(t) == []
@@ -78,7 +175,7 @@ def test_cluster1d_vs_phase_oracle(n):
 def test_cluster1d_n2_matches_fixture_state():
     assert np.allclose(evaluate(build_cluster1d(2)), [0.5, 0.5, 0.5, -0.5])
     with pytest.raises(ValueError):
-        build_cluster1d(6)
+        build_cluster1d(1)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (8, 4), (8, 0), (5, 3), (7, 2)])

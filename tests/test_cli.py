@@ -349,7 +349,33 @@ def test_deep_comb_round_trips_and_is_too_wide_to_simulate(tmp_path):
     assert r.stderr == "ERROR oversize: 2001 wires exceed the dense cap 20\n"
 
 
-def test_deep_peeling_build_is_a_clean_error():
+def test_wide_hamming_build_halves_to_a_shallow_tree():
+    from statetrees.dsl import parse
+    from statetrees.trees import depth, tree_size
     r = run(["build", "hamming", "--n", "2047", "--k", "0"])
+    assert (r.returncode, r.stderr) == (0, "")
+    tree = parse(r.stdout)
+    assert (tree.n, tree_size(tree), depth(tree)) == (2047, 2047, 11)
+
+
+def test_cluster1d_at_a_non_power_of_two_validates():
+    built = run(["build", "cluster1d", "--n", "6"])
+    assert built.returncode == 0
+    r = run(["validate", "-"], stdin=built.stdout)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "path\trule\tmeasured\n", "")
+
+
+@pytest.mark.parametrize("command", ["classify", "compile"])
+@pytest.mark.parametrize("text, message", [
+    ("(+ (0.6 (leaf 2 1 0)) (0.8 (leaf 1 0 1)))\n", "plus children cover different qubit sets"),
+    ("(* (leaf 1 1 0) (leaf 3 1 0))\n", "root does not cover all qubits 1..n"),
+])
+def test_structurally_invalid_trees_are_refused(command, text, message):
+    r = run([command, "-"], stdin=text)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR invalid-tree: {message}\n")
+
+
+def test_compile_of_an_all_zero_plus_is_one_error_line():
+    r = run(["compile", "-"], stdin="(+ (0 (leaf 1 1 0)))\n")
     assert (r.returncode, r.stdout) == (1, "")
-    assert r.stderr == "ERROR oversize: input nests too deeply for this command\n"
+    assert r.stderr == "ERROR invalid-tree: plus vertex with all coefficients zero\n"

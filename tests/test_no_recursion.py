@@ -17,16 +17,15 @@ ALLOWED = {
     "formulas._balance",
     # halves the variable range at each level: depth O(log k)
     "formulas.build_threshold_formula.rec",
-    # halve the segment at each level: depth O(log n)
+    # halve the qubits at each level: depth O(log n)
     "builders._cluster_segment",
+    "builders._hamming_node",
+    "builders._parity_node",
     "builders._segment_counts",
     # splits the column set at each level: depth <= n <= MAX_N
     "mots._build_witness.build",
     # fewer qubits or a smaller support at each level, under its max_n cap
     "mots.mots_bruteforce.rec",
-    # peel one qubit per level when n is not a power of two: until ROADMAP item 1
-    "builders._hamming_node",
-    "builders._parity_node",
 }
 
 

@@ -275,7 +275,7 @@ def test_evaluate_rejects_structural_garbage():
         evaluate(bad)
 
 
-@pytest.mark.parametrize("tree, want", [
+VALIDATE_CASES = [
     (StateTree(2, Tensor((Leaf(1, 1, 0), Leaf(3, 1, 0)))),
      [((1,), "leaf-qubit-range", "qubit 3"), ((), "root-qubitset-incomplete", "covers [1], n=2")]),
     (StateTree(1, Leaf(0, 1, 0)),
@@ -300,9 +300,24 @@ def test_evaluate_rejects_structural_garbage():
       ((), "vertex-not-normalized", "norm 1.5811388300841895")]),
     (StateTree(3, Tensor((Leaf(1, 1, 0), Leaf(2, 0, 1)))),
      [((), "root-qubitset-incomplete", "covers [1, 2], n=3")]),
-])
+]
+
+
+@pytest.mark.parametrize("tree, want", VALIDATE_CASES)
 def test_validate_pins_path_and_measured(tree, want):
     assert [(v.path, v.rule, v.measured) for v in validate(tree)] == want
+
+
+@pytest.mark.parametrize("tree", [tree for tree, _ in VALIDATE_CASES])
+def test_classify_raises_what_evaluate_raises(tree):
+    def raised(fn):
+        try:
+            fn(tree)
+        except (InvalidTreeError, ValueError) as e:
+            return type(e), str(e)
+        return None
+
+    assert raised(classify_tree) == raised(evaluate)
 
 
 @pytest.mark.parametrize("root, message", [
@@ -315,9 +330,10 @@ def test_validate_pins_path_and_measured(tree, want):
     (Plus(((1, Tensor(())), (1, Leaf(1, 1, 0)))), "tensor vertex with no children"),
 ])
 def test_evaluate_reports_first_fault_in_depth_first_order(root, message):
-    with pytest.raises(InvalidTreeError) as err:
-        evaluate(StateTree(4, root))
-    assert str(err.value) == message
+    for fn in (evaluate, classify_tree):
+        with pytest.raises(InvalidTreeError) as err:
+            fn(StateTree(4, root))
+        assert str(err.value) == message
 
 
 def ref_normalize_node(node):
