@@ -159,6 +159,8 @@ def _hamming_node(qubits: tuple[int, ...], k: int) -> Node:
 
 def build_hamming(n: int, k: int) -> StateTree:
     """Uniform superposition over n-bit strings of Hamming weight k."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return StateTree(n, _hamming_node(tuple(range(1, n + 1)), k))

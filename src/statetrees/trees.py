@@ -138,15 +138,15 @@ def _leaf_vector(node: Leaf) -> tuple[int, np.ndarray]:
 def _tensor_vector(kids: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
     """Outer product of the children's vectors, axes reordered into sorted qubit order."""
     full = 0
-    concat: list[int] = []
+    ordered = True  # each child's qubits all above the previous children's
     out = np.ones(1, dtype=complex)
     for m, v in kids:
+        ordered = ordered and (m & -m) > full
         full |= m
-        concat += mask_qubits(m)
         out = np.multiply.outer(out, v).ravel()
-    target = mask_qubits(full)
-    if concat != target:
-        perm = [concat.index(q) for q in target]
+    if not ordered:
+        concat = [q for m, _ in kids for q in mask_qubits(m)]
+        perm = [concat.index(q) for q in mask_qubits(full)]
         out = out.reshape([2] * len(concat)).transpose(perm).reshape(-1)
     return full, out
 
@@ -197,25 +197,32 @@ def _after(path: list[int], child: int | None = None) -> tuple:
     return (*path, math.inf) if child is None else (*path, child, math.inf)
 
 
-def _vector(node: Node, inspect=lambda kids: None) -> tuple[int, np.ndarray]:
+def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tuple[int, np.ndarray]:
     """(qubit mask, amplitude vector) of a node.
 
     Raises InvalidTreeError for the first structural fault in depth-first
     order, where a fault between two children comes right after the
-    subtree of the later one.  inspect(kids) sees the children's pairs of
-    each + vertex that has no fault at or below it.
+    subtree of the later one; given n, a leaf outside qubits 1..n is a
+    fault too.  inspect(kids) sees the children's pairs of each + vertex
+    that has no fault at or below it.
     """
     path: list[int] = []
     faults: list[tuple[tuple, str]] = []
     report = lambda fault: faults.append((_after(path, fault[1]), fault[3]))
 
-    def vertex(nd: Tensor | Plus, kids):
+    def leaf(lf: Leaf):
+        if n is not None and not 1 <= lf.qubit <= n:
+            faults.append((_after(path), "tree uses qubits outside 1..n"))
+            return 0, None
+        return _leaf_vector(lf)
+
+    def plus(nd: Plus, kids):
         mv = _checked(nd, kids, report)
-        if mv[1] is not None and isinstance(nd, Plus):
+        if mv[1] is not None:
             inspect(kids)
         return mv
 
-    mask, vec = _fold(node, _leaf_vector, vertex, vertex, path)
+    mask, vec = _fold(node, leaf, lambda nd, kids: _checked(nd, kids, report), plus, path)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
     return mask, vec
@@ -235,11 +242,8 @@ def _checked_vector(tree: StateTree, max_qubits: int, inspect=lambda kids: None)
     """evaluate(), with inspect() passed on to _vector."""
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
-    full = (1 << tree.n) - 1
-    if qubit_mask(tree.root) & ~full:
-        raise InvalidTreeError("tree uses qubits outside 1..n")
-    m, v = _vector(tree.root, inspect)
-    if m != full:
+    m, v = _vector(tree.root, inspect, tree.n)
+    if m != (1 << tree.n) - 1:
         raise InvalidTreeError("root does not cover all qubits 1..n")
     return v
 

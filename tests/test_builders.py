@@ -194,6 +194,8 @@ def test_hamming_42_amplitudes():
         assert v[x] == pytest.approx(1 / math.sqrt(6), abs=1e-12)
     with pytest.raises(ValueError):
         build_hamming(4, 5)
+    with pytest.raises(ValueError):
+        build_hamming(0, 0)
 
 
 def test_coset_sigma1():

@@ -358,6 +358,18 @@ def test_wide_hamming_build_halves_to_a_shallow_tree():
     assert (tree.n, tree_size(tree), depth(tree)) == (2047, 2047, 11)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["hamming", "--n", "0", "--k", "0"], "n must be positive"),
+    (["hamming", "--n", "-3", "--k", "0"], "n must be positive"),
+    (["parity", "--n", "0"], "n must be positive"),
+    (["cat", "--n", "0"], "n must be positive"),
+    (["cluster1d", "--n", "1"], "n must be at least 2"),
+])
+def test_builds_with_too_few_qubits_are_one_domain_error(args, message):
+    r = run(["build"] + args)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR domain: {message}\n")
+
+
 def test_cluster1d_at_a_non_power_of_two_validates():
     built = run(["build", "cluster1d", "--n", "6"])
     assert built.returncode == 0

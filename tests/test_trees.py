@@ -328,6 +328,10 @@ def test_classify_raises_what_evaluate_raises(tree):
     (Tensor((Plus(((1, Leaf(1, 1, 0)), (1, Leaf(2, 1, 0)))), Leaf(1, 1, 0))),
      "plus children cover different qubit sets"),
     (Plus(((1, Tensor(())), (1, Leaf(1, 1, 0)))), "tensor vertex with no children"),
+    # a leaf outside 1..n is a fault at the leaf, in the same order
+    (Tensor((Leaf(1, 1, 0), Leaf(1, 1, 0), Leaf(5, 1, 0))), "tensor children overlap on qubits"),
+    (Tensor((Leaf(5, 1, 0), Leaf(1, 1, 0), Leaf(1, 1, 0))), "tree uses qubits outside 1..n"),
+    (Plus(((1, Leaf(0, 1, 0)), (1, Leaf(1, 1, 0)))), "tree uses qubits outside 1..n"),
 ])
 def test_evaluate_reports_first_fault_in_depth_first_order(root, message):
     for fn in (evaluate, classify_tree):
