@@ -236,20 +236,20 @@ def to_numpy(a: BitMatrix):
 
 
 def from_numpy(arr) -> BitMatrix:
-    return from_bits([[int(x) & 1 for x in row] for row in arr])
+    """Matrix of a (k, n) array, entries taken mod 2; k may be 0."""
+    k, n = arr.shape
+    rows = []
+    for row in arr.tolist():
+        v = 0
+        for x in row:
+            v = (v << 1) | (int(x) & 1)
+        rows.append(v)
+    return BitMatrix(k, n, tuple(rows))
 
 
 def random_bitmatrix(k: int, n: int, seed: int, index: int = 0) -> BitMatrix:
     """Uniform k x n matrix from the Philox stream (seed, index)."""
-    rng = stream(seed, index)
-    bits = rng.integers(0, 2, size=(k, n))
-    rows = []
-    for i in range(k):
-        v = 0
-        for j in range(n):
-            v = (v << 1) | int(bits[i, j])
-        rows.append(v)
-    return BitMatrix(k, n, tuple(rows))
+    return from_numpy(stream(seed, index).integers(0, 2, size=(k, n)))
 
 
 def invertibility_product(k: int) -> float:

@@ -7,13 +7,23 @@ a restriction additionally fixes the leftover variables to constants.
 The rank of these matrices, exactly or after an epsilon-perturbation,
 is what the experiments measure.
 
-Exact rank of integer matrices runs over the rationals via
-fraction-free (Bareiss) elimination.  Float matrices are reconstructed
-as small dyadic rationals when possible and eliminated modulo the
-Mersenne prime 2^61 - 1; entries that reconstruct to huge dyadics
-(irrational-derived doubles) or carry nonzero imaginary parts fall back
-to singular-value thresholding at 1e-9, which is then a numerical
-rather than exact answer.
+The coset experiments rank no matrix; they use a closed form over
+GF(2), the coset case of Raz's partition rank.  Split the indicator of
+{x : Ax = b} into l columns y and l columns z, the rest fixed to x_F,
+and put b' = b + A x_F.  Row y of M is nonzero iff A_y y lies in
+b' + col(A_z); two nonzero rows are equal when A_y y agrees and
+support-disjoint otherwise.  So M is zero when [A_y A_z] x = b' has no
+solution, and otherwise has rank 2^(r(A_y) + r(A_z) - r([A_y A_z])),
+each distinct row repeated 2^(l - r(A_y)) times and holding
+2^(l - r(A_z)) ones.
+
+`rank_exact` is kept for callers; the experiments do not use it.
+Integer matrices are ranked over the rationals by fraction-free
+(Bareiss) elimination.  Float matrices are reconstructed as small dyadic
+rationals when possible and eliminated modulo the Mersenne prime
+2^61 - 1; entries that reconstruct to huge dyadics (irrational-derived
+doubles) or carry nonzero imaginary parts fall back to singular-value
+thresholding at 1e-9, which is then a numerical rather than exact answer.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ import numpy as np
 
 from .codes import VandermondeParams, build_binary_vandermonde
 from .errors import OversizeError
-from .gf2 import (BitMatrix, COSET_CAP, Coset, invertibility_product,
-                  is_invertible, rank_gf2)
+from .gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
+                  rank_gf2, solve)
 from .rng import stream
 
 _MERSENNE61 = (1 << 61) - 1
@@ -262,21 +272,19 @@ def rank_eps_lower_bound(m: np.ndarray, eps: float, max_n: int = 1024) -> int:
 
 
 # ---------------------------------------------------------------------------
-# structured 0/1 matrices: disjoint-or-equal rows
+# coset indicators: closed-form partition rank
 
 
-def _rank_disjoint_rows(m: np.ndarray) -> int | None:
-    """Rank of a 0/1 matrix whose nonzero rows are pairwise equal or
-    support-disjoint (true for coset indicator matrices); None when the
-    structure check fails."""
-    nz = m[np.any(m != 0, axis=1)]
-    if len(nz) == 0:
-        return 0
-    uniq = np.unique(nz, axis=0)
-    # distinct rows must not overlap: every column hits at most one of them
-    if int((uniq != 0).sum(axis=0, dtype=np.int64).max()) > 1:
+def _split_ranks(a: BitMatrix, b: int, y: list[int],
+                 z: list[int]) -> tuple[int, int, int] | None:
+    """(r(A_y), r(A_z), r([A_y A_z])) for the 0-based columns y, z of A,
+    or None when [A_y A_z] x = b has no solution (M is then zero)."""
+    if not y:  # M is the single entry [b = 0]
+        return (0, 0, 0) if b == 0 else None
+    ay, az, ayz = (a.column_submatrix(cols) for cols in (y, z, y + z))
+    if solve(ayz, b) is None:
         return None
-    return len(uniq)
+    return rank_gf2(ay), rank_gf2(az), rank_gf2(ayz)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +296,9 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
 
     Per trial an n/2 x n matrix A and a partition P are drawn; the trial
     reports whether the two n/2 x n/2 column submatrices A_y, A_z are
-    invertible, whether the partition matrix has full rank, and - when
-    both submatrices are invertible - verifies entrywise that M is a
-    permutation of the identity.
+    invertible and whether the partition matrix has full rank (both in
+    closed form), and - when both submatrices are invertible - builds M
+    and verifies entrywise that it is a permutation of the identity.
     """
     if n % 2 or n < 2:
         raise ValueError("n must be even and positive")
@@ -301,35 +309,24 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     fullrank = 0
     perm_confirmed = 0
     perm_mismatch = 0
-    xs = np.arange(1 << n, dtype=np.int64)
     for t in range(trials):
         rng = stream(seed, t)
-        bits = rng.integers(0, 2, size=(half, n))
-        rows = []
-        for i in range(half):
-            v = 0
-            for j in range(n):
-                v = (v << 1) | int(bits[i, j])
-            rows.append(v)
-        a = BitMatrix(half, n, tuple(rows))
+        a = from_numpy(rng.integers(0, 2, size=(half, n)))
         perm = rng.permutation(n) + 1
         p = Partition(tuple(sorted(int(v) for v in perm[:half])),
                       tuple(sorted(int(v) for v in perm[half:])))
-        table = np.ones(1 << n, dtype=np.int8)
-        for r in a.rows:
-            par = np.bitwise_count(xs & r).astype(np.int64) & 1
-            table &= (par == 0)
-        m = partition_matrix(table, p)
-        ay = a.column_submatrix([v - 1 for v in p.y_vars])
-        az = a.column_submatrix([v - 1 for v in p.z_vars])
-        inv = is_invertible(ay) and is_invertible(az)
-        rank = _rank_disjoint_rows(m)
-        if rank is None:
-            rank = rank_exact(m)
-        if rank == (1 << half):
+        r_y, r_z, r_a = _split_ranks(a, 0, [v - 1 for v in p.y_vars],
+                                     [v - 1 for v in p.z_vars])
+        if r_y + r_z - r_a == half:
             fullrank += 1
-        if inv:
+        if r_y == r_z == half:
             both += 1
+            xs = np.arange(1 << n, dtype=np.int64)
+            table = np.ones(1 << n, dtype=np.int8)
+            for r in a.rows:
+                par = np.bitwise_count(xs & r).astype(np.int64) & 1
+                table &= (par == 0)
+            m = partition_matrix(table, p)
             ok = (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1))
             if ok:
                 perm_confirmed += 1
@@ -374,8 +371,7 @@ def vandermonde_rank_experiment(params: VandermondeParams, trials: int, seed: in
     }
 
 
-def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int,
-                                 cap: int = COSET_CAP) -> dict:
+def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> dict:
     """Row structure of restriction matrices of a coset indicator.
 
     A row y with two or more nonzero entries witnesses a string that the
@@ -383,27 +379,25 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int,
     matrix ranks against the threshold 2^(l - l^(1/8)/2).
     """
     n = c.n
-    if n > 20:
-        raise OversizeError("erasure check needs the dense 2^n table")
-    if c.size() > cap:
-        raise OversizeError("coset too large")
-    xs = np.arange(1 << n, dtype=np.int64)
-    table = np.ones(1 << n, dtype=np.int8)
-    for i, r in enumerate(c.a.rows):
-        par = np.bitwise_count(xs & r).astype(np.int64) & 1
-        want = (c.b >> (c.a.k - 1 - i)) & 1
-        table &= (par == want)
-    threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
+    try:
+        threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
+    except OverflowError:
+        raise OversizeError(f"threshold 2^(l - l^(1/8)/2) overflows a float at l={l}") from None
     ranks = []
     multirow_counts = []
     for t in range(trials):
         r = random_restriction(n, l, seed, t)
-        m = restriction_matrix(table, r)
-        rank = _rank_disjoint_rows(m)
-        if rank is None:
-            rank = rank_exact(m)
+        x_fixed = sum(bit << (n - v) for v, bit in r.fixed)
+        split = _split_ranks(c.a, c.b ^ c.a.mul_vec(x_fixed),
+                             [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
+        rank = multirow = 0
+        if split is not None:
+            r_y, r_z, r_yz = split
+            rank = 1 << (r_y + r_z - r_yz)
+            if r_z < l:  # every nonzero row holds 2^(l - r_z) >= 2 ones
+                multirow = rank << (l - r_y)
         ranks.append(rank)
-        multirow_counts.append(int(np.sum((m != 0).sum(axis=1) >= 2)))
+        multirow_counts.append(multirow)
     ranks_arr = np.array(ranks)
     multi = np.array(multirow_counts)
     return {
@@ -456,9 +450,7 @@ def chi_max(v: np.ndarray, mode: str = "auto", seed: int = 0,
     best = 1
     if exhaustive:
         # qubit 1 stays on the A side: each split counted once
-        for amask in range(1, 1 << (n - 1)):
-            if not amask & 1:
-                continue
+        for amask in range(1, (1 << n) - 1, 2):
             best = max(best, _reshape_rank(v, n, amask))
     else:
         rng = stream(seed)

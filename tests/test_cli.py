@@ -136,6 +136,38 @@ def test_rank_exp_subcommands(tmp_path):
     assert r.stdout.splitlines()[1].split("\t")[1] == "2"
 
 
+def test_rank_exp_chi_sees_every_split(tmp_path):
+    # the split {1,2,5}|{3,4} puts qubits 1 and n together; it has rank 4
+    state = tmp_path / "s.amps"
+    state.write_text("".join(f"{b} 0.5 0\n" for b in ("00000", "00011", "01100", "10110")))
+    r = run(["rank-exp", "chi", "--state", str(state)])
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == ["n\tchi", "5\t4"]
+
+
+def test_rank_exp_erasure_past_the_dense_table(tmp_path):
+    from statetrees.gf2 import format_matrix, random_bitmatrix
+
+    a = random_bitmatrix(6, 24, 24)
+    mat = tmp_path / "wide.mat"
+    mat.write_text(format_matrix(a, a.mul_vec(0xABCDE)))
+    r = run(["rank-exp", "erasure", "--matrix", str(mat), "--l", "4",
+             "--trials", "50", "--seed", "5"])
+    assert (r.returncode, r.stderr) == (0, "")
+    header, values = r.stdout.splitlines()
+    rep = dict(zip(header.split("\t"), values.split("\t")))
+    assert rep["n"] == "24"
+    assert 0 <= int(rep["rank_min"]) <= int(rep["rank_max"]) <= 16
+
+
+def test_rank_exp_erasure_threshold_overflow_is_an_error_line(tmp_path):
+    mat = tmp_path / "sub.mat"
+    mat.write_text("2 6\n111000\n000111\n")
+    r = run(["rank-exp", "erasure", "--matrix", str(mat), "--l", "2000", "--trials", "3"])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR oversize: threshold 2^(l - l^(1/8)/2) overflows a float at l=2000\n"
+
+
 def test_vandermonde_cli():
     r = run(["vandermonde", "--n", "7", "--k", "2", "--d", "3"])
     assert r.returncode == 0

@@ -120,3 +120,7 @@ def test_numpy_bridge_roundtrip():
 
     a = random_bitmatrix(3, 7, 12)
     assert from_numpy(to_numpy(a)) == a
+    # an empty matrix keeps its column count
+    empty = BitMatrix(0, 5, ())
+    assert from_numpy(to_numpy(empty)) == empty
+    assert random_bitmatrix(0, 5, 12) == empty

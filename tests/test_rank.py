@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 
 from statetrees.builders import build_cat
 from statetrees.codes import VandermondeParams
-from statetrees.gf2 import BitMatrix, Coset, invertibility_product
-from statetrees.rank import (Partition, chi_max, erasure_recoverability_check,
-                             partition_matrix, random_partition,
-                             random_restriction, rank_eps_lower_bound,
-                             rank_exact, restriction_matrix,
-                             subgroup_rank_experiment, subset_sum_coverage,
-                             subset_sums_mod_p, vandermonde_rank_experiment)
+from statetrees.gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
+                            is_invertible, random_bitmatrix, subgroup)
+from statetrees.rank import (Partition, _reshape_rank, _split_ranks, chi_max,
+                             erasure_recoverability_check, partition_matrix,
+                             random_partition, random_restriction,
+                             rank_eps_lower_bound, rank_exact,
+                             restriction_matrix, subgroup_rank_experiment,
+                             subset_sum_coverage, subset_sums_mod_p,
+                             vandermonde_rank_experiment)
 from statetrees.rng import stream
 from statetrees.trees import evaluate
 
@@ -37,6 +40,55 @@ def fraction_rank(m) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+# ---------------------------------------------------------------------------
+# dense reference for coset indicators: the 2^n table, sliced and ranked
+# through its disjoint-or-equal rows
+
+
+def coset_table(c: Coset) -> np.ndarray:
+    """Indicator of {x : Ax = b} as a length-2^n 0/1 table."""
+    xs = np.arange(1 << c.n, dtype=np.int64)
+    table = np.ones(1 << c.n, dtype=np.int8)
+    for i, r in enumerate(c.a.rows):
+        want = (c.b >> (c.a.k - 1 - i)) & 1
+        table &= (np.bitwise_count(xs & r) & 1) == want
+    return table
+
+
+def rank_disjoint_rows(m: np.ndarray) -> int:
+    """Rank of a 0/1 matrix whose nonzero rows are pairwise equal or
+    support-disjoint; the structure is asserted, not assumed."""
+    nz = m[np.any(m != 0, axis=1)]
+    if len(nz) == 0:
+        return 0
+    uniq = np.unique(nz, axis=0)
+    assert int((uniq != 0).sum(axis=0).max()) == 1
+    return len(uniq)
+
+
+def dense_rank_and_multirow(table: np.ndarray, r) -> tuple[int, int]:
+    """Rank of the restriction matrix and its rows with >= 2 nonzero entries."""
+    m = restriction_matrix(table, r)
+    return rank_disjoint_rows(m), int(np.sum((m != 0).sum(axis=1) >= 2))
+
+
+def closed_form_rank_and_multirow(c: Coset, r) -> tuple[int, int]:
+    x_fixed = sum(bit << (c.n - v) for v, bit in r.fixed)
+    split = _split_ranks(c.a, c.b ^ c.a.mul_vec(x_fixed),
+                         [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
+    if split is None:
+        return 0, 0
+    r_y, r_z, r_yz = split
+    l = len(r.y_vars)
+    rank = 2 ** (r_y + r_z - r_yz)
+    return rank, (rank * 2 ** (l - r_y) if r_z < l else 0)
+
+
+def random_coset(rng, n: int, k: int, seed: int, index: int) -> Coset:
+    a = random_bitmatrix(k, n, seed, index)
+    return Coset(a, a.mul_vec(int(rng.integers(0, 1 << n))))
 
 
 def test_random_partition_uniform_and_deterministic():
@@ -117,6 +169,30 @@ def test_subgroup_experiment_small():
     assert abs(rep["both_invertible_fraction"] - invertibility_product(4) ** 2) < 0.06
     assert rep["full_rank_fraction"] >= rep["both_invertible_fraction"]
     assert rep == subgroup_rank_experiment(8, 400, 17)
+    assert rep == {"n": 8, "trials": 400, "seed": 17, "both_invertible_fraction": 0.08,
+                   "expected_both_invertible": 0.09462833404541016,
+                   "full_rank_fraction": 0.08, "permutation_confirmed": 32,
+                   "permutation_mismatch": 0}
+
+
+def test_subgroup_experiment_matches_dense_oracle():
+    for n in (2, 4, 6, 8, 10):
+        half, trials, seed = n // 2, 80, 40 + n
+        both = full = 0
+        for t in range(trials):
+            rng = stream(seed, t)
+            a = from_numpy(rng.integers(0, 2, size=(half, n)))
+            perm = rng.permutation(n) + 1
+            p = Partition(tuple(sorted(int(v) for v in perm[:half])),
+                          tuple(sorted(int(v) for v in perm[half:])))
+            m = partition_matrix(coset_table(subgroup(a)), p)
+            full += rank_disjoint_rows(m) == 1 << half
+            both += (is_invertible(a.column_submatrix([v - 1 for v in p.y_vars]))
+                     and is_invertible(a.column_submatrix([v - 1 for v in p.z_vars])))
+        rep = subgroup_rank_experiment(n, trials, seed)
+        assert rep["full_rank_fraction"] == full / trials
+        assert rep["both_invertible_fraction"] == both / trials
+        assert rep["permutation_confirmed"] == both
 
 
 def test_vandermonde_experiment():
@@ -146,6 +222,67 @@ def test_erasure_cases():
     # a fixing can contradict a pair constraint, zeroing the whole slice
     assert 0 <= rep["rank_min"] <= rep["rank_max"] <= 8
     assert rep == erasure_recoverability_check(sub, 3, 40, 5)
+    assert rep == {"n": 8, "l": 3, "trials": 40, "seed": 5, "rank_min": 0,
+                   "rank_median": 2.0, "rank_max": 4, "threshold": 5.375498890131907,
+                   "prob_rank_ge_threshold": 0.0, "nonrecoverable_rows_mean": 0.8,
+                   "nonrecoverable_fraction": 0.35}
+
+
+def test_closed_form_matches_dense_oracle():
+    seen = Counter()
+    for t in range(500):
+        rng = stream(808, t)
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(0, n + 1))
+        l = int(rng.integers(0, n // 2 + 1))
+        c = random_coset(rng, n, k, 809, t)
+        table = coset_table(c)
+        for j in range(3):
+            r = random_restriction(n, l, 810 + j, t)
+            rank, multirow = dense_rank_and_multirow(table, r)
+            assert closed_form_rank_and_multirow(c, r) == (rank, multirow), (n, k, l, t, j)
+            seen["inconsistent"] += rank == 0
+            seen["partition"] += 2 * l == n
+            seen["l=0"] += l == 0
+            seen["k=0"] += k == 0
+            seen["multirow"] += multirow > 0
+            seen["rank>1"] += rank > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dense_oracle_agrees_with_exact_rank():
+    for t in range(40):
+        rng = stream(811, t)
+        n = int(rng.integers(2, 9))
+        c = random_coset(rng, n, int(rng.integers(0, n + 1)), 812, t)
+        m = restriction_matrix(coset_table(c), random_restriction(n, n // 2, 813, t))
+        assert rank_disjoint_rows(m) == rank_exact(m.astype(np.int64)) == fraction_rank(m)
+
+
+def test_erasure_report_matches_dense_oracle():
+    for t in range(16):
+        rng = stream(814, t)
+        n = int(rng.integers(2, 13))
+        l = int(rng.integers(0, n // 2 + 1))
+        c = random_coset(rng, n, int(rng.integers(0, n + 1)), 815, t)
+        table = coset_table(c)
+        dense = [dense_rank_and_multirow(table, random_restriction(n, l, t, i))
+                 for i in range(25)]
+        ranks = np.array([d[0] for d in dense])
+        multi = np.array([d[1] for d in dense])
+        rep = erasure_recoverability_check(c, l, 25, t)
+        assert (rep["rank_min"], rep["rank_median"], rep["rank_max"]) == (
+            ranks.min(), np.median(ranks), ranks.max())
+        assert rep["prob_rank_ge_threshold"] == np.mean(ranks >= rep["threshold"])
+        assert rep["nonrecoverable_rows_mean"] == multi.mean()
+        assert rep["nonrecoverable_fraction"] == np.mean(multi > 0)
+
+
+def test_erasure_needs_no_dense_table():
+    # 2^40 points: the closed form needs only the 6 x 40 matrix
+    a = random_bitmatrix(6, 40, 816)
+    rep = erasure_recoverability_check(Coset(a, a.mul_vec(12345)), 8, 30, 3)
+    assert 0 <= rep["rank_min"] <= rep["rank_max"] <= 1 << 6
 
 
 def test_chi_values():
@@ -161,6 +298,22 @@ def test_chi_values():
     # submultiplicative on products (sanity)
     v = evaluate(build_cat(3))
     assert chi_max(np.kron(v, v)) <= chi_max(v) * chi_max(v)
+
+
+def test_chi_exhaustive_visits_every_bipartition():
+    # qubits 1 and 5 together: the split {1,2,5}|{3,4} has Schmidt rank 4
+    v = np.zeros(32)
+    v[[0b00000, 0b00011, 0b01100, 0b10110]] = 0.5
+    assert _reshape_rank(v, 5, 0b10011) == 4
+    assert chi_max(v, "exhaustive") == 4
+    for t in range(400):
+        n = 3 + t % 4
+        rng = stream(817, t)
+        support = rng.choice(1 << n, size=2 + t % 5, replace=False)
+        v = np.zeros(1 << n)
+        v[support] = rng.normal(size=len(support))
+        every = max(_reshape_rank(v, n, mask) for mask in range(1, (1 << n) - 1))
+        assert chi_max(v, "exhaustive") == every, (n, t)
 
 
 def test_subset_sum_coverage():
