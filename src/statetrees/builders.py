@@ -22,6 +22,14 @@ from .trees import Leaf, Node, Plus, StateTree, Tensor, basis_product, local_bas
 _R2 = 1.0 / math.sqrt(2.0)
 
 
+def _refuse_oversize(name: str, n: int, leaves) -> None:
+    """Refuse a halving build past COSET_CAP leaves before any vertex is
+    made.  Each of these trees has at least n leaves, so n alone decides
+    past the cap, before leaves() sizes the recurrence."""
+    if n > COSET_CAP or leaves() > COSET_CAP:
+        raise OversizeError(f"{name} would have more than {COSET_CAP} leaves")
+
+
 def build_cat(n: int) -> StateTree:
     """(|0...0> + |1...1>)/sqrt(2); 2n leaves for n >= 2."""
     if n < 1:
@@ -31,6 +39,12 @@ def build_cat(n: int) -> StateTree:
     zeros = Tensor(tuple(Leaf(q, 1.0, 0.0) for q in range(1, n + 1)))
     ones = Tensor(tuple(Leaf(q, 0.0, 1.0) for q in range(1, n + 1)))
     return StateTree(n, Plus(((_R2, zeros), (_R2, ones))))
+
+
+@lru_cache(maxsize=None)
+def _parity_leaves(m: int) -> int:
+    """Leaves of _parity_node over m qubits, either parity."""
+    return 1 if m == 1 else 2 * (_parity_leaves(m // 2) + _parity_leaves(m - m // 2))
 
 
 def _parity_node(qubits: tuple[int, ...], j: int) -> Node:
@@ -54,6 +68,7 @@ def build_parity(n: int, j: int) -> StateTree:
         raise ValueError("parity j must be 0 or 1")
     if n < 1:
         raise ValueError("n must be positive")
+    _refuse_oversize(f"parity({n})", n, lambda: _parity_leaves(n))
     return StateTree(n, _parity_node(tuple(range(1, n + 1)), j))
 
 
@@ -84,29 +99,38 @@ def _segment_counts(m: int) -> dict[tuple[int, int, int], int]:
     return out
 
 
-def _cluster_segment(qubits: tuple[int, ...], i: int, j: int, k: int) -> Node | None:
-    m = len(qubits)
-    counts = _segment_counts(m)
-    total = counts.get((i, j, k), 0)
-    if total == 0:
-        return None
-    if m == 1:
-        return Leaf(qubits[0], 1.0 - i, float(i))
+def _cluster_terms(m: int, i: int, j: int, k: int):
+    """The terms of sector (i, j, k) over m >= 2 qubits with a nonzero
+    count: (edge coefficient, left sector, right sector)."""
+    total = _segment_counts(m)[(i, j, k)]
     left_c, right_c = _segment_counts(m // 2), _segment_counts(m - m // 2)
-    left_q, right_q = qubits[: m // 2], qubits[m // 2:]
-    terms = []
     for mid_l in (0, 1):
         for mid_r in (0, 1):
             for j1 in (0, 1):
                 j2 = j ^ j1 ^ (mid_l & mid_r)
                 c1 = left_c.get((i, j1, mid_l), 0)
                 c2 = right_c.get((mid_r, j2, k), 0)
-                if c1 == 0 or c2 == 0:
-                    continue
-                left = _cluster_segment(left_q, i, j1, mid_l)
-                right = _cluster_segment(right_q, mid_r, j2, k)
-                coeff = math.sqrt(c1 * c2 / total)
-                terms.append((coeff, Tensor((left, right))))
+                if c1 and c2:
+                    yield math.sqrt(c1 * c2 / total), (i, j1, mid_l), (mid_r, j2, k)
+
+
+@lru_cache(maxsize=None)
+def _cluster_leaves(m: int, i: int, j: int, k: int) -> int:
+    """Leaves of _cluster_segment over m qubits in a sector with a nonzero count."""
+    if m == 1:
+        return 1
+    return sum(_cluster_leaves(m // 2, *left) + _cluster_leaves(m - m // 2, *right)
+               for _, left, right in _cluster_terms(m, i, j, k))
+
+
+def _cluster_segment(qubits: tuple[int, ...], i: int, j: int, k: int) -> Node:
+    """Sector (i, j, k) over the qubits; its count must be nonzero."""
+    m = len(qubits)
+    if m == 1:
+        return Leaf(qubits[0], 1.0 - i, float(i))
+    left_q, right_q = qubits[: m // 2], qubits[m // 2:]
+    terms = [(coeff, Tensor((_cluster_segment(left_q, *left), _cluster_segment(right_q, *right))))
+             for coeff, left, right in _cluster_terms(m, i, j, k)]
     if len(terms) == 1 and terms[0][0] == 1.0:
         return terms[0][1]
     return Plus(tuple(terms))
@@ -123,19 +147,39 @@ def build_cluster1d(n: int) -> StateTree:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    odd = [(i, 1, k) for i in (0, 1) for k in (0, 1)]
+    _refuse_oversize(f"cluster1d({n})", n, lambda: n + sum(
+        _cluster_leaves(n, *sector) for sector in odd if _segment_counts(n).get(sector)))
     qubits = tuple(range(1, n + 1))
     uniform = Tensor(tuple(Leaf(q, _R2, _R2) for q in qubits))
     counts = _segment_counts(n)
     terms: list[tuple[complex, Node]] = [(1.0, uniform)]
     scale = 2.0 ** (1.0 - n / 2.0)
-    for i in (0, 1):
-        for k in (0, 1):
-            cnt = counts.get((i, 1, k), 0)
-            if cnt == 0:
-                continue
-            node = _cluster_segment(qubits, i, 1, k)
-            terms.append((-scale * math.sqrt(cnt), node))
+    for sector in odd:
+        cnt = counts.get(sector, 0)
+        if cnt:
+            terms.append((-scale * math.sqrt(cnt), _cluster_segment(qubits, *sector)))
     return StateTree(n, Plus(tuple(terms)))
+
+
+def _hamming_weights(m: int, k: int) -> range:
+    """The weights j of the left m // 2 qubits in weight-k strings over m qubits."""
+    lh = m // 2
+    return range(max(0, k - (m - lh)), min(lh, k) + 1)
+
+
+@lru_cache(maxsize=None)
+def _hamming_leaves(m: int, k: int) -> int:
+    """Leaves of _hamming_node over m qubits at weight k; the sum stops
+    once it passes COSET_CAP, so past the cap the count is a lower bound."""
+    if m == 1:
+        return 1
+    total = 0
+    for j in _hamming_weights(m, k):
+        total += _hamming_leaves(m // 2, j) + _hamming_leaves(m - m // 2, k - j)
+        if total > COSET_CAP:
+            break
+    return total
 
 
 def _hamming_node(qubits: tuple[int, ...], k: int) -> Node:
@@ -147,7 +191,7 @@ def _hamming_node(qubits: tuple[int, ...], k: int) -> Node:
     rh = m - lh
     left_q, right_q = qubits[:lh], qubits[lh:]
     terms = []
-    for j in range(max(0, k - rh), min(lh, k) + 1):
+    for j in _hamming_weights(m, k):
         ways = math.comb(lh, j) * math.comb(rh, k - j)
         coeff = math.sqrt(ways / total)
         terms.append((coeff, Tensor((_hamming_node(left_q, j),
@@ -163,6 +207,7 @@ def build_hamming(n: int, k: int) -> StateTree:
         raise ValueError("n must be positive")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    _refuse_oversize(f"hamming({n}, {k})", n, lambda: _hamming_leaves(n, k))
     return StateTree(n, _hamming_node(tuple(range(1, n + 1)), k))
 
 

@@ -6,8 +6,14 @@ Tree grammar (whitespace-insensitive, ';' comments run to end of line):
     leaf   := "(leaf" INDEX COMPLEX COMPLEX ")"    ; qubit, alpha, beta
     plus   := "(+" {"(" COMPLEX node ")"}+ ")"     ; edge coefficient per child
     tensor := "(*" node+ ")"
-    COMPLEX := FLOAT | FLOAT ("+"|"-") FLOAT "i"   ; e.g. 0.5, -0.5+0.5i
+    COMPLEX := FLOAT | FLOAT ("+"|"-") FLOAT "i"   ; e.g. 0.5, -0.5+0.5i; finite
     INDEX  := an integer >= 1                      ; numbers use ASCII digits
+
+The reader shared with the formula DSL (formulas.parse_formula) splits
+the text with one regex into plain string tokens and walks them once with
+an explicit stack; parse takes n from the largest qubit it reads.  Token
+offsets are not kept: an error scans the text again to give the
+line:column of the token it reports.  Every failure is a ParseError.
 
 Amplitude listing: one line per basis state, "BITSTRING RE IM", in
 lexicographic bitstring order; zero rows may be omitted.
@@ -15,13 +21,14 @@ lexicographic bitstring order; zero rows may be omitted.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import NamedTuple
+from itertools import islice
 
 import numpy as np
 
 from .errors import ParseError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, qubit_mask
+from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold
 
 # re.ASCII: \d must not match other scripts' digits, which int() and float() accept
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -29,17 +36,6 @@ _FLOAT_RE = re.compile(rf"^[+-]?{_UFLOAT}$", re.ASCII)
 _COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?$", re.ASCII)
 _INT_RE = re.compile(r"^\d+$", re.ASCII)
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")  # a comment, a paren or an atom
-
-
-class Token(NamedTuple):
-    kind: str  # '(', ')' or 'atom'
-    text: str
-    offset: int  # into the source text
-
-
-def tokenize(text: str) -> list[Token]:
-    return [Token(s if s in "()" else "atom", s, m.start())
-            for m in _TOKEN_RE.finditer(text) if (s := m.group())[0] != ";"]
 
 
 def fmt_float(x: float) -> str:
@@ -65,110 +61,111 @@ def parse_complex_text(text: str) -> complex:
         raise ValueError(f"not a complex literal: {text!r}")
     re_part = float(m.group("re"))
     im_part = float(m.group("im")) if m.group("im") else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):  # 1e999: the writer cannot write it
+        raise ValueError(f"complex literal out of range: {text!r}")
     return complex(re_part, im_part)
 
 
 class _Reader:
+    """The tokens of a DSL text as plain strings, comments dropped, then an
+    end sentinel that fails every test a reader makes: a reader that tests
+    each token before it reads the next never reads past the sentinel."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != ";"]
+        self.end = len(self.tokens)  # the index of the sentinel
+        self.tokens.append("")
 
-    def error(self, message: str, t: Token) -> ParseError:
-        """ParseError at the line:column of a token."""
-        return ParseError(message, self.text.count("\n", 0, t.offset) + 1,
-                          t.offset - self.text.rfind("\n", 0, t.offset))
+    def error(self, message: str, i: int) -> ParseError:
+        """ParseError at the line:column of token i.  At the sentinel,
+        whatever was expected, the input ended: report that at the last
+        token (or at the start of a text without tokens)."""
+        if i >= self.end:
+            message, i = "unexpected end of input", self.end - 1
+        offset = 0
+        if i >= 0:
+            starts = (m.start() for m in _TOKEN_RE.finditer(self.text) if m.group()[0] != ";")
+            offset = next(islice(starts, i, None))
+        return ParseError(message, self.text.count("\n", 0, offset) + 1,
+                          offset - self.text.rfind("\n", 0, offset))
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def unexpected(self, want: str, i: int) -> ParseError:
+        return self.error(f"expected {want!r}, got {self.tokens[i]!r}", i)
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise self.error("unexpected end of input",
-                             self.tokens[-1] if self.tokens else Token("atom", "", 0))
-        self.pos += 1
-        return t
+    def index(self, what: str, i: int) -> int:
+        """Token i as a qubit or variable index: an integer, at least 1."""
+        t = self.tokens[i]
+        if not _INT_RE.match(t):
+            raise self.error(f"{what} must be an integer, got {t!r}", i)
+        if int(t) < 1:
+            raise self.error(f"{what} must be at least 1, got {t!r}", i)
+        return int(t)
 
-    def expect(self, kind: str) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise self.error(f"expected {kind!r}, got {t.text!r}", t)
-        return t
-
-    def index(self, what: str) -> int:
-        """A qubit or variable index: an integer, at least 1."""
-        t = self.next()
-        if not _INT_RE.match(t.text):
-            raise self.error(f"{what} must be an integer, got {t.text!r}", t)
-        if int(t.text) < 1:
-            raise self.error(f"{what} must be at least 1, got {t.text!r}", t)
-        return int(t.text)
-
-    def complex(self) -> complex:
-        t = self.next()
+    def complex(self, i: int, what: str = "expected a complex number, got") -> complex:
         try:
-            return parse_complex_text(t.text)
+            return parse_complex_text(self.tokens[i])
         except ValueError:
-            raise self.error(f"expected a complex number, got {t.text!r}", t) from None
-
-
-def _read_node(r: _Reader) -> Node:
-    """One node, read with an explicit stack of the open (+ and (* vertices."""
-    stack: list[tuple[Token, list]] = []  # head token, children read so far
-    while True:
-        r.expect("(")
-        head = r.next()
-        if head.kind != "atom":
-            raise r.error("expected node head (leaf, + or *)", head)
-        node: Node | None = None
-        if head.text == "leaf":
-            qubit = r.index("leaf qubit")
-            alpha = r.complex()
-            beta = r.complex()
-            r.expect(")")
-            node = Leaf(qubit, alpha, beta)
-        elif head.text in ("+", "*"):
-            stack.append((head, []))
-        else:
-            raise r.error(f"unknown node head {head.text!r}", head)
-        # hand finished nodes to their parents until another child starts
-        while stack:
-            head, children = stack[-1]
-            if node is not None:
-                if head.text == "+":
-                    r.expect(")")
-                    children[-1] = (children[-1], node)  # the coefficient read before it
-                else:
-                    children.append(node)
-                node = None
-            t = r.peek()
-            if t is None:
-                raise r.error(f"unterminated ({head.text} ...)", head)
-            if t.kind != ")":
-                if head.text == "+":
-                    r.expect("(")
-                    children.append(r.complex())
-                break
-            r.next()
-            if not children:
-                raise r.error(f"({head.text} ...) needs at least one child", head)
-            node = Plus(tuple(children)) if head.text == "+" else Tensor(tuple(children))
-            stack.pop()
-        else:
-            return node
+            raise self.error(f"{what} {self.tokens[i]!r}", i) from None
 
 
 def parse(text: str, n: int | None = None) -> StateTree:
     """Parse tree DSL text; n defaults to the largest qubit mentioned."""
     r = _Reader(text)
-    node = _read_node(r)
-    t = r.peek()
-    if t is not None:
-        raise r.error(f"trailing input {t.text!r}", t)
-    if n is None:
-        n = qubit_mask(node).bit_length()
-    return StateTree(n, node)
+    toks = r.tokens
+    stack: list[tuple[int, list]] = []  # head token of an open vertex, its children so far
+    top = i = 0  # the largest qubit read; the next token
+    while True:
+        if toks[i] != "(":
+            raise r.unexpected("(", i)
+        head = toks[i + 1]
+        node: Node | None = None
+        if head == "leaf":
+            q = r.index("leaf qubit", i + 2)
+            node = Leaf(q, r.complex(i + 3), r.complex(i + 4))
+            if toks[i + 5] != ")":
+                raise r.unexpected(")", i + 5)
+            top = max(top, q)
+            i += 6
+        elif head == "+" or head == "*":
+            stack.append((i + 1, []))
+            i += 2
+        elif head in "()":
+            raise r.error("expected node head (leaf, + or *)", i + 1)
+        else:
+            raise r.error(f"unknown node head {head!r}", i + 1)
+        # hand finished nodes to their parents until another child starts
+        while stack:
+            h, children = stack[-1]
+            plus = toks[h] == "+"
+            if node is not None:
+                if plus:
+                    if toks[i] != ")":
+                        raise r.unexpected(")", i)
+                    i += 1
+                    children[-1] = (children[-1], node)  # the coefficient read before it
+                else:
+                    children.append(node)
+                node = None
+            if i == r.end:
+                raise r.error(f"unterminated ({toks[h]} ...)", h)
+            if toks[i] != ")":
+                if plus:
+                    if toks[i] != "(":
+                        raise r.unexpected("(", i)
+                    children.append(r.complex(i + 1))
+                    i += 2
+                break
+            i += 1
+            if not children:
+                raise r.error(f"({toks[h]} ...) needs at least one child", h)
+            node = Plus(tuple(children)) if plus else Tensor(tuple(children))
+            stack.pop()
+        else:
+            break
+    if i < r.end:
+        raise r.error(f"trailing input {toks[i]!r}", i)
+    return StateTree(top if n is None else n, node)
 
 
 _WIDTH = 100
@@ -232,17 +229,15 @@ def format_amplitudes(v: np.ndarray, skip_zeros: bool = False, tol: float = 0.0)
     n = int(np.log2(len(v)))
     if 1 << n != len(v):
         raise ValueError("amplitude vector length is not a power of 2")
-    rows = range(len(v))
+    rows, kept = range(len(v)), v
     if skip_zeros:
         # np.abs can differ from Python's abs in the last bit, so the vector
         # pass keeps a margin (and NaN rows) and the exact test below decides
         rows = np.flatnonzero(~(np.abs(v) <= tol * (1 - 1e-12)))
-    lines = []
-    for x in rows:
-        z = complex(v[x])
-        if skip_zeros and abs(z) <= tol:
-            continue
-        lines.append(f"{x:0{n}b} {fmt_float(z.real)} {fmt_float(z.imag)}")
+        rows, kept = rows.tolist(), v[rows]
+    lines = [f"{x:0{n}b} {fmt_float(a)} {fmt_float(b)}"
+             for x, a, b in zip(rows, kept.real.tolist(), kept.imag.tolist())
+             if not (skip_zeros and abs(complex(a, b)) <= tol)]
     return "\n".join(lines) + "\n"
 
 
@@ -275,6 +270,6 @@ def parse_amplitudes(text: str) -> np.ndarray:
 
 
 __all__ = [
-    "Token", "tokenize", "fmt_float", "fmt_complex", "parse_complex_text",
+    "fmt_float", "fmt_complex", "parse_complex_text",
     "parse", "serialize", "format_amplitudes", "parse_amplitudes",
 ]

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .dsl import Token, _Reader, _layout, _write, fmt_complex, parse_complex_text
+from .dsl import _Reader, _layout, _write, fmt_complex
 from .errors import NonMultilinearError
 from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
 from .trees import _fold as _fold_tree
@@ -518,37 +518,40 @@ def serialize_formula(f: Formula) -> str:
 def parse_formula(text: str) -> Formula:
     """One formula, read with an explicit stack of the open (+ and (* vertices."""
     r = _Reader(text)
-    stack: list[tuple[Token, list[Formula]]] = []  # head token, operands read so far
+    toks = r.tokens
+    stack: list[tuple[int, list[Formula]]] = []  # head token of an open vertex, its operands so far
+    i = 0  # the next token
     while True:
-        r.expect("(")
-        head = r.next()
-        if head.kind != "atom":
-            raise r.error("expected formula head (+, *, var, const)", head)
-        if head.text in ("+", "*"):
-            stack.append((head, []))
+        if toks[i] != "(":
+            raise r.unexpected("(", i)
+        head = toks[i + 1]
+        if head == "+" or head == "*":
+            stack.append((i + 1, []))
+            i += 2
             continue
-        if head.text == "var":
-            g: Formula = Var(r.index("var index"))
-        elif head.text == "const":
-            t = r.next()
-            try:
-                g = Const(parse_complex_text(t.text))
-            except ValueError:
-                raise r.error(f"bad complex literal {t.text!r}", t) from None
+        if head == "var":
+            g: Formula = Var(r.index("var index", i + 2))
+        elif head == "const":
+            g = Const(r.complex(i + 2, "bad complex literal"))
+        elif head in "()":
+            raise r.error("expected formula head (+, *, var, const)", i + 1)
         else:
-            raise r.error(f"unknown formula head {head.text!r}", head)
-        r.expect(")")
+            raise r.error(f"unknown formula head {head!r}", i + 1)
+        if toks[i + 3] != ")":
+            raise r.unexpected(")", i + 3)
+        i += 4
         # hand finished operands to their parents until one still needs a second
         while stack and len(stack[-1][1]) == 1:
-            head, (left,) = stack.pop()
-            r.expect(")")
-            g = Add(left, g) if head.text == "+" else Mul(left, g)
+            h, (left,) = stack.pop()
+            if toks[i] != ")":
+                raise r.unexpected(")", i)
+            i += 1
+            g = Add(left, g) if toks[h] == "+" else Mul(left, g)
         if not stack:
             break
         stack[-1][1].append(g)
-    t = r.peek()
-    if t is not None:
-        raise r.error(f"trailing input {t.text!r}", t)
+    if i < r.end:
+        raise r.error(f"trailing input {toks[i]!r}", i)
     return g
 
 

@@ -329,6 +329,8 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
     column submatrix of rank at most 2k/3.
     """
     _check_width(n)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     values = []
     zero_cols = 0
     low_rank = 0

@@ -291,6 +291,11 @@ def _split_ranks(a: BitMatrix, b: int, y: list[int],
 # experiments
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     """Random subgroup {x : Ax = 0} vs a random input partition.
 
@@ -305,6 +310,7 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     half = n // 2
     if half > 12:
         raise OversizeError("partition matrices capped at 2^12 per side")
+    _check_trials(trials)
     both = 0
     fullrank = 0
     perm_confirmed = 0
@@ -351,6 +357,7 @@ def vandermonde_rank_experiment(params: VandermondeParams, trials: int, seed: in
     pick_rows = kd + params.c
     if pick_rows > vbin.k:
         raise ValueError("kd + c exceeds the number of rows")
+    _check_trials(trials)
     full = 0
     for t in range(trials):
         rng = stream(seed, t)
@@ -383,6 +390,7 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
         threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
     except OverflowError:
         raise OversizeError(f"threshold 2^(l - l^(1/8)/2) overflows a float at l={l}") from None
+    _check_trials(trials)
     ranks = []
     multirow_counts = []
     for t in range(trials):
@@ -502,6 +510,7 @@ def subset_sum_coverage(n: int, m: int, p: int, gamma: float,
         raise OversizeError("subset size capped at 24")
     if m > n:
         raise ValueError("need m <= n")
+    _check_trials(trials)
     target = (1.0 + gamma) * p / 2.0
     coverages = []
     hits = 0

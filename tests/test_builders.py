@@ -7,14 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from statetrees.builders import (build_cat, build_cluster1d,
+from statetrees.builders import (_cluster_leaves, _hamming_leaves, _parity_leaves,
+                                 _segment_counts, build_cat, build_cluster1d,
                                  build_coset_fourier_otree, build_coset_sigma1,
                                  build_divisibility_state,
                                  build_divisibility_tree, build_hamming,
                                  build_knill_tree, build_parity,
                                  build_parity_fourier)
 from statetrees.dsl import serialize
-from statetrees.gf2 import BitMatrix, Coset, random_bitmatrix, rank_gf2
+from statetrees.errors import OversizeError
+from statetrees.gf2 import COSET_CAP, BitMatrix, Coset, random_bitmatrix, rank_gf2
 from statetrees.mots import mots_coset
 from statetrees.trees import (Leaf, Plus, StateTree, Tensor, classify_tree, evaluate, fidelity,
                               tree_size, validate)
@@ -140,6 +142,28 @@ def test_halving_builder_sizes_follow_their_recurrences():
 
     assert tree_size(build_parity(63, 1)) == s(63) == 4000
     assert tree_size(build_hamming(40, 20)) == h(40, 20) == 51744
+
+
+def test_predicted_leaf_counts_match_the_built_trees():
+    for n in range(1, 18):
+        assert _parity_leaves(n) == tree_size(build_parity(n, n % 2))
+        for k in range(n + 1):
+            assert _hamming_leaves(n, k) == tree_size(build_hamming(n, k))
+    for n in range(2, 17):
+        predicted = n + sum(_cluster_leaves(n, *sector)
+                            for sector in ((0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))
+                            if _segment_counts(n).get(sector))
+        assert predicted == tree_size(build_cluster1d(n))
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_hamming, (128, 64)), (build_hamming, (1 << 20, 1 << 19)), (build_hamming, (1 << 21, 1)),
+    (build_parity, (10_000, 0)), (build_parity, (10 ** 18, 1)),
+    (build_cluster1d, (60,)), (build_cluster1d, (10 ** 12,)),
+])
+def test_builds_past_the_cap_are_refused(build, args):
+    with pytest.raises(OversizeError, match=f"more than {COSET_CAP} leaves"):
+        build(*args)
 
 
 def test_parity_base():

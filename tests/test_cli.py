@@ -168,6 +168,21 @@ def test_rank_exp_erasure_threshold_overflow_is_an_error_line(tmp_path):
     assert r.stderr == "ERROR oversize: threshold 2^(l - l^(1/8)/2) overflows a float at l=2000\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("experiment", [
+    ["subgroup", "--n", "8"],
+    ["vandermonde", "--n", "15", "--k", "3", "--d", "4", "--c", "8"],
+    ["erasure", "--matrix", "MAT", "--l", "2"],
+    ["subset-sum", "--n", "12", "--m", "6", "--p", "13"],
+])
+def test_rank_exp_without_trials_is_one_domain_error(tmp_path, experiment, trials):
+    mat = tmp_path / "sub.mat"
+    mat.write_text("2 6\n111000\n000111\n")
+    args = [str(mat) if a == "MAT" else a for a in experiment]
+    r = run(["rank-exp"] + args + ["--trials", trials])
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "ERROR domain: trials must be at least 1\n")
+
+
 def test_vandermonde_cli():
     r = run(["vandermonde", "--n", "7", "--k", "2", "--d", "3"])
     assert r.returncode == 0
@@ -400,6 +415,18 @@ def test_wide_hamming_build_halves_to_a_shallow_tree():
 def test_builds_with_too_few_qubits_are_one_domain_error(args, message):
     r = run(["build"] + args)
     assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR domain: {message}\n")
+
+
+@pytest.mark.parametrize("args, name", [
+    (["hamming", "--n", "128", "--k", "64"], "hamming(128, 64)"),
+    (["parity", "--n", "10000"], "parity(10000)"),
+    (["cluster1d", "--n", "64"], "cluster1d(64)"),
+])
+def test_oversize_builds_are_refused_before_they_start(args, name):
+    # hamming(128, 64) alone would be 38,776,320 leaves
+    r = run(["build"] + args)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"ERROR oversize: {name} would have more than 1048576 leaves\n"
 
 
 def test_cluster1d_at_a_non_power_of_two_validates():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from conftest import random_tree
 from statetrees.dsl import (fmt_complex, fmt_float, format_amplitudes, parse,
                             parse_amplitudes, parse_complex_text, serialize)
 from statetrees.errors import ParseError
-from statetrees.formulas import parse_formula
+from statetrees.formulas import parse_formula, serialize_formula, tree_to_formula
 from statetrees.gf2 import BitMatrix, format_matrix, parse_matrix
-from statetrees.trees import Leaf, evaluate, fidelity, validate
+from statetrees.trees import Leaf, StateTree, evaluate, fidelity, qubit_mask, validate
 
 R2 = 1 / math.sqrt(2)
 
@@ -88,11 +90,83 @@ def test_parse_errors_carry_position():
     (parse, "(* (leaf 1 1 0)\n   (leaf 0 1 0))", "2:10: leaf qubit must be at least 1, got '0'"),
     (parse, "(leaf \u0661 0.6 0.8)", "1:7: leaf qubit must be an integer, got '\u0661'"),
     (parse, "(leaf 1 \u0660.\u0666 0.8)", "1:9: expected a complex number, got '\u0660.\u0666'"),
+    # positions found again from the text only when an error is raised
+    (parse, "(* (leaf 1 1 0) ; a ) here", "1:2: unterminated (* ...)"),
+    (parse, "(+ (1 (leaf 1 1 0)) ; )", "1:2: unterminated (+ ...)"),
+    (parse, "(* (leaf 1 1 0) ; ) (\n (leaf 2 1 x))", "2:12: expected a complex number, got 'x'"),
+    (parse, "(+ (0.6 (leaf 1 1 0))\r\n   (0.8 (leaf 1 0 x)))\r\n",
+     "2:19: expected a complex number, got 'x'"),
+    (parse, "(*\r\n(leaf 1 1 0)\r\n(leaf 2 1 0)\r\n", "1:2: unterminated (* ...)"),
+    (parse, "(leaf 1 1 0) ; )\nx", "2:1: trailing input 'x'"),
+    (parse, "(leaf 1 1 0) (leaf 2 1 0)", "1:14: trailing input '('"),
+    (parse, "\n  (+ (1 (leaf 1 1 0)) (0.5", "2:24: unexpected end of input"),
+    (parse, "(* (+) (leaf 1 1 0))", "1:5: (+ ...) needs at least one child"),
+    (parse, "(tensor (leaf 1 1 0))", "1:2: unknown node head 'tensor'"),
+    (parse, "(* (leaf 1 1 0) (Leaf 2 1 0))", "1:18: unknown node head 'Leaf'"),
+    (parse, "(* (leaf 1 1 0) ())", "1:18: expected node head (leaf, + or *)"),
+    (parse, "(* (leaf 1 1 0) (", "1:17: unexpected end of input"),
+    (parse, ")", "1:1: expected '(', got ')'"),
+    (parse, "(+ (1 (leaf 1 1 0)) 2)", "1:21: expected '(', got '2'"),
+    (parse, "(+ (1 (leaf 1 1 0) x))", "1:20: expected ')', got 'x'"),
+    (parse_formula, "(+ (var 1) (\n  x 2))", "2:3: unknown formula head 'x'"),
+    (parse_formula, "(var 1) (var 2)", "1:9: trailing input '('"),
+    (parse_formula, "(var 1) ; ) \r\n)", "2:1: trailing input ')'"),
+    (parse_formula, "(+ (var 1) (var 2) (var 3))", "1:20: expected ')', got '('"),
+    (parse_formula, "", "1:1: unexpected end of input"),
+    (parse_formula, "(const", "1:2: unexpected end of input"),
+    # the writer has no text for inf or nan, so the reader refuses literals that overflow
+    (parse, "(leaf 1 1e999 0)", "1:9: expected a complex number, got '1e999'"),
+    (parse, "(+ (1-1e400i (leaf 1 1 0)))", "1:5: expected a complex number, got '1-1e400i'"),
+    (parse_formula, "(const -1e309)", "1:8: bad complex literal '-1e309'"),
 ])
 def test_parse_error_line_and_column(reader, text, message):
     with pytest.raises(ParseError) as err:
         reader(text)
     assert str(err.value) == message
+
+
+_NOISE = ("(", ")", " ", "\n", "\r\n", "\t", ";", "; ) (", "leaf", "+", "*", "var", "const",
+          "0", "1", "7", "-0.5+0.5i", "1e3", "x", "\u0661")
+
+
+def _corrupt(rnd: random.Random, text: str) -> str:
+    """One to three edits: delete, insert or replace a short span, or cut the text."""
+    for _ in range(rnd.randint(1, 3)):
+        p = rnd.randrange(len(text) + 1)
+        q = min(len(text), p + rnd.randint(1, 6))
+        edit = rnd.randrange(4)
+        if edit == 0:
+            text = text[:p] + text[q:]
+        elif edit == 1:
+            text = text[:p] + rnd.choice(_NOISE) + text[p:]
+        elif edit == 2:
+            text = text[:p] + rnd.choice(_NOISE) + text[q:]
+        else:
+            text = text[:p]
+    return text
+
+
+def test_corrupted_texts_parse_or_raise_parse_error():
+    # either a result that survives serialize -> parse, or a ParseError:
+    # never IndexError, ValueError or another exception from the reader
+    rnd = random.Random(9)
+    texts = [serialize(random_tree(77, 1 + t % 5, t)) for t in range(24)]
+    texts += [serialize_formula(tree_to_formula(parse(t))) for t in texts[:12]]
+    outcomes = Counter()
+    for _ in range(3000):
+        text = _corrupt(rnd, rnd.choice(texts))
+        for reader, write in ((parse, serialize), (parse_formula, serialize_formula)):
+            try:
+                got = reader(text)
+            except ParseError:
+                outcomes[reader.__name__, "error"] += 1
+                continue
+            outcomes[reader.__name__, "ok"] += 1
+            assert reader(write(got)) == got
+            if reader is parse:
+                assert got.n == qubit_mask(got.root).bit_length()
+                assert parse(text, 40) == StateTree(40, got.root)
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 50, outcomes
 
 
 def test_roundtrip_random_trees_bit_identical():
@@ -125,6 +199,8 @@ def test_skip_zeros_keeps_rows_by_python_abs():
     v[::7] = 0
     v[3] = complex("nan")
     rows = format_amplitudes(v).splitlines()
+    assert rows == [f"{x:08b} {fmt_float(complex(z).real)} {fmt_float(complex(z).imag)}"
+                    for x, z in enumerate(v)]  # the row loop the vector reads replaced
     tols = [0.0] + [t for z in v[1:60] for t in (abs(complex(z)), float(np.abs(z)))]
     for tol in tols:
         want = [ln for z, ln in zip(v, rows) if not abs(complex(z)) <= tol]

@@ -142,6 +142,9 @@ def test_random_experiment_edges():
     assert rep["min"] == 5  # some invertible draw pins a single point
     rep2 = mots_random_experiment(5, 5, 12, 4)
     assert rep == rep2
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            mots_random_experiment(5, 2, trials, 4)
 
 
 def test_oversize_guard():
