@@ -99,32 +99,50 @@ def _segment_counts(m: int) -> dict[tuple[int, int, int], int]:
     return out
 
 
-def _cluster_terms(m: int, i: int, j: int, k: int):
-    """The terms of sector (i, j, k) over m >= 2 qubits with a nonzero
-    count: (edge coefficient, left sector, right sector)."""
-    total = _segment_counts(m)[(i, j, k)]
-    left_c, right_c = _segment_counts(m // 2), _segment_counts(m - m // 2)
+def _nonempty(m: int, i: int, j: int, k: int) -> bool:
+    """Whether sector (i, j, k) over m qubits holds a string.  From m = 4
+    on every sector does: whatever the end bits, the inner bits alone can
+    make the pair-product parity 0 or 1."""
+    if m == 1:
+        return j == 0 and i == k
+    if m == 2:
+        return j == i & k
+    return m > 3 or j == 0 or i != k  # m = 3: the parity is x2 (i xor k)
+
+
+def _cluster_splits(m: int, i: int, j: int, k: int):
+    """(left sector, right sector) of each term of sector (i, j, k) over
+    m >= 2 qubits: the splits of its strings into nonempty halves."""
     for mid_l in (0, 1):
         for mid_r in (0, 1):
             for j1 in (0, 1):
-                j2 = j ^ j1 ^ (mid_l & mid_r)
-                c1 = left_c.get((i, j1, mid_l), 0)
-                c2 = right_c.get((mid_r, j2, k), 0)
-                if c1 and c2:
-                    yield math.sqrt(c1 * c2 / total), (i, j1, mid_l), (mid_r, j2, k)
+                left, right = (i, j1, mid_l), (mid_r, j ^ j1 ^ (mid_l & mid_r), k)
+                if _nonempty(m // 2, *left) and _nonempty(m - m // 2, *right):
+                    yield left, right
+
+
+@lru_cache(maxsize=None)
+def _cluster_terms(m: int, i: int, j: int, k: int) -> tuple[tuple[float, tuple, tuple], ...]:
+    """The terms of a nonempty sector (i, j, k) over m >= 2 qubits:
+    (edge coefficient, left sector, right sector)."""
+    total = _segment_counts(m)[(i, j, k)]
+    left_c, right_c = _segment_counts(m // 2), _segment_counts(m - m // 2)
+    return tuple((math.sqrt(left_c[left] * right_c[right] / total), left, right)
+                 for left, right in _cluster_splits(m, i, j, k))
 
 
 @lru_cache(maxsize=None)
 def _cluster_leaves(m: int, i: int, j: int, k: int) -> int:
-    """Leaves of _cluster_segment over m qubits in a sector with a nonzero count."""
+    """Leaves of _cluster_segment over m qubits in a nonempty sector; no
+    count table is needed, so a size past the cap is refused at once."""
     if m == 1:
         return 1
     return sum(_cluster_leaves(m // 2, *left) + _cluster_leaves(m - m // 2, *right)
-               for _, left, right in _cluster_terms(m, i, j, k))
+               for left, right in _cluster_splits(m, i, j, k))
 
 
 def _cluster_segment(qubits: tuple[int, ...], i: int, j: int, k: int) -> Node:
-    """Sector (i, j, k) over the qubits; its count must be nonzero."""
+    """Sector (i, j, k) over the qubits; it must be nonempty."""
     m = len(qubits)
     if m == 1:
         return Leaf(qubits[0], 1.0 - i, float(i))
@@ -149,7 +167,7 @@ def build_cluster1d(n: int) -> StateTree:
         raise ValueError("n must be at least 2")
     odd = [(i, 1, k) for i in (0, 1) for k in (0, 1)]
     _refuse_oversize(f"cluster1d({n})", n, lambda: n + sum(
-        _cluster_leaves(n, *sector) for sector in odd if _segment_counts(n).get(sector)))
+        _cluster_leaves(n, *sector) for sector in odd if _nonempty(n, *sector)))
     qubits = tuple(range(1, n + 1))
     uniform = Tensor(tuple(Leaf(q, _R2, _R2) for q in qubits))
     counts = _segment_counts(n)

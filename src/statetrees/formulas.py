@@ -57,8 +57,9 @@ def _fold(f: Formula, leaf, node):
     leaf(g) gives a Var's or Const's result; node(g, left, right) gets an
     Add's or Mul's children's results.  Results are kept by vertex identity
     for the call, so a subformula shared by several parents is folded once.
-    (trees._fold keeps no such memo: validate reports a vertex shared by
-    several parents once per path to it.)
+    (trees._fold keeps results of shared tree vertices only for the vector
+    folds; tree_to_formula's fold makes a new formula at every path, so a
+    tree's shared vertices never become shared formula vertices here.)
     """
     done: dict[int, object] = {}
     stack: list = [f]  # vertices to fold, and (vertex,) once its children are folded

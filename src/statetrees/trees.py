@@ -64,18 +64,30 @@ def tensor(*children: Node) -> Tensor:
     return Tensor(tuple(children))
 
 
-def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
+def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None,
+          found: list | None = None):
     """Post-order fold over the vertices under `root`, with an explicit stack.
 
     leaf(x) gives the result of a Leaf (or of anything but a Tensor or Plus);
     tensor(node, kids) and plus(node, kids) get the list of their children's
     results in child order.  When `path` is a list, it holds the child
     indices from `root` down to the vertex whose callback is running.
+
+    Without `found`, every path to a vertex is walked.  When `found` is a
+    list, the one the callbacks record their findings in, a Tensor or Plus
+    vertex with several parent edges (a subtree that dsl.parse shares
+    between equal-text copies) is walked once: its result is kept by
+    identity until its last parent edge has read it, then dropped.  A
+    subtree whose walk added to `found` is walked again at every path to
+    it, so each finding is made with its own path.
     """
     if type(root) not in _VERTICES:
         return leaf(root)
+    children = _children
+    if found is not None:
+        leaf, tensor, plus, children = _reusing(root, leaf, tensor, plus, found)
     path = [] if path is None else path
-    stack = [(root, iter(_children(root)), [])]  # open vertex, its unread children, their results
+    stack = [(root, iter(children(root)), [])]  # open vertex, its unread children, their results
     while True:
         node, unread, kids = stack[-1]
         for child in unread:
@@ -84,7 +96,7 @@ def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
                 kids.append(leaf(child))
                 path.pop()
             else:
-                stack.append((child, iter(_children(child)), []))
+                stack.append((child, iter(children(child)), []))
                 break
         else:
             result = (tensor if isinstance(node, Tensor) else plus)(node, kids)
@@ -93,6 +105,64 @@ def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None):
                 return result
             path.pop()
             stack[-1][2].append(result)
+
+
+class _Kept:
+    """A shared vertex's kept result, read by the fold in place of the vertex."""
+    __slots__ = ("result",)
+
+    def __init__(self, result):
+        self.result = result
+
+
+def _reusing(root: Tensor | Plus, leaf, tensor, plus, found: list):
+    """_fold's leaf, tensor and plus callbacks and child lister for a fold
+    with `found`: a kept result comes back from the child lister as a
+    _Kept, which the fold hands to leaf()."""
+    shared = _shared(root)
+    kept: dict[int, list] = {}  # vertex id -> [its result, parent edges yet to read it]
+    starts: dict[int, int] = {}  # id of an open shared vertex -> len(found) when its walk began
+
+    def read(child):
+        entry = kept.get(id(child))
+        if entry is None:
+            return child
+        entry[1] -= 1
+        if not entry[1]:
+            del kept[id(child)]
+        return _Kept(entry[0])
+
+    def children(node: Tensor | Plus):
+        if id(node) in shared:
+            starts[id(node)] = len(found)
+        return map(read, _children(node))
+
+    def keeping(callback):
+        def vertex(node: Tensor | Plus, kids: list):
+            result = callback(node, kids)
+            if id(node) in starts and len(found) == starts.pop(id(node)):
+                kept[id(node)] = [result, shared[id(node)] - 1]
+            return result
+        return vertex
+
+    reading = lambda x: x.result if type(x) is _Kept else leaf(x)
+    return reading, keeping(tensor), keeping(plus), children
+
+
+def _shared(root: Tensor | Plus) -> dict[int, int]:
+    """id -> number of parent edges, for each Tensor or Plus vertex under
+    root that has more than one; one pass over the distinct vertices."""
+    edges: dict[int, int] = {}
+    todo = [root]
+    while todo:
+        for child in _children(todo.pop()):
+            if type(child) in _VERTICES:
+                if id(child) in edges:
+                    edges[id(child)] += 1
+                else:
+                    edges[id(child)] = 1
+                    todo.append(child)
+    return {key: count for key, count in edges.items() if count > 1}
 
 
 def _children(node: Tensor | Plus) -> Sequence[Node]:
@@ -222,7 +292,7 @@ def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tupl
             inspect(kids)
         return mv
 
-    mask, vec = _fold(node, leaf, lambda nd, kids: _checked(nd, kids, report), plus, path)
+    mask, vec = _fold(node, leaf, lambda nd, kids: _checked(nd, kids, report), plus, path, faults)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
     return mask, vec
@@ -288,7 +358,7 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     # an overlap is reported right after the child's subtree, a mismatch after them all
     fault = lambda f: report(f[0], f[1] if f[0] == "tensor-children-overlap" else None, f[2])
     vertex = lambda nd, kids: _checked(nd, kids, fault, normalized)
-    mask, _ = _fold(tree.root, leaf, vertex, vertex, path)
+    mask, _ = _fold(tree.root, leaf, vertex, vertex, path, found)
     out = [v for _, v in sorted(found, key=lambda f: f[0])]
     if mask != (1 << tree.n) - 1:
         out.append(Violation((), "root-qubitset-incomplete",
@@ -303,23 +373,30 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
     with disjoint basis supports, orthogonal when the children are merely
     pairwise orthogonal.  Only structural validity is required, so
     unnormalized trees can be classified too; a structural fault raises
-    what evaluate() raises.
+    what evaluate() raises.  A tree whose vectors or inner products
+    overflow a float is refused with ValueError: no label can be read off
+    them.
     """
-    manifest = orthogonal = True
+    manifest = orthogonal = finite = True
 
     def inspect(kids):
-        nonlocal manifest, orthogonal
+        nonlocal manifest, orthogonal, finite
         if len(kids) > 1:
             stacked = np.stack([v for _, v in kids])
             support = np.abs(stacked) > tol
             if np.any(support.sum(axis=0) > 1):
                 manifest = False
             gram = stacked @ stacked.conj().T
+            if not np.isfinite(gram).all():  # NaN would pass every test below
+                finite = False
             off = gram - np.diag(np.diag(gram))
             if np.max(np.abs(off)) > tol:
                 orthogonal = False
 
-    _checked_vector(tree, max_qubits, inspect)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _checked_vector(tree, max_qubits, inspect)
+    if not (finite and np.isfinite(v).all()):
+        raise ValueError("amplitudes or their inner products overflow a float")
     if not orthogonal:
         return "general"
     if not manifest:

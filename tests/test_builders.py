@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from statetrees.builders import (_cluster_leaves, _hamming_leaves, _parity_leaves,
+from statetrees.builders import (_cluster_leaves, _hamming_leaves, _nonempty, _parity_leaves,
                                  _segment_counts, build_cat, build_cluster1d,
                                  build_coset_fourier_otree, build_coset_sigma1,
                                  build_divisibility_state,
@@ -154,6 +155,22 @@ def test_predicted_leaf_counts_match_the_built_trees():
                             for sector in ((0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))
                             if _segment_counts(n).get(sector))
         assert predicted == tree_size(build_cluster1d(n))
+
+
+def test_nonempty_sectors_match_the_count_tables():
+    for m in range(1, 41):
+        counts = _segment_counts(m)
+        assert [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1) if _nonempty(m, i, j, k)] \
+            == sorted(counts)
+
+
+def test_cluster1d_past_the_cap_is_refused_before_any_count_table():
+    tables = _segment_counts.cache_info().currsize
+    start = time.perf_counter()
+    with pytest.raises(OversizeError, match=f"more than {COSET_CAP} leaves"):
+        build_cluster1d(1 << 20)
+    assert time.perf_counter() - start < 0.1
+    assert _segment_counts.cache_info().currsize == tables
 
 
 @pytest.mark.parametrize("build, args", [

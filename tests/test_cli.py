@@ -450,3 +450,24 @@ def test_compile_of_an_all_zero_plus_is_one_error_line():
     r = run(["compile", "-"], stdin="(+ (0 (leaf 1 1 0)))\n")
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR invalid-tree: plus vertex with all coefficients zero\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "compile"])
+@pytest.mark.parametrize("text", [
+    # finite amplitudes whose inner products overflow: the gram holds inf and NaN
+    "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 1e200 1e200)))\n",
+    # no + vertex, but the product overflows
+    "(* (leaf 1 1e200 0) (leaf 2 1e200 0))\n",
+])
+def test_an_overflowing_tree_is_one_domain_error_line(command, text):
+    r = run([command, "-"], stdin=text)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR domain: amplitudes or their inner products overflow a float\n"
+
+
+def test_chi_refuses_an_amplitude_that_overflows(tmp_path):
+    state = tmp_path / "huge.amp"
+    state.write_text("0 1e999 0\n1 0 0\n")
+    r = run(["rank-exp", "chi", "--state", str(state)])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR parse: 1:1: amplitude numbers out of range in '0 1e999 0'\n"

@@ -118,6 +118,12 @@ def test_parse_errors_carry_position():
     (parse, "(leaf 1 1e999 0)", "1:9: expected a complex number, got '1e999'"),
     (parse, "(+ (1-1e400i (leaf 1 1 0)))", "1:5: expected a complex number, got '1-1e400i'"),
     (parse_formula, "(const -1e309)", "1:8: bad complex literal '-1e309'"),
+    # a leaf equal to an earlier one is found by its three tokens before its ')' is read
+    (parse, "(* (leaf 1 1 0) (leaf 1 1 0 0))", "1:29: expected ')', got '0'"),
+    (parse, "(* (leaf 1 1 0) (leaf 1 1 0", "1:27: unexpected end of input"),
+    (parse, "(* (leaf 1 1 0) (leaf 1 1", "1:25: unexpected end of input"),
+    (parse, "(* (leaf 1 1 0)\n   (leaf 1 1 0 ; )\n", "2:14: unexpected end of input"),
+    (parse, "(+ (1 (leaf 1 1 0)) (1 (leaf 1 1 0) x))", "1:37: expected ')', got 'x'"),
 ])
 def test_parse_error_line_and_column(reader, text, message):
     with pytest.raises(ParseError) as err:

@@ -1,0 +1,163 @@
+"""Shared subtrees: dsl.parse makes equal subtree text one object, and the
+vector folds (evaluate, validate, classify_tree) walk a shared subtree once.
+
+The reference for every result is the same tree with no sharing, copied
+vertex by vertex with _fold's plain walk.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import random_tree
+from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier_otree,
+                                 build_coset_sigma1, build_divisibility_tree, build_hamming,
+                                 build_knill_tree, build_parity, build_parity_fourier)
+from statetrees.dsl import parse, serialize
+from statetrees.errors import StateTreesError
+from statetrees.gf2 import BitMatrix, Coset
+from statetrees.trees import (Leaf, Plus, StateTree, Tensor, _fold, _rebuild, _shared,
+                              classify_tree, evaluate, mask_qubits, qubit_mask, validate)
+
+
+def _unshared(tree: StateTree) -> StateTree:
+    """The tree with a new object at every path."""
+    copy_leaf = lambda lf: Leaf(lf.qubit, lf.alpha, lf.beta)
+    return StateTree(tree.n, _fold(tree.root, copy_leaf, _rebuild, _rebuild))
+
+
+def _outcome(run, tree: StateTree):
+    try:
+        return "ok", run(tree)
+    except (StateTreesError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_same_results(tree: StateTree) -> None:
+    plain = _unshared(tree)
+    if isinstance(plain.root, (Tensor, Plus)):
+        assert not _shared(plain.root)
+    for run in (validate, classify_tree):
+        assert _outcome(run, tree) == _outcome(run, plain)
+    got, want = _outcome(evaluate, tree), _outcome(evaluate, plain)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])  # the same arithmetic in the same order
+    else:
+        assert got == want
+
+
+def _parsed_families() -> list[StateTree]:
+    """Every builder family at small n and seeded random trees, through text."""
+    coset = Coset(BitMatrix(2, 5, (0b10110, 0b01011)), 0b01)
+    out = [build_knill_tree(), build_coset_sigma1(coset), build_coset_fourier_otree(coset)]
+    for n in range(2, 9):
+        out += [build_cat(n), build_parity(n, n % 2), build_parity_fourier(n, 1),
+                build_cluster1d(n), build_hamming(n, n // 2)]
+        if n > 2:
+            out.append(build_divisibility_tree(n, 3))
+    out += [random_tree(31, n, n) for n in range(2, 8)]
+    return [parse(serialize(t)) for t in out]
+
+
+def _with_shared_vertices(trees: list[StateTree]) -> list[StateTree]:
+    return [t for t in trees if isinstance(t.root, (Tensor, Plus)) and _shared(t.root)]
+
+
+def test_parse_returns_one_object_for_equal_subtree_text():
+    tree = parse("(+ (0.6 (* (leaf 1 1 0) (leaf 2 0 1)))"
+                 "   (0.8 (* (leaf 1 1 0) (leaf 2 0 1))))")
+    (_, a), (_, b) = tree.root.children
+    assert a is b
+    # only a qubit differs: two objects, though the equal leaves below are one
+    tree = parse("(* (+ (0.6 (* (leaf 1 1 0) (leaf 2 0 1))) (0.8 (* (leaf 1 0 1) (leaf 2 0 1))))"
+                 "   (+ (0.6 (* (leaf 1 1 0) (leaf 3 0 1))) (0.8 (* (leaf 1 0 1) (leaf 3 0 1)))))")
+    a, b = tree.root.children
+    assert a is not b and a != b
+    assert a.children[0][1].children[0] is b.children[0][1].children[0]
+    # only a coefficient's text differs, not its value: two objects, equal
+    tree = parse("(+ (0.5 (+ (0.6 (leaf 1 1 0)) (0.8 (leaf 1 0 1))))"
+                 "   (0.5 (+ (0.6 (leaf 1 1 0)) (0.80 (leaf 1 0 1)))))")
+    (_, a), (_, b) = tree.root.children
+    assert a is not b and a == b
+    assert a.children[1][1] is b.children[1][1]
+
+
+def test_shared_parse_gives_the_unshared_results_for_every_family():
+    cases = _parsed_families()
+    assert len(_with_shared_vertices(cases)) >= 12
+    for tree in cases:
+        _assert_same_results(tree)
+
+
+def _plant(tree: StateTree, key: int, fault: str) -> StateTree:
+    """The tree with a fault planted at every copy of the shared vertex
+    whose id is `key`, reparsed so that the faulty copies are shared too."""
+    def vertex(nd, kids):
+        out = _rebuild(nd, kids)
+        if id(nd) != key:
+            return out
+        q = mask_qubits(qubit_mask(nd))[0]
+        return {
+            "not-normalized": Plus(((1.5, out),)),
+            "overlap": Tensor((out, Leaf(q, 1, 0))),
+            "mismatch": Plus(((0.6, out), (0.8, Leaf(q, 1, 0)))),
+            "out-of-range": Tensor((out, Leaf(tree.n + 1, 0.6, 0.8))),
+        }[fault]
+    return parse(serialize(_fold(tree.root, lambda lf: lf, vertex, vertex)), tree.n)
+
+
+@pytest.mark.parametrize("fault", ["not-normalized", "overlap", "mismatch", "out-of-range"])
+def test_faults_in_a_shared_subtree_are_found_at_every_path(fault):
+    planted = [_plant(t, key, fault) for t in _with_shared_vertices(_parsed_families())
+               for key in list(_shared(t.root))[::4]]
+    assert len(planted) >= 40
+    for tree in planted:
+        assert _shared(tree.root)
+        _assert_same_results(tree)
+    # a fault below a shared vertex is reported once per copy, with the copy's path
+    tree = parse(serialize(build_cluster1d(5)))
+    shared = _shared(tree.root)
+    key = max(shared, key=shared.get)
+    found = validate(_plant(tree, key, fault))
+    paths = {v.path for v in found if v.rule != "root-qubitset-incomplete"}
+    assert len(paths) >= shared[key] >= 3
+
+
+def test_evaluate_keeps_no_more_memory_than_the_unshared_tree():
+    # results are dropped once their last parent edge has read them: the
+    # peak (about 15 MB, at the top + vertices) may exceed the unshared
+    # walk's only by the memo's own tables, a few entries per shared
+    # vertex, not by kept vectors (never dropping them adds about 115 kB)
+    tree = parse(serialize(build_cluster1d(16)))
+    plain = _unshared(tree)
+    peaks = []
+    for t in (tree, plain):
+        tracemalloc.start()
+        try:
+            v = evaluate(t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(v, evaluate(tree))
+    assert peaks[0] <= peaks[1] + 256 * len(_shared(tree.root)), peaks
+
+
+def test_deep_shared_chain_parses_and_evaluates():
+    # two copies of a depth-3000 chain of + vertices: the second copy is the
+    # first object, found by child identity without hashing the subtree
+    amps = [(0.6, 0.8), (0.8, -0.6), (1.0, 0.0)]
+    bottom = "(* " + " ".join(f"(leaf {q} {a} {b})" for q, (a, b) in enumerate(amps, 1)) + ")"
+    chain = "(+ (1 " * 3000 + bottom + "))" * 3000
+    tree = parse(f"(+ (0.6 {chain}) (0.8 {chain}))")
+    (_, a), (_, b) = tree.root.children
+    assert a is b
+    want = 1.4 * np.kron(np.kron([0.6, 0.8], [0.8, -0.6]), [1.0, 0.0])
+    assert np.allclose(evaluate(tree), want, atol=1e-12)
+    assert [v.rule for v in validate(tree)] == ["vertex-not-normalized"]
+    assert classify_tree(tree) == "general"
+    assert math.isclose(np.linalg.norm(evaluate(tree)), 1.4)
