@@ -25,14 +25,19 @@ the whole subtree.  A key is looked up only once its tokens have passed
 the checks a new vertex runs, so each error keeps its text and position.
 
 Amplitude listing: one line per basis state, "BITSTRING RE IM", in
-lexicographic bitstring order; zero rows may be omitted.
+lexicographic bitstring order; zero rows may be omitted.  The states of
+interest have 2^n rows but few distinct amplitudes (a coset state's are
+0 and 1/sqrt|C|, a graph state's +-2^(-n/2)), so format_amplitudes calls
+fmt_float once per distinct real and imaginary part and joins each
+bitstring from tables of its high and low halves; the text is the same
+as formatting row by row.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -248,20 +253,51 @@ def serialize(tree: StateTree | Node) -> str:
 # amplitude listings
 
 
+def _texts(x: np.ndarray) -> list:
+    """fmt_float of each entry, called once per distinct value: equal
+    values (0.0 and -0.0, every NaN) have one text."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([fmt_float(a) for a in values.tolist()], dtype=object)[inverse].tolist()
+
+
+def _bit_tables(n: int) -> tuple[list[str], list[str]]:
+    """Tables of the texts of a row's high n // 2 and low b = n - n // 2
+    bits: row x's bitstring is hi[x >> b] + lo[x & (2^b - 1)], and
+    product(hi, lo) gives every row's in order."""
+    high, low = n // 2, n - n // 2
+    # format(0, "00b") is "0": only the high half of a 1-entry vector's bits is empty
+    return ([format(x, f"0{high}b") for x in range(1 << high)] if high else [""],
+            [format(x, f"0{low}b") for x in range(1 << low)])
+
+
 def format_amplitudes(v: np.ndarray, skip_zeros: bool = False, tol: float = 0.0) -> str:
-    n = int(np.log2(len(v)))
-    if 1 << n != len(v):
+    """The amplitude listing of v (see the module docstring): each distinct
+    real and imaginary part is formatted once, and the text is the same as
+    formatting row by row.  With skip_zeros, a row is left out when
+    Python's abs of its amplitude is at most tol; the bit tables are built
+    only when more rows are kept than the tables hold."""
+    size = len(v)
+    if size == 0 or size & (size - 1):
         raise ValueError("amplitude vector length is not a power of 2")
-    rows, kept = range(len(v)), v
-    if skip_zeros:
+    n = size.bit_length() - 1
+    if not skip_zeros:
+        bits = product(*_bit_tables(n))
+    else:
         # np.abs can differ from Python's abs in the last bit, so the vector
-        # pass keeps a margin (and NaN rows) and the exact test below decides
+        # pass keeps a margin (and NaN rows) and Python's abs decides
         rows = np.flatnonzero(~(np.abs(v) <= tol * (1 - 1e-12)))
-        rows, kept = rows.tolist(), v[rows]
-    lines = [f"{x:0{n}b} {fmt_float(a)} {fmt_float(b)}"
-             for x, a, b in zip(rows, kept.real.tolist(), kept.imag.tolist())
-             if not (skip_zeros and abs(complex(a, b)) <= tol)]
-    return "\n".join(lines) + "\n"
+        keep = [not abs(complex(a, b)) <= tol
+                for a, b in zip(v.real[rows].tolist(), v.imag[rows].tolist())]
+        rows = rows[np.array(keep, dtype=bool)]
+        v = v[rows]
+        low = n - n // 2
+        if len(rows) > (1 << n // 2) + (1 << low):  # more rows than the tables hold
+            hi_t, lo_t = _bit_tables(n)
+            bits = ((hi_t[x >> low], lo_t[x & ((1 << low) - 1)]) for x in rows.tolist())
+        else:
+            bits = ((f"{x:0{n}b}", "") for x in rows.tolist())
+    return "\n".join([f"{hb}{lb} {a} {b}"
+                      for (hb, lb), a, b in zip(bits, _texts(v.real), _texts(v.imag))]) + "\n"
 
 
 def parse_amplitudes(text: str) -> np.ndarray:

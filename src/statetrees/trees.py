@@ -27,6 +27,7 @@ from .errors import InvalidTreeError, NonUnitaryError, OversizeError
 
 TOLERANCE = 1e-9
 MAX_QUBITS = 20
+_OVERFLOW = "amplitudes or their inner products overflow a float"
 
 
 @dataclass(frozen=True)
@@ -303,18 +304,23 @@ def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
 
     Checks structural invariants (qubit sets, ranges) but not per-vertex
     normalization, so it also evaluates the unnormalized trees produced
-    by :func:`restrict`.
+    by :func:`restrict`.  A vector that overflows a float is refused with
+    ValueError.
     """
     return _checked_vector(tree, max_qubits)
 
 
 def _checked_vector(tree: StateTree, max_qubits: int, inspect=lambda kids: None) -> np.ndarray:
-    """evaluate(), with inspect() passed on to _vector."""
+    """evaluate(), with inspect() passed on to _vector (numpy's overflow
+    warnings off: inf and NaN reach the vector, which is then refused)."""
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
-    m, v = _vector(tree.root, inspect, tree.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, v = _vector(tree.root, inspect, tree.n)
     if m != (1 << tree.n) - 1:
         raise InvalidTreeError("root does not cover all qubits 1..n")
+    if not np.isfinite(v).all():  # inf * 0 is NaN: a product or sum never hides an overflow
+        raise ValueError(_OVERFLOW)
     return v
 
 
@@ -333,7 +339,8 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     """Check all structural and normalization invariants.
 
     Violations come back as data, in depth-first order; an empty list
-    means the tree is valid.
+    means the tree is valid.  A tree whose vectors or norms overflow a
+    float is refused with ValueError: no norm can be read off them.
     """
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
@@ -345,6 +352,8 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
 
     def normalized(mv: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
         nrm = float(np.linalg.norm(mv[1]))
+        if not math.isfinite(nrm):
+            raise ValueError(_OVERFLOW)
         if abs(nrm - 1.0) > tol:
             report("vertex-not-normalized", None, f"norm {nrm!r}")
         return mv
@@ -358,7 +367,12 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     # an overlap is reported right after the child's subtree, a mismatch after them all
     fault = lambda f: report(f[0], f[1] if f[0] == "tensor-children-overlap" else None, f[2])
     vertex = lambda nd, kids: _checked(nd, kids, fault, normalized)
-    mask, _ = _fold(tree.root, leaf, vertex, vertex, path, found)
+    try:
+        # a tensor's vector has no norm to check: its overflow raises instead
+        with np.errstate(over="raise", invalid="raise"):
+            mask, _ = _fold(tree.root, leaf, vertex, vertex, path, found)
+    except FloatingPointError:
+        raise ValueError(_OVERFLOW) from None
     out = [v for _, v in sorted(found, key=lambda f: f[0])]
     if mask != (1 << tree.n) - 1:
         out.append(Violation((), "root-qubitset-incomplete",
@@ -372,10 +386,9 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
     A tree is manifestly orthogonal when every + vertex combines children
     with disjoint basis supports, orthogonal when the children are merely
     pairwise orthogonal.  Only structural validity is required, so
-    unnormalized trees can be classified too; a structural fault raises
-    what evaluate() raises.  A tree whose vectors or inner products
-    overflow a float is refused with ValueError: no label can be read off
-    them.
+    unnormalized trees can be classified too; a structural fault or an
+    overflowing vector raises what evaluate() raises, and so do inner
+    products that overflow: no label can be read off them.
     """
     manifest = orthogonal = finite = True
 
@@ -393,10 +406,9 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
             if np.max(np.abs(off)) > tol:
                 orthogonal = False
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _checked_vector(tree, max_qubits, inspect)
-    if not (finite and np.isfinite(v).all()):
-        raise ValueError("amplitudes or their inner products overflow a float")
+    _checked_vector(tree, max_qubits, inspect)
+    if not finite:
+        raise ValueError(_OVERFLOW)
     if not orthogonal:
         return "general"
     if not manifest:

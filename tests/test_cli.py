@@ -452,17 +452,27 @@ def test_compile_of_an_all_zero_plus_is_one_error_line():
     assert r.stderr == "ERROR invalid-tree: plus vertex with all coefficients zero\n"
 
 
-@pytest.mark.parametrize("command", ["classify", "compile"])
-@pytest.mark.parametrize("text", [
-    # finite amplitudes whose inner products overflow: the gram holds inf and NaN
-    "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 1e200 1e200)))\n",
-    # no + vertex, but the product overflows
-    "(* (leaf 1 1e200 0) (leaf 2 1e200 0))\n",
+# finite amplitudes whose inner products overflow: the gram and a leaf's norm are inf
+OVERFLOWING_PRODUCTS = "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 1e200 1e200)))\n"
+# no + vertex, but the amplitudes overflow
+OVERFLOWING_AMPLITUDES = "(* (leaf 1 1e200 0) (leaf 2 1e200 0))\n"
+
+
+@pytest.mark.parametrize("text, command", [
+    *((text, command) for text in (OVERFLOWING_PRODUCTS, OVERFLOWING_AMPLITUDES)
+      for command in ("classify", "compile", "validate")),
+    (OVERFLOWING_AMPLITUDES, "eval"),  # eval takes no inner product
 ])
 def test_an_overflowing_tree_is_one_domain_error_line(command, text):
     r = run([command, "-"], stdin=text)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR domain: amplitudes or their inner products overflow a float\n"
+
+
+def test_eval_lists_finite_amplitudes_whose_inner_products_overflow():
+    r = run(["eval", "-"], stdin=OVERFLOWING_PRODUCTS)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "0 1.4000000000000001e+200 0\n1 8e+199 0\n"
 
 
 def test_chi_refuses_an_amplitude_that_overflows(tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
+from statetrees.builders import build_cluster1d
 from statetrees.dsl import (fmt_complex, fmt_float, format_amplitudes, parse,
                             parse_amplitudes, parse_complex_text, serialize)
 from statetrees.errors import ParseError
@@ -211,6 +212,60 @@ def test_skip_zeros_keeps_rows_by_python_abs():
     for tol in tols:
         want = [ln for z, ln in zip(v, rows) if not abs(complex(z)) <= tol]
         assert format_amplitudes(v, skip_zeros=True, tol=tol).splitlines() == want
+
+
+def ref_format_amplitudes(v: np.ndarray, skip_zeros: bool = False, tol: float = 0.0) -> str:
+    """The row-by-row listing that format_amplitudes reproduces byte for byte."""
+    n = int(np.log2(len(v)))
+    if 1 << n != len(v):
+        raise ValueError("amplitude vector length is not a power of 2")
+    rows, kept = range(len(v)), v
+    if skip_zeros:
+        rows = np.flatnonzero(~(np.abs(v) <= tol * (1 - 1e-12)))
+        rows, kept = rows.tolist(), v[rows]
+    lines = [f"{x:0{n}b} {fmt_float(a)} {fmt_float(b)}"
+             for x, a, b in zip(rows, kept.real.tolist(), kept.imag.tolist())
+             if not (skip_zeros and abs(complex(a, b)) <= tol)]
+    return "\n".join(lines) + "\n"
+
+
+def _listing_corpus() -> list[np.ndarray]:
+    rng = np.random.default_rng(11)
+    out = []
+    for n in range(13):
+        size = 1 << n
+        out.append(rng.normal(size=size) + 1j * rng.normal(size=size))
+        ints = rng.integers(-2, 3, size=size) + 1j * rng.integers(-2, 3, size=size)
+        ints[rng.random(size) < 0.3] = complex(-0.0, -0.0)
+        ints[rng.random(size) < 0.2] = complex(0.0, -0.0)
+        out.append(ints)
+    nan, inf = float("nan"), float("inf")
+    out.append(np.array([-0.0, complex(-0.0, -0.0), 1e16, -1e16, 9999999999999998.0, nan, inf,
+                         -inf, 5e-324, complex(nan, 2), complex(3, -nan), complex(-5e-324, inf),
+                         1.0, -1.0, 0.5, complex(1e-300, -1e300)]))
+    out.append(evaluate(build_cluster1d(12)))  # its real parts: 5 floats, 4 of them ulps apart
+    # floats one or two ulps apart: each keeps its own text
+    near = [0.1, -0.00390625, 1 / 3]
+    near += [np.nextafter(x, s * inf) for x in near for s in (1, -1)]
+    near += [np.nextafter(np.nextafter(x, inf), inf) for x in near[:3]]
+    out.append(rng.choice(near, 256) + 1j * rng.choice(near, 256))
+    return out
+
+
+def test_format_amplitudes_matches_the_row_loop():
+    cases = [(v, skip_zeros, tol) for v in _listing_corpus()
+             for skip_zeros in (False, True) for tol in (0.0, 1e-9, 0.5, 2.0)]
+    assert len(cases) == 232
+    assert ref_format_amplitudes(np.array([0.5 + 0j])) == "0 0.5 0\n"  # n = 0 lists bit 0
+    for v, skip_zeros, tol in cases:
+        assert format_amplitudes(v, skip_zeros, tol) == ref_format_amplitudes(v, skip_zeros, tol), \
+            (len(v), skip_zeros, tol)
+
+
+@pytest.mark.parametrize("size", [0, 3, 6, 12])
+def test_format_amplitudes_refuses_a_length_not_a_power_of_2(size):
+    with pytest.raises(ValueError, match="^amplitude vector length is not a power of 2$"):
+        format_amplitudes(np.zeros(size, dtype=complex))
 
 
 def test_amplitude_listing_errors():
