@@ -17,7 +17,7 @@ line:column of the token it reports.  Every failure is a ParseError.
 
 parse interns vertices: equal subtree text gives one object, so a tree
 read from text shares its repeated subtrees (the 15,478 vertices of
-cluster1d(16) are 342 objects) and the vector folds walk each once (see
+cluster1d(16) are 342 objects) and every fold visits each once (see
 trees._fold).  One dict per call maps a vertex's key to its object: a
 leaf's three tokens, a tensor's children by id, a + vertex's coefficient
 texts and children by id.  No node is hashed, as a dataclass hash walks
@@ -42,7 +42,7 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import ParseError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold
+from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, _vertices
 
 # re.ASCII: \d must not match other scripts' digits, which int() and float() accept
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -246,7 +246,7 @@ def serialize(tree: StateTree | Node) -> str:
     tensor = lambda _, kids: _layout("(*", [("", kid, "") for kid in kids])
     plus = lambda nd, kids: _layout("(+", [(f"({fmt_complex(c)} ", kid, ")")
                                            for (c, _), kid in zip(nd.children, kids)])
-    return _write(_fold(node, leaf, tensor, plus))
+    return _write(_fold(node, leaf, _vertices(tensor, plus)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .dsl import _Reader, _layout, _write, fmt_complex
 from .errors import NonMultilinearError
 from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
-from .trees import _fold as _fold_tree
+from .trees import _fold as _fold_tree, _vertices
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
 
@@ -52,28 +52,10 @@ Formula = Union[Var, Const, Add, Mul]
 
 
 def _fold(f: Formula, leaf, node):
-    """Post-order fold over the vertices under `f`, with an explicit stack.
-
-    leaf(g) gives a Var's or Const's result; node(g, left, right) gets an
-    Add's or Mul's children's results.  Results are kept by vertex identity
-    for the call, so a subformula shared by several parents is folded once.
-    (trees._fold keeps results of shared tree vertices only for the vector
-    folds; tree_to_formula's fold makes a new formula at every path, so a
-    tree's shared vertices never become shared formula vertices here.)
-    """
-    done: dict[int, object] = {}
-    stack: list = [f]  # vertices to fold, and (vertex,) once its children are folded
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:
-            g = g[0]
-            done[id(g)] = node(g, done[id(g.left)], done[id(g.right)])
-        elif id(g) not in done:
-            if isinstance(g, (Var, Const)):
-                done[id(g)] = leaf(g)
-            else:
-                stack += ((g,), g.right, g.left)  # the left subtree is folded first
-    return done[id(f)]
+    """trees._fold over a formula: leaf(g) gives a Var's or a Const's result,
+    node(g, left, right) an Add's or a Mul's from its children's."""
+    vertex = (lambda g: (g.left, g.right), lambda g, kids: node(g, *kids))
+    return _fold_tree(f, leaf, {Add: vertex, Mul: vertex})
 
 
 def _leaf_vars(g: Var | Const) -> frozenset[int]:
@@ -259,7 +241,7 @@ def tree_to_formula(tree: StateTree) -> Formula:
         return functools.reduce(Add, [g if coeff == 1 else Mul(Const(complex(coeff)), g)
                                       for (coeff, _), g in zip(node.children, kids)])
 
-    return _fold_tree(tree.root, leaf, lambda _, kids: functools.reduce(Mul, kids), plus)
+    return _fold_tree(tree.root, leaf, _vertices(lambda _, kids: functools.reduce(Mul, kids), plus))
 
 
 def formula_to_tree(f: Formula, n: int) -> StateTree:

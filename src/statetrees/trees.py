@@ -48,7 +48,6 @@ class Tensor:
 
 
 Node = Union[Leaf, Plus, Tensor]
-_VERTICES = frozenset((Tensor, Plus))  # exact types: a set lookup is the fold's cheapest test
 
 
 @dataclass(frozen=True)
@@ -65,99 +64,67 @@ def tensor(*children: Node) -> Tensor:
     return Tensor(tuple(children))
 
 
-def _fold(root: Node, leaf, tensor, plus, path: list[int] | None = None,
-          found: list | None = None):
+def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequence = ()):
     """Post-order fold over the vertices under `root`, with an explicit stack.
 
-    leaf(x) gives the result of a Leaf (or of anything but a Tensor or Plus);
-    tensor(node, kids) and plus(node, kids) get the list of their children's
-    results in child order.  When `path` is a list, it holds the child
-    indices from `root` down to the vertex whose callback is running.
+    table maps a vertex type to (operands, callback): operands(node) lists
+    its children, callback(node, kids) gets their results in child order.
+    leaf(x) gives the result of anything whose type is not in the table.
+    When `path` is a list, it holds the child indices from `root` down to
+    the vertex whose callback is running.
 
-    Without `found`, every path to a vertex is walked.  When `found` is a
-    list, the one the callbacks record their findings in, a Tensor or Plus
-    vertex with several parent edges (a subtree that dsl.parse shares
-    between equal-text copies) is walked once: its result is kept by
-    identity until its last parent edge has read it, then dropped.  A
-    subtree whose walk added to `found` is walked again at every path to
-    it, so each finding is made with its own path.
+    Each distinct vertex is folded once.  A vertex with several parent
+    edges keeps its result by identity until its last parent edge has read
+    it; every other result is dropped once its parent has read it.  The
+    one exception: a subtree whose walk added to `found` (the list the
+    callbacks record their findings in) is not kept but walked again at
+    every path to it, so each finding is made with its own path.
     """
-    if type(root) not in _VERTICES:
+    if type(root) not in table:
         return leaf(root)
-    children = _children
-    if found is not None:
-        leaf, tensor, plus, children = _reusing(root, leaf, tensor, plus, found)
+    shared = _shared(root, table)
+    kept: dict[int, list] = {}  # shared vertex id -> [its result, parent edges yet to read it]
     path = [] if path is None else path
-    stack = [(root, iter(children(root)), [])]  # open vertex, its unread children, their results
+    # open vertex, its unread children, their results, len(found) when its walk began
+    stack = [(root, iter(table[type(root)][0](root)), [], len(found))]
     while True:
-        node, unread, kids = stack[-1]
+        node, unread, kids, start = stack[-1]
         for child in unread:
-            path.append(len(kids))
-            if type(child) not in _VERTICES:
+            if type(child) not in table:
+                path.append(len(kids))
                 kids.append(leaf(child))
                 path.pop()
+            elif id(child) in kept:
+                entry = kept[id(child)]
+                kids.append(entry[0])
+                entry[1] -= 1
+                if not entry[1]:
+                    del kept[id(child)]
             else:
-                stack.append((child, iter(children(child)), []))
+                path.append(len(kids))
+                stack.append((child, iter(table[type(child)][0](child)), [], len(found)))
                 break
         else:
-            result = (tensor if isinstance(node, Tensor) else plus)(node, kids)
+            result = table[type(node)][1](node, kids)
             stack.pop()
+            if id(node) in shared and len(found) == start:
+                kept[id(node)] = [result, shared[id(node)] - 1]
             if not stack:
                 return result
             path.pop()
             stack[-1][2].append(result)
 
 
-class _Kept:
-    """A shared vertex's kept result, read by the fold in place of the vertex."""
-    __slots__ = ("result",)
-
-    def __init__(self, result):
-        self.result = result
-
-
-def _reusing(root: Tensor | Plus, leaf, tensor, plus, found: list):
-    """_fold's leaf, tensor and plus callbacks and child lister for a fold
-    with `found`: a kept result comes back from the child lister as a
-    _Kept, which the fold hands to leaf()."""
-    shared = _shared(root)
-    kept: dict[int, list] = {}  # vertex id -> [its result, parent edges yet to read it]
-    starts: dict[int, int] = {}  # id of an open shared vertex -> len(found) when its walk began
-
-    def read(child):
-        entry = kept.get(id(child))
-        if entry is None:
-            return child
-        entry[1] -= 1
-        if not entry[1]:
-            del kept[id(child)]
-        return _Kept(entry[0])
-
-    def children(node: Tensor | Plus):
-        if id(node) in shared:
-            starts[id(node)] = len(found)
-        return map(read, _children(node))
-
-    def keeping(callback):
-        def vertex(node: Tensor | Plus, kids: list):
-            result = callback(node, kids)
-            if id(node) in starts and len(found) == starts.pop(id(node)):
-                kept[id(node)] = [result, shared[id(node)] - 1]
-            return result
-        return vertex
-
-    reading = lambda x: x.result if type(x) is _Kept else leaf(x)
-    return reading, keeping(tensor), keeping(plus), children
-
-
-def _shared(root: Tensor | Plus) -> dict[int, int]:
-    """id -> number of parent edges, for each Tensor or Plus vertex under
-    root that has more than one; one pass over the distinct vertices."""
+def _shared(root, table: dict) -> dict[int, int]:
+    """id -> number of parent edges, for each vertex under root (of a type
+    in _fold's table) that has more than one; one pass over the distinct
+    vertices."""
     edges: dict[int, int] = {}
     todo = [root]
     while todo:
-        for child in _children(todo.pop()):
-            if type(child) in _VERTICES:
+        node = todo.pop()
+        for child in table[type(node)][0](node):
+            if type(child) in table:
                 if id(child) in edges:
                     edges[id(child)] += 1
                 else:
@@ -166,10 +133,14 @@ def _shared(root: Tensor | Plus) -> dict[int, int]:
     return {key: count for key, count in edges.items() if count > 1}
 
 
-def _children(node: Tensor | Plus) -> Sequence[Node]:
-    if isinstance(node, Tensor):
-        return node.children
+def _terms(node: Plus) -> list[Node]:
     return [ch for _, ch in node.children]
+
+
+def _vertices(tensor, plus=None) -> dict:
+    """_fold's table for a tree: tensor(node, kids), and plus(node, kids)
+    (tensor's callback when not given)."""
+    return {Tensor: (operator.attrgetter("children"), tensor), Plus: (_terms, plus or tensor)}
 
 
 def _union(masks: Iterable[int]) -> int:
@@ -178,8 +149,7 @@ def _union(masks: Iterable[int]) -> int:
 
 def qubit_mask(node: Node) -> int:
     """Bitmask of the qubits under a node (bit q-1 for qubit q)."""
-    return _fold(node, lambda lf: 1 << (lf.qubit - 1),
-                 lambda _, ms: _union(ms), lambda _, ms: _union(ms))
+    return _fold(node, lambda lf: 1 << (lf.qubit - 1), _vertices(lambda _, ms: _union(ms)))
 
 
 def mask_qubits(mask: int) -> list[int]:
@@ -189,13 +159,13 @@ def mask_qubits(mask: int) -> list[int]:
 def tree_size(tree: StateTree | Node) -> int:
     """Number of leaf vertices."""
     node = tree.root if isinstance(tree, StateTree) else tree
-    return _fold(node, lambda _: 1, lambda _, ks: sum(ks), lambda _, ks: sum(ks))
+    return _fold(node, lambda _: 1, _vertices(lambda _, ks: sum(ks)))
 
 
 def depth(tree: StateTree | Node) -> int:
     """Maximum number of edges from the root down to a leaf."""
     node = tree.root if isinstance(tree, StateTree) else tree
-    return _fold(node, lambda _: 0, lambda _, ks: 1 + max(ks), lambda _, ks: 1 + max(ks))
+    return _fold(node, lambda _: 0, _vertices(lambda _, ks: 1 + max(ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +263,8 @@ def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tupl
             inspect(kids)
         return mv
 
-    mask, vec = _fold(node, leaf, lambda nd, kids: _checked(nd, kids, report), plus, path, faults)
+    mask, vec = _fold(node, leaf, _vertices(lambda nd, kids: _checked(nd, kids, report), plus),
+                      path, faults)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
     return mask, vec
@@ -335,12 +306,24 @@ class Violation:
     measured: str
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), or where its squares overflow, the norm scaled by
+    the largest real or imaginary part (inf only if the norm itself is)."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if math.isinf(nrm):
+        top = float(np.max(np.abs([v.real, v.imag])))
+        nrm = top * float(np.linalg.norm(v / top))
+    return nrm
+
+
 def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERANCE) -> list[Violation]:
     """Check all structural and normalization invariants.
 
     Violations come back as data, in depth-first order; an empty list
     means the tree is valid.  A tree whose vectors or norms overflow a
-    float is refused with ValueError: no norm can be read off them.
+    float is refused with ValueError: no norm can be read off them.  A
+    finite norm is read even where its squares overflow.
     """
     if tree.n > max_qubits:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
@@ -351,7 +334,7 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
         found.append((_after(path, child), Violation(tuple(path), rule, measured)))
 
     def normalized(mv: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-        nrm = float(np.linalg.norm(mv[1]))
+        nrm = _norm(mv[1])
         if not math.isfinite(nrm):
             raise ValueError(_OVERFLOW)
         if abs(nrm - 1.0) > tol:
@@ -370,7 +353,7 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     try:
         # a tensor's vector has no norm to check: its overflow raises instead
         with np.errstate(over="raise", invalid="raise"):
-            mask, _ = _fold(tree.root, leaf, vertex, vertex, path, found)
+            mask, _ = _fold(tree.root, leaf, _vertices(vertex), path, found)
     except FloatingPointError:
         raise ValueError(_OVERFLOW) from None
     out = [v for _, v in sorted(found, key=lambda f: f[0])]
@@ -474,7 +457,7 @@ def _restrict_node(node: Node, assign: dict[int, int]) -> tuple[complex, Node | 
             return kept[0]
         return 1.0 + 0.0j, Plus(tuple(kept))
 
-    return _fold(node, leaf, tensor, plus)
+    return _fold(node, leaf, _vertices(tensor, plus))
 
 
 def _rebuild(node: Tensor | Plus, kids: list[Node]) -> Node:
@@ -503,7 +486,7 @@ def restrict(tree: StateTree, assignment: dict[int, int]) -> tuple[complex, Stat
     remaining = [q for q in range(1, tree.n + 1) if q not in assignment]
     mapping = {q: i + 1 for i, q in enumerate(remaining)}
     relabel = lambda lf: Leaf(mapping[lf.qubit], lf.alpha, lf.beta)
-    return scalar, StateTree(len(remaining), _fold(node, relabel, _rebuild, _rebuild))
+    return scalar, StateTree(len(remaining), _fold(node, relabel, _vertices(_rebuild)))
 
 
 def normalize_node(node: Node) -> tuple[complex, Node]:
@@ -519,6 +502,7 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     built that no + vertex above needs, and each is built at most once.
     """
     vertex = lambda nd, kids: _checked(nd, kids, lambda _: None)
+    vertices = _vertices(vertex)
 
     def leaf(lf: Leaf):
         s = math.hypot(abs(lf.alpha), abs(lf.beta))
@@ -534,7 +518,7 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     def plus(nd: Plus, kids):
         coeffs = [coeff * s for (coeff, _), (s, _, _) in zip(nd.children, kids)]
         nodes = [c for _, c, _ in kids]
-        pairs = [_fold(mv, lambda pair: pair, vertex, vertex) for _, _, mv in kids]
+        pairs = [_fold(mv, lambda pair: pair, vertices) for _, _, mv in kids]
         summed = Plus(tuple(zip(coeffs, nodes)))
         _, v = vertex(summed, pairs)
         if v is None:
@@ -545,7 +529,7 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
         scaled = [c / nrm for c in coeffs]
         return nrm, Plus(tuple(zip(scaled, nodes))), Plus(tuple(zip(scaled, pairs)))
 
-    return _fold(node, leaf, tensor, plus)[:2]
+    return _fold(node, leaf, _vertices(tensor, plus))[:2]
 
 
 def _check_unitary(u: np.ndarray, tol: float = TOLERANCE) -> None:
@@ -655,7 +639,7 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
         b = g[1, 0] * lf.alpha + g[1, 1] * lf.beta
         return Leaf(lf.qubit, complex(a), complex(b))
 
-    return StateTree(tree.n, _fold(tree.root, leaf, _rebuild, _rebuild))
+    return StateTree(tree.n, _fold(tree.root, leaf, _vertices(_rebuild)))
 
 
 def amplitude_index(bits: Iterable[int]) -> int:

@@ -452,21 +452,40 @@ def test_compile_of_an_all_zero_plus_is_one_error_line():
     assert r.stderr == "ERROR invalid-tree: plus vertex with all coefficients zero\n"
 
 
-# finite amplitudes whose inner products overflow: the gram and a leaf's norm are inf
+# finite amplitudes and norms whose inner products overflow: the gram is inf
 OVERFLOWING_PRODUCTS = "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 1e200 1e200)))\n"
 # no + vertex, but the amplitudes overflow
 OVERFLOWING_AMPLITUDES = "(* (leaf 1 1e200 0) (leaf 2 1e200 0))\n"
+# finite amplitudes whose norm, about 2.1e308, overflows
+OVERFLOWING_NORM = "(leaf 1 1.5e308 1.5e308)\n"
 
 
 @pytest.mark.parametrize("text, command", [
     *((text, command) for text in (OVERFLOWING_PRODUCTS, OVERFLOWING_AMPLITUDES)
-      for command in ("classify", "compile", "validate")),
+      for command in ("classify", "compile")),
+    (OVERFLOWING_AMPLITUDES, "validate"),
+    (OVERFLOWING_NORM, "validate"),
     (OVERFLOWING_AMPLITUDES, "eval"),  # eval takes no inner product
 ])
 def test_an_overflowing_tree_is_one_domain_error_line(command, text):
     r = run([command, "-"], stdin=text)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR domain: amplitudes or their inner products overflow a float\n"
+
+
+@pytest.mark.parametrize("text, listing", [
+    (OVERFLOWING_PRODUCTS, "0\tvertex-not-normalized\tnorm 1e+200\n"
+                           "1\tvertex-not-normalized\tnorm 1.414213562373095e+200\n"
+                           "root\tvertex-not-normalized\tnorm 1.61245154965971e+200\n"),
+    ("(leaf 1 1e200 0)\n", "root\tvertex-not-normalized\tnorm 1e+200\n"),
+    ("(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 0 1)))\n",
+     "0\tvertex-not-normalized\tnorm 1e+200\n"
+     "root\tvertex-not-normalized\tnorm 5.999999999999999e+199\n"),
+])
+def test_validate_reads_a_finite_norm_whose_squares_overflow(text, listing):
+    r = run(["validate", "-"], stdin=text)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == "path\trule\tmeasured\n" + listing
 
 
 def test_eval_lists_finite_amplitudes_whose_inner_products_overflow():

@@ -1,8 +1,9 @@
-"""Shared subtrees: dsl.parse makes equal subtree text one object, and the
-vector folds (evaluate, validate, classify_tree) walk a shared subtree once.
+"""Shared subtrees: dsl.parse makes equal subtree text one object, and
+every fold (trees._fold, for trees and formulas alike) visits each
+distinct vertex once.
 
-The reference for every result is the same tree with no sharing, copied
-vertex by vertex with _fold's plain walk.
+The reference for every result is the same tree or formula with no
+sharing, copied vertex by vertex on this module's own explicit stack.
 """
 
 from __future__ import annotations
@@ -14,35 +15,116 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
+from statetrees import trees
 from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier_otree,
                                  build_coset_sigma1, build_divisibility_tree, build_hamming,
                                  build_knill_tree, build_parity, build_parity_fourier)
+from statetrees.circuits import compile_tree, format_circuit
 from statetrees.dsl import parse, serialize
 from statetrees.errors import StateTreesError
+from statetrees.formulas import (Add, Const, Mul, Var, balance, build_threshold_formula,
+                                 expand_polynomial, formula_size, formula_truth_values,
+                                 serialize_formula, tree_to_formula)
 from statetrees.gf2 import BitMatrix, Coset
-from statetrees.trees import (Leaf, Plus, StateTree, Tensor, _fold, _rebuild, _shared,
-                              classify_tree, evaluate, mask_qubits, qubit_mask, validate)
+from statetrees.trees import (Leaf, Plus, StateTree, Tensor, _fold, _rebuild, _vertices,
+                              classify_tree, depth, evaluate, local_basis_change, mask_qubits,
+                              normalize_node, qubit_mask, restrict, tree_size, validate)
+
+
+
+def _shared(node) -> dict[int, int]:
+    """id -> parent edges of each vertex with more than one."""
+    return trees._shared(node, _vertices(None))
+
+
+def _copy(root, operands, rebuild):
+    """root with a new object at every path: a post-order copy on an
+    explicit stack, rebuild(vertex, copied children) making each vertex;
+    a vertex with no operands (None) is copied by rebuild(vertex, None)."""
+    done: list = []  # copies of the finished vertices, in post order
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        kids = operands(node)
+        if kids is None:
+            done.append(rebuild(node, None))
+        elif not expanded:
+            stack.append((node, True))
+            stack += [(ch, False) for ch in reversed(kids)]
+        else:
+            cut = len(done) - len(kids)
+            copied = done[cut:]
+            del done[cut:]
+            done.append(rebuild(node, copied))
+    return done[0]
 
 
 def _unshared(tree: StateTree) -> StateTree:
     """The tree with a new object at every path."""
-    copy_leaf = lambda lf: Leaf(lf.qubit, lf.alpha, lf.beta)
-    return StateTree(tree.n, _fold(tree.root, copy_leaf, _rebuild, _rebuild))
+    def operands(node):
+        if isinstance(node, Leaf):
+            return None
+        return node.children if isinstance(node, Tensor) else [ch for _, ch in node.children]
+
+    def rebuild(node, kids):
+        if kids is None:
+            return Leaf(node.qubit, node.alpha, node.beta)
+        if isinstance(node, Tensor):
+            return Tensor(tuple(kids))
+        return Plus(tuple((c, ch) for (c, _), ch in zip(node.children, kids)))
+
+    return StateTree(tree.n, _copy(tree.root, operands, rebuild))
 
 
-def _outcome(run, tree: StateTree):
+def _unshared_formula(f):
+    """The formula with a new object at every path."""
+    operands = lambda g: (g.left, g.right) if isinstance(g, (Add, Mul)) else None
+    def rebuild(g, kids):
+        if kids:
+            return type(g)(*kids)
+        return Var(g.index) if isinstance(g, Var) else Const(g.value)
+    return _copy(f, operands, rebuild)
+
+
+def _outcome(run, tree):
     try:
         return "ok", run(tree)
-    except (StateTreesError, ValueError) as e:
+    # restrict and local_basis_change take a leaf outside 1..n as a key or an index
+    except (StateTreesError, ValueError, KeyError, IndexError) as e:
         return type(e).__name__, str(e)
+
+
+def _texts(mapped):
+    """serialize of the tree or node in a (scalar, tree or node or None) pair."""
+    scalar, node = mapped
+    return scalar, None if node is None else serialize(node)
+
+
+def _folds(n: int) -> dict:
+    """Every tree fold, as a function of a tree whose results compare with ==."""
+    rot = lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    gates = [rot(0.3 * q) * np.exp(0.1j * q) for q in range(1, n + 1)]
+    return {
+        "validate": validate,
+        "classify": classify_tree,
+        "serialize": serialize,
+        "tree_size": tree_size,
+        "depth": depth,
+        "qubit_mask": lambda t: qubit_mask(t.root),
+        "restrict": lambda t: _texts(restrict(t, {1: 1, n: 0} if n > 1 else {1: 0})),
+        "normalize_node": lambda t: _texts(normalize_node(t.root)),
+        "local_basis_change": lambda t: serialize(local_basis_change(t, gates)),
+        "tree_to_formula": lambda t: serialize_formula(tree_to_formula(t)),
+        "compile": lambda t: format_circuit(compile_tree(t)),
+    }
 
 
 def _assert_same_results(tree: StateTree) -> None:
     plain = _unshared(tree)
     if isinstance(plain.root, (Tensor, Plus)):
         assert not _shared(plain.root)
-    for run in (validate, classify_tree):
-        assert _outcome(run, tree) == _outcome(run, plain)
+    for name, run in _folds(tree.n).items():
+        assert _outcome(run, tree) == _outcome(run, plain), name
     got, want = _outcome(evaluate, tree), _outcome(evaluate, plain)
     assert got[0] == want[0]
     if got[0] == "ok":
@@ -108,7 +190,7 @@ def _plant(tree: StateTree, key: int, fault: str) -> StateTree:
             "mismatch": Plus(((0.6, out), (0.8, Leaf(q, 1, 0)))),
             "out-of-range": Tensor((out, Leaf(tree.n + 1, 0.6, 0.8))),
         }[fault]
-    return parse(serialize(_fold(tree.root, lambda lf: lf, vertex, vertex)), tree.n)
+    return parse(serialize(_fold(tree.root, lambda lf: lf, _vertices(vertex))), tree.n)
 
 
 @pytest.mark.parametrize("fault", ["not-normalized", "overlap", "mismatch", "out-of-range"])
@@ -161,3 +243,28 @@ def test_deep_shared_chain_parses_and_evaluates():
     assert [v.rule for v in validate(tree)] == ["vertex-not-normalized"]
     assert classify_tree(tree) == "general"
     assert math.isclose(np.linalg.norm(evaluate(tree)), 1.4)
+    _assert_same_results(tree)
+
+
+def test_shared_formula_gives_the_unshared_results():
+    f = build_threshold_formula(12, 6)
+    plain = _unshared_formula(f)
+    assert formula_size(f) == formula_size(plain) == 802
+    assert np.array_equal(formula_truth_values(f, 12), formula_truth_values(plain, 12))
+    assert expand_polynomial(f) == expand_polynomial(plain)
+    assert serialize_formula(f) == serialize_formula(plain)
+    assert serialize_formula(balance(f)) == serialize_formula(balance(plain))
+
+
+def test_formula_truth_values_drop_each_table_after_its_last_read():
+    # 5388 leaves of 12 variables: one 64 KiB table each, about 675 MiB if
+    # every vertex's table were kept until the fold returns
+    f = tree_to_formula(build_cluster1d(12))
+    tracemalloc.start()
+    try:
+        values = formula_truth_values(f, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(values, evaluate(build_cluster1d(12)), atol=1e-12)
+    assert peak < 16 * 2**20, peak

@@ -18,7 +18,7 @@ from statetrees.trees import (Leaf, Plus, StateTree, Tensor, amplitude_index,
                               eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
                               validate)
-from statetrees.trees import _fold, _rebuild, _vector
+from statetrees.trees import _fold, _rebuild, _vector, _vertices
 
 R2 = 1 / math.sqrt(2)
 H = np.array([[R2, R2], [R2, -R2]])
@@ -362,7 +362,7 @@ def ref_normalize_node(node):
             raise InvalidTreeError("plus vertex sums to the zero vector")
         return nrm, Plus(tuple((c / nrm, ch) for c, ch in zip(coeffs, nodes)))
 
-    return _fold(node, leaf, tensor, plus)
+    return _fold(node, leaf, _vertices(tensor, plus))
 
 
 def _scaled(node, rng):
@@ -376,7 +376,7 @@ def _scaled(node, rng):
     def plus(nd, kids):
         return Plus(tuple((factor() * c, ch) for (c, _), ch in zip(nd.children, kids)))
 
-    return _fold(node, leaf, _rebuild, plus)
+    return _fold(node, leaf, _vertices(_rebuild, plus))
 
 
 def _normalized(fn, node):
