@@ -229,9 +229,9 @@ def build_hamming(n: int, k: int) -> StateTree:
     return StateTree(n, _hamming_node(tuple(range(1, n + 1)), k))
 
 
-def build_coset_sigma1(c: Coset, cap: int = COSET_CAP) -> StateTree:
+def build_coset_sigma1(c: Coset) -> StateTree:
     """|C| classical product terms with coefficients 1/sqrt(|C|)."""
-    elems = enumerate_coset(c, cap)
+    elems = enumerate_coset(c)
     n = c.n
     qubits = list(range(1, n + 1))
     r = 1.0 / math.sqrt(len(elems))
@@ -240,7 +240,7 @@ def build_coset_sigma1(c: Coset, cap: int = COSET_CAP) -> StateTree:
     return StateTree(n, Plus(tuple((r, basis_product(qubits, x)) for x in elems)))
 
 
-def build_coset_fourier_otree(c: Coset, cap: int = COSET_CAP) -> StateTree:
+def build_coset_fourier_otree(c: Coset) -> StateTree:
     """Orthogonal tree for |C> over the 2^rank(A) Fourier-support strings.
 
     The coset state in the Hadamard basis is supported on the row space
@@ -248,8 +248,8 @@ def build_coset_fourier_otree(c: Coset, cap: int = COSET_CAP) -> StateTree:
     classical leaves, then change every leaf back with a Hadamard.
     """
     r = rank_gf2(c.a)
-    if (1 << r) > cap:
-        raise OversizeError(f"dual support 2^{r} exceeds cap {cap}")
+    if (1 << r) > COSET_CAP:
+        raise OversizeError(f"dual support 2^{r} exceeds cap {COSET_CAP}")
     n = c.n
     x0 = solve(c.a, c.b)
     assert x0 is not None

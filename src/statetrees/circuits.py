@@ -31,7 +31,7 @@ import numpy as np
 from .dsl import _MAX_INDENT, fmt_float
 from .errors import (InvalidTreeError, NonOrthogonalError, NonUnitaryError, OversizeError,
                      ParseError, StateTreesError)
-from .trees import (Leaf, Node, Plus, StateTree, Tensor, TOLERANCE, _union,
+from .trees import (MAX_QUBITS, Leaf, Node, Plus, StateTree, Tensor, TOLERANCE, _union,
                     classify_tree, evaluate, mask_qubits)
 
 
@@ -164,7 +164,7 @@ def invert(c: Circuit) -> Circuit:
     return Circuit(c.n_data, c.n_ancilla, _relaxed(c.gates, inverse=True))
 
 
-def compile_tree(tree: StateTree, max_qubits: int = 20) -> Circuit:
+def compile_tree(tree: StateTree, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Circuit preparing evaluate(tree) from |0..0>, per the sum recursion.
 
     Requires the tree to classify as orthogonal or manifestly
@@ -322,7 +322,7 @@ def _check_unitary(c: Circuit, tol: float) -> None:
         raise NonUnitaryError(min(faults)[1])
 
 
-def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndarray:
+def simulate(c: Circuit, max_width: int = MAX_QUBITS, tol: float = TOLERANCE) -> np.ndarray:
     """Dense state vector after running the circuit on |0..0>."""
     total = c.width
     if total > max_width:
@@ -334,10 +334,10 @@ def simulate(c: Circuit, max_width: int = 20, tol: float = TOLERANCE) -> np.ndar
     return vec
 
 
-def verify_prepare(tree: StateTree, max_width: int = 20) -> dict:
+def verify_prepare(tree: StateTree) -> dict:
     """Compile, simulate, and compare against the tree's own evaluation."""
     circ = compile_tree(tree)
-    sim = simulate(circ, max_width=max_width)
+    sim = simulate(circ)
     target = np.zeros(1 << circ.width, dtype=complex)
     target[np.arange(1 << tree.n) << circ.n_ancilla] = evaluate(tree)
     fid = float(abs(np.vdot(sim, target)) ** 2)

@@ -245,38 +245,36 @@ def _cmd_vandermonde(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-qubits", type=int, default=20)
-    p.add_argument("--convention", choices=list(mots.CONVENTIONS), default="classical")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("-o", "--output", default=None, help="output file ('-' = stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="statetrees",
         description="State trees, multilinear formulas, coset states and their size measures.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="tree DSL -> amplitude listing")
-    p.add_argument("input")
-    p.add_argument("--skip-zeros", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
+    def shared(*flags, **kw) -> argparse.ArgumentParser:
+        """A parent parser declaring one argument, for the subcommands that read it."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kw)
+        return p
 
-    p = sub.add_parser("validate", help="report invariant violations of a tree")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    source = shared("input")
+    zeros = shared("--skip-zeros", action="store_true")
+    width = shared("--max-qubits", type=int, default=trees.MAX_QUBITS)
+    tol = shared("--tolerance", type=float, default=trees.TOLERANCE)
+    out = shared("-o", "--output", default=None, help="output file ('-' = stdout)")
 
-    p = sub.add_parser("classify", help="general / orthogonal / manifestly-orthogonal")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    def command(name: str, func, helptext: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=parents, help=helptext)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("build", help="emit a named state family")
+    command("eval", _cmd_eval, "tree DSL -> amplitude listing", source, zeros, width, tol, out)
+    command("validate", _cmd_validate, "report invariant violations of a tree",
+            source, width, tol, out)
+    command("classify", _cmd_classify, "general / orthogonal / manifestly-orthogonal",
+            source, width, tol, out)
+
+    p = command("build", _cmd_build, "emit a named state family", zeros, width, tol, out)
     p.add_argument("family", choices=["cat", "parity", "parity-fourier", "cluster1d",
                                       "hamming", "coset-sigma1", "coset-fourier",
                                       "divisibility", "knill"])
@@ -286,41 +284,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None, help="divisor")
     p.add_argument("--matrix", default=None, help="matrix file for coset families")
     p.add_argument("--format", choices=["tree", "amps"], default="tree")
-    p.add_argument("--skip-zeros", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("convert", help="tree DSL <-> formula DSL")
-    p.add_argument("input")
+    p = command("convert", _cmd_convert, "tree DSL <-> formula DSL", source, out)
     p.add_argument("--to", choices=["formula", "tree"], required=True)
     p.add_argument("--n", type=int, default=None, help="qubit count for formula->tree")
-    _add_common(p)
-    p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("balance", help="depth-reduce a multilinear formula")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_balance)
+    command("balance", _cmd_balance, "depth-reduce a multilinear formula", source, out)
 
-    p = sub.add_parser("mots", help="exact manifestly-orthogonal tree size of a coset")
+    p = command("mots", _cmd_mots, "exact manifestly-orthogonal tree size of a coset", out)
     p.add_argument("--matrix", required=True)
     p.add_argument("--witness", default=None, help="write the witness tree here")
     p.add_argument("--table", default=None, help="write the DP table here (TSV)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_mots)
+    p.add_argument("--convention", choices=list(mots.CONVENTIONS), default="classical")
 
-    p = sub.add_parser("compile", help="orthogonal tree -> preparation circuit")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compile)
+    command("compile", _cmd_compile, "orthogonal tree -> preparation circuit", source, width, out)
+    command("simulate", _cmd_simulate, "run a circuit on |0..0>", source, zeros, width, tol, out)
 
-    p = sub.add_parser("simulate", help="run a circuit on |0..0>")
-    p.add_argument("input")
-    p.add_argument("--skip-zeros", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("rank-exp", help="rank-statistics experiments")
+    p = command("rank-exp", _cmd_rank_exp, "rank-statistics experiments", out)
     p.add_argument("experiment", choices=["subgroup", "vandermonde", "erasure",
                                           "subset-sum", "chi"])
     p.add_argument("--n", type=int, default=16)
@@ -334,18 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None)
     p.add_argument("--state", default=None)
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rank_exp)
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--trials", type=int, default=1000)
 
-    p = sub.add_parser("vandermonde", help="emit the binary Vandermonde matrix")
+    p = command("vandermonde", _cmd_vandermonde, "emit the binary Vandermonde matrix", out)
     p.add_argument("--n", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--c", type=int, default=8)
     p.add_argument("--check-weight", action="store_true",
                    help="report the exhaustive minimum nonzero image weight instead")
-    _add_common(p)
-    p.set_defaults(func=_cmd_vandermonde)
 
     return ap
 

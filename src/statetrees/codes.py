@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, to_numpy
 
 _IRREDUCIBLE_MAX_D = 16
 
@@ -186,10 +186,7 @@ def min_nonzero_image_weight(vbin: BitMatrix) -> int:
     cols = vbin.n
     if cols > 20:
         raise ValueError("exhaustive image sweep capped at 20 columns")
-    m = np.zeros((vbin.k, cols), dtype=np.uint8)
-    for i, r in enumerate(vbin.rows):
-        for j in range(cols):
-            m[i, j] = (r >> (cols - 1 - j)) & 1
+    m = to_numpy(vbin)
     us = np.arange(1, 1 << cols, dtype=np.uint64)
     ubits = ((us[:, None] >> np.arange(cols - 1, -1, -1, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
     images = (ubits @ m.T) % 2

@@ -24,6 +24,7 @@ from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
 from .trees import _fold as _fold_tree, _vertices
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
+_MAX_TERMS = 1 << 22  # expansion budget: monomial pairs one * vertex may form
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def formula_truth_values(f: Formula, nvars: int) -> np.ndarray:
 # sparse multilinear expansion
 
 
-def expand_polynomial(f: Formula, max_vars: int = 24,
-                      max_terms: int = 1 << 22) -> dict[int, complex]:
+def expand_polynomial(f: Formula, max_vars: int = 24) -> dict[int, complex]:
     """Monomial map {variable bitmask: coefficient} of a multilinear formula.
 
     Raises NonMultilinearError as soon as any vertex would multiply two
@@ -129,7 +129,7 @@ def expand_polynomial(f: Formula, max_vars: int = 24,
                 else:
                     out[m] = nc
             return out
-        if len(lp) * len(rp) > max_terms:
+        if len(lp) * len(rp) > _MAX_TERMS:
             raise NonMultilinearError("expansion exceeds the term budget")
         out = {}
         for m1, c1 in lp.items():

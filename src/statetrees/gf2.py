@@ -118,6 +118,18 @@ def _echelon(rows: list[int]) -> list[int]:
     return [basis[lead] for lead in sorted(basis, reverse=True)]
 
 
+def _reduced(rows: list[int]) -> list[int]:
+    """Reduced row echelon form: _echelon's rows, each leading bit cleared
+    from the rows above it."""
+    rows = _echelon(rows)
+    for i in range(len(rows)):
+        lead = rows[i].bit_length() - 1
+        for j in range(i):
+            if (rows[j] >> lead) & 1:
+                rows[j] ^= rows[i]
+    return rows
+
+
 def rank_gf2(a: BitMatrix) -> int:
     return len(_echelon(list(a.rows)))
 
@@ -136,13 +148,7 @@ def is_invertible(a: BitMatrix) -> bool:
 def kernel_basis(a: BitMatrix) -> list[int]:
     """Basis of {x : Ax = 0}, each vector an n-bit int, n - rank of them."""
     n = a.n
-    # reduce to RREF tracking pivot columns
-    rows = _echelon(list(a.rows))
-    for i in range(len(rows)):
-        lead = rows[i].bit_length() - 1
-        for j in range(i):
-            if (rows[j] >> lead) & 1:
-                rows[j] ^= rows[i]
+    rows = _reduced(list(a.rows))
     pivot_bits = [r.bit_length() - 1 for r in rows]
     pivot_set = set(pivot_bits)
     basis = []
@@ -167,12 +173,7 @@ def solve(a: BitMatrix, b: int) -> int | None:
     aug = []
     for i, r in enumerate(a.rows):
         aug.append((r << 1) | ((b >> (a.k - 1 - i)) & 1))
-    rows = _echelon(aug)
-    for i in range(len(rows)):
-        lead = rows[i].bit_length() - 1
-        for j in range(i):
-            if (rows[j] >> lead) & 1:
-                rows[j] ^= rows[i]
+    rows = _reduced(aug)
     x = 0
     for r in rows:
         lead = r.bit_length() - 1
@@ -209,11 +210,11 @@ def subgroup(a: BitMatrix) -> Coset:
     return Coset(a, 0)
 
 
-def enumerate_coset(c: Coset, cap: int = COSET_CAP) -> list[int]:
+def enumerate_coset(c: Coset) -> list[int]:
     """All solutions of Ax = b in increasing (lexicographic) order."""
     count = c.size()
-    if count > cap:
-        raise OversizeError(f"coset has {count} elements, cap is {cap}")
+    if count > COSET_CAP:
+        raise OversizeError(f"coset has {count} elements, cap is {COSET_CAP}")
     x0 = solve(c.a, c.b)
     assert x0 is not None
     basis = kernel_basis(c.a)

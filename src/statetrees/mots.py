@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import (BitMatrix, COSET_CAP, Coset, enumerate_coset, rank_gf2, random_bitmatrix,
-                  row_space_basis)
+from .gf2 import BitMatrix, Coset, enumerate_coset, rank_gf2, random_bitmatrix, row_space_basis
 from .rng import stream
 from .trees import Leaf, Node, Plus, StateTree, Tensor
 
@@ -140,8 +139,7 @@ def _check_width(n: int) -> None:
 
 
 def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
-               witness: bool = True, table: bool = True,
-               cap: int = COSET_CAP) -> MotsResult:
+               witness: bool = True, table: bool = True) -> MotsResult:
     """M(A) by subset dynamic programming, with an optional witness tree.
 
     The witness represents the coset state for (A, b) (b = 0: the
@@ -155,7 +153,7 @@ def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
     vals, args = val.tolist(), arg.tolist()
     result_table = ({m: (vals[m], args[m] if m & (m - 1) else None) for m in range(1, 1 << n)}
                     if table else None)
-    wit = _build_witness(a, b, vals, args, convention, cap) if witness else None
+    wit = _build_witness(a, b, vals, args, convention) if witness else None
     return MotsResult(vals[-1], convention, wit, result_table)
 
 
@@ -165,9 +163,9 @@ def _column_qubit_bit(n: int, j: int) -> int:
 
 
 def _build_witness(a: BitMatrix, b: int, val: list[int], arg: list[int],
-                   convention: str, cap: int) -> StateTree:
+                   convention: str) -> StateTree:
     n = a.n
-    elems = enumerate_coset(Coset(a, b), cap)
+    elems = enumerate_coset(Coset(a, b))
 
     def mask_bits(col_mask: int) -> int:
         out = 0
@@ -214,6 +212,10 @@ def _build_witness(a: BitMatrix, b: int, val: list[int], arg: list[int],
 # brute-force oracle over explicit supports
 
 
+# The brute force's reach: qubits and support strings.
+_BRUTE_MAX_N = 4
+_BRUTE_MAX_STATES = 16
+
 _PROJ_TABLES: dict[tuple[int, int], list[int]] = {}
 
 
@@ -234,8 +236,7 @@ def _proj_table(m: int, posmask: int) -> list[int]:
 
 
 def mots_bruteforce(strings: list[int] | set[int], n: int,
-                    convention: str = "classical",
-                    max_n: int = 4, max_states: int = 16) -> int:
+                    convention: str = "classical") -> int:
     """Exact minimum leaves over all manifestly orthogonal trees for |S>.
 
     Exhaustive recursion, independent of the coset recurrence: at each
@@ -245,13 +246,13 @@ def mots_bruteforce(strings: list[int] | set[int], n: int,
     tensor vertex).  Supports are bitmasks over the local basis (bit b =
     basis state b present), memoized per qubit set.  Desk-scale only.
     """
-    if n > max_n:
-        raise OversizeError(f"brute force capped at {max_n} qubits")
+    if n > _BRUTE_MAX_N:
+        raise OversizeError(f"brute force capped at {_BRUTE_MAX_N} qubits")
     elems = sorted(set(strings))
     if not elems:
         raise ValueError("support must be nonempty")
-    if len(elems) > max_states:
-        raise OversizeError(f"brute force capped at {max_states} support strings")
+    if len(elems) > _BRUTE_MAX_STATES:
+        raise OversizeError(f"brute force capped at {_BRUTE_MAX_STATES} support strings")
     if max(elems) >= (1 << n):
         raise ValueError("support string exceeds n bits")
     if convention not in CONVENTIONS:

@@ -39,6 +39,8 @@ from .gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
 from .rng import stream
 
 _MERSENNE61 = (1 << 61) - 1
+_EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
+_CHI_MAX_QUBITS = 16  # widest state chi_max reads
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def rank_exact(m: np.ndarray, max_n: int = 4096) -> int:
     return _modp_rank(scaled)
 
 
-def rank_eps_lower_bound(m: np.ndarray, eps: float, max_n: int = 1024) -> int:
+def rank_eps_lower_bound(m: np.ndarray, eps: float) -> int:
     """Smallest k with sum_{i>k} sigma_i(M)^2 <= eps.
 
     Any matrix within squared Frobenius distance eps of M has rank at
@@ -255,8 +257,8 @@ def rank_eps_lower_bound(m: np.ndarray, eps: float, max_n: int = 1024) -> int:
     ceil((1-eps) N) exactly.
     """
     m = np.asarray(m, dtype=complex)
-    if max(m.shape) > max_n:
-        raise OversizeError(f"matrix side exceeds {max_n}")
+    if max(m.shape) > _EPS_RANK_MAX_SIDE:
+        raise OversizeError(f"matrix side exceeds {_EPS_RANK_MAX_SIDE}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     sv = np.linalg.svd(m, compute_uv=False)
@@ -439,7 +441,7 @@ def _reshape_rank(v: np.ndarray, n: int, amask: int, tol: float = 1e-9) -> int:
 
 
 def chi_max(v: np.ndarray, mode: str = "auto", seed: int = 0,
-            samples: int = 200, max_qubits: int = 16) -> int:
+            samples: int = 200) -> int:
     """Max Schmidt rank over bipartitions of the qubits.
 
     Exhaustive over all 2^(n-1) - 1 bipartitions for n <= 12 (or with
@@ -448,8 +450,8 @@ def chi_max(v: np.ndarray, mode: str = "auto", seed: int = 0,
     n = int(np.log2(len(v)))
     if 1 << n != len(v):
         raise ValueError("amplitude vector length must be a power of 2")
-    if n > max_qubits:
-        raise OversizeError(f"chi capped at {max_qubits} qubits")
+    if n > _CHI_MAX_QUBITS:
+        raise OversizeError(f"chi capped at {_CHI_MAX_QUBITS} qubits")
     if n == 1:
         return 1
     if mode not in ("auto", "exhaustive", "sampled"):

@@ -28,6 +28,7 @@ from .errors import InvalidTreeError, NonUnitaryError, OversizeError
 TOLERANCE = 1e-9
 MAX_QUBITS = 20
 _OVERFLOW = "amplitudes or their inner products overflow a float"
+_OUTSIDE = "tree uses qubits outside 1..n"
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tupl
 
     def leaf(lf: Leaf):
         if n is not None and not 1 <= lf.qubit <= n:
-            faults.append((_after(path), "tree uses qubits outside 1..n"))
+            faults.append((_after(path), _OUTSIDE))
             return 0, None
         return _leaf_vector(lf)
 
@@ -429,10 +430,13 @@ def eps_to_delta(eps: float) -> float:
 # restriction and local operations
 
 
-def _restrict_node(node: Node, assign: dict[int, int]) -> tuple[complex, Node | None]:
-    """Fix some qubits to bits; scalar * eval(result) equals the slice."""
+def _restrict_node(node: Node, assign: dict[int, int], n: int) -> tuple[complex, Node | None]:
+    """Fix some qubits to bits; scalar * eval(result) equals the slice.
+    Raises InvalidTreeError for a leaf outside qubits 1..n."""
 
     def leaf(lf: Leaf):
+        if not 1 <= lf.qubit <= n:
+            raise InvalidTreeError(_OUTSIDE)
         if lf.qubit in assign:
             return (lf.beta if assign[lf.qubit] else lf.alpha), None
         return 1.0 + 0.0j, lf
@@ -480,7 +484,7 @@ def restrict(tree: StateTree, assignment: dict[int, int]) -> tuple[complex, Stat
             raise ValueError(f"assigned qubit {q} outside 1..{tree.n}")
         if b not in (0, 1):
             raise ValueError(f"assigned value for qubit {q} must be 0 or 1")
-    scalar, node = _restrict_node(tree.root, assignment)
+    scalar, node = _restrict_node(tree.root, assignment, tree.n)
     if node is None:
         return scalar, None
     remaining = [q for q in range(1, tree.n + 1) if q not in assignment]
@@ -570,8 +574,7 @@ def _column_tree(qubits: list[int], col: np.ndarray) -> Node:
     return Plus(tuple(terms))
 
 
-def apply_local_unitary(tree: StateTree, u: np.ndarray, qubits: list[int],
-                        max_qubits: int = MAX_QUBITS) -> StateTree:
+def apply_local_unitary(tree: StateTree, u: np.ndarray, qubits: list[int]) -> StateTree:
     """Apply a k-qubit unitary (k <= 4) and return a tree for the result.
 
     The output is assembled as sum_y U|y> (x) T_y from the restrictions
@@ -589,13 +592,13 @@ def apply_local_unitary(tree: StateTree, u: np.ndarray, qubits: list[int],
     if u.shape != (1 << k, 1 << k):
         raise NonUnitaryError(f"matrix is {u.shape}, expected {(1 << k, 1 << k)}")
     _check_unitary(u)
-    if tree.n > max_qubits:
-        raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
+    if tree.n > MAX_QUBITS:
+        raise OversizeError(f"n={tree.n} exceeds max_qubits={MAX_QUBITS}")
 
     terms: list[tuple[complex, Node]] = []
     for y in range(1 << k):
         assign = {q: (y >> (k - 1 - j)) & 1 for j, q in enumerate(qubits)}
-        s, rest = _restrict_node(tree.root, assign)
+        s, rest = _restrict_node(tree.root, assign, tree.n)
         col = u[:, y]
         if rest is None:
             if s == 0:
@@ -634,6 +637,8 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
         mats.append(g)
 
     def leaf(lf: Leaf) -> Leaf:
+        if not 1 <= lf.qubit <= tree.n:
+            raise InvalidTreeError(_OUTSIDE)
         g = mats[lf.qubit - 1]
         a = g[0, 0] * lf.alpha + g[0, 1] * lf.beta
         b = g[1, 0] * lf.alpha + g[1, 1] * lf.beta

@@ -218,6 +218,52 @@ def test_error_exit_codes():
     assert r.returncode == 1
 
 
+# each subcommand's shortest argv -> the values it declares, as argparse dests;
+# its handler reads every one of them
+OPTIONS = [
+    (["eval", "-"], "input skip_zeros max_qubits tolerance output"),
+    (["simulate", "-"], "input skip_zeros max_qubits tolerance output"),
+    (["validate", "-"], "input max_qubits tolerance output"),
+    (["classify", "-"], "input max_qubits tolerance output"),
+    (["build", "cat"], "family n j k p matrix format skip_zeros max_qubits tolerance output"),
+    (["convert", "-", "--to", "tree"], "input to n output"),
+    (["balance", "-"], "input output"),
+    (["mots", "--matrix", "-"], "matrix witness table convention output"),
+    (["compile", "-"], "input max_qubits output"),
+    (["rank-exp", "chi"], "experiment n k l d c m p gamma matrix state mode seed trials output"),
+    (["vandermonde"], "n k d c check_weight output"),
+]
+
+
+@pytest.mark.parametrize("argv, dests", OPTIONS, ids=[argv[0] for argv, _ in OPTIONS])
+def test_each_subcommand_declares_only_what_it_reads(argv, dests):
+    from statetrees.cli import build_parser
+    declared = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+    assert declared == set(dests.split())
+
+
+def test_the_option_table_covers_every_subcommand():
+    import argparse
+    from statetrees.cli import build_parser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {argv[0] for argv, _ in OPTIONS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "cluster2.tree", "--seed", "5"],
+    ["validate", "cluster2.tree", "--trials", "3"],
+    ["mots", "--matrix", "parity4.mat", "--max-qubits", "20"],
+    ["compile", "cluster2.tree", "--tolerance", "0.9"],
+    ["balance", "-", "--convention", "free"],
+    ["rank-exp", "chi", "--state", "cat.amps", "--max-qubits", "20"],
+    ["vandermonde", "--tolerance", "1e-9"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv):
+    r = run(argv, stdin="x\n")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in r.stderr
+
+
 @pytest.mark.parametrize("text, message", [
     ("qubits 2 0\nprep -1 1 0 0 0\n", "wire -1 is outside 0..1"),
     ("qubits 2 0\nprep 5 1 0 0 0\n", "wire 5 is outside 0..1"),

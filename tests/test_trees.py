@@ -207,6 +207,28 @@ def test_apply_local_unitary_rejects_bad_input():
         apply_local_unitary(t, np.eye(4), [1, 1])
 
 
+# a 2-qubit tree with a leaf on qubit 3
+OUTSIDE_LEAF = StateTree(2, Tensor((Leaf(1, 1, 0), Leaf(3, 0, 1))))
+
+
+def test_restrict_refuses_a_leaf_outside_the_qubits():
+    with pytest.raises(InvalidTreeError, match=r"^tree uses qubits outside 1\.\.n$"):
+        restrict(OUTSIDE_LEAF, {1: 0})
+
+
+def test_local_basis_change_refuses_a_leaf_outside_the_qubits():
+    # qubit 0 would index the last qubit's gate
+    t = StateTree(2, Tensor((Leaf(0, 1, 0), Leaf(2, 1, 0))))
+    x = np.array([[0, 1], [1, 0]])
+    with pytest.raises(InvalidTreeError, match=r"^tree uses qubits outside 1\.\.n$"):
+        local_basis_change(t, [np.eye(2), x])
+
+
+def test_apply_local_unitary_refuses_a_leaf_outside_the_qubits():
+    with pytest.raises(InvalidTreeError, match=r"^tree uses qubits outside 1\.\.n$"):
+        apply_local_unitary(OUTSIDE_LEAF, H, [1])
+
+
 def test_local_basis_change_hadamard_cat_gives_even_parity():
     n = 6
     out = local_basis_change(build_cat(n), [H] * n)
