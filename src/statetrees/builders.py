@@ -22,12 +22,56 @@ from .trees import Leaf, Node, Plus, StateTree, Tensor, basis_product, local_bas
 _R2 = 1.0 / math.sqrt(2.0)
 
 
-def _refuse_oversize(name: str, n: int, leaves) -> None:
-    """Refuse a halving build past COSET_CAP leaves before any vertex is
-    made.  Each of these trees has at least n leaves, so n alone decides
-    past the cap, before leaves() sizes the recurrence."""
-    if n > COSET_CAP or leaves() > COSET_CAP:
+def _halving(name: str, n: int, sectors, splits, coeff, bit, extra: int = 0) -> list[Node]:
+    """The tree of each sector over qubits 1..n, by halving the qubits.
+
+    A sector over m >= 2 qubits is the sum, over (left, right) in
+    splits(m, sector), of coeff(m, sector, left, right) times the left
+    sector over the first m // 2 qubits tensor the right sector over the
+    rest; over one qubit it is the basis leaf |bit(sector)>.  A build
+    whose leaves, plus `extra`, pass COSET_CAP is refused before any
+    vertex is made.  Each (first qubit, m, sector) is built once, so the
+    trees share their repeated subtrees as dsl.parse shares equal text.
+    """
+    counted: dict = {}
+
+    def leaves(m: int, sector) -> int:
+        """Leaves of a sector over m qubits; the sum stops once it passes
+        COSET_CAP, so past the cap the count is a lower bound."""
+        if m == 1:
+            return 1
+        if (m, sector) not in counted:
+            total = 0
+            for left, right in splits(m, sector):
+                total += leaves(m // 2, left) + leaves(m - m // 2, right)
+                if total > COSET_CAP:
+                    break
+            counted[m, sector] = total
+        return counted[m, sector]
+
+    # every sector has at least n leaves, so n alone decides past the cap
+    if n > COSET_CAP or extra + sum(leaves(n, sector) for sector in sectors) > COSET_CAP:
         raise OversizeError(f"{name} would have more than {COSET_CAP} leaves")
+    built: dict = {}
+
+    def node(first: int, m: int, sector) -> Node:
+        key = (first, m, sector)
+        if key not in built:
+            if m == 1:
+                b = bit(sector)
+                built[key] = Leaf(first, 1.0 - b, float(b))
+            else:
+                half = m // 2
+                terms = [(coeff(m, sector, left, right),
+                          Tensor((node(first, half, left), node(first + half, m - half, right))))
+                         for left, right in splits(m, sector)]
+                if len(terms) == 1 and terms[0][0] == 1.0:  # the whole sector is one product
+                    built[key] = terms[0][1]
+                else:
+                    built[key] = Plus(tuple(terms))
+        return built[key]
+
+    return [node(1, n, sector) for sector in sectors]
 
 
 def build_cat(n: int) -> StateTree:
@@ -41,22 +85,6 @@ def build_cat(n: int) -> StateTree:
     return StateTree(n, Plus(((_R2, zeros), (_R2, ones))))
 
 
-@lru_cache(maxsize=None)
-def _parity_leaves(m: int) -> int:
-    """Leaves of _parity_node over m qubits, either parity."""
-    return 1 if m == 1 else 2 * (_parity_leaves(m // 2) + _parity_leaves(m - m // 2))
-
-
-def _parity_node(qubits: tuple[int, ...], j: int) -> Node:
-    m = len(qubits)
-    if m == 1:
-        return Leaf(qubits[0], 1.0 - j, float(j))
-    left, right = qubits[: m // 2], qubits[m // 2:]
-    even = Tensor((_parity_node(left, 0), _parity_node(right, j)))
-    odd = Tensor((_parity_node(left, 1), _parity_node(right, j ^ 1)))
-    return Plus(((_R2, even), (_R2, odd)))
-
-
 def build_parity(n: int, j: int) -> StateTree:
     """Uniform superposition over n-bit strings of parity j.
 
@@ -68,8 +96,9 @@ def build_parity(n: int, j: int) -> StateTree:
         raise ValueError("parity j must be 0 or 1")
     if n < 1:
         raise ValueError("n must be positive")
-    _refuse_oversize(f"parity({n})", n, lambda: _parity_leaves(n))
-    return StateTree(n, _parity_node(tuple(range(1, n + 1)), j))
+    (root,) = _halving(f"parity({n})", n, (j,), lambda m, parity: ((0, parity), (1, parity ^ 1)),
+                       lambda *_: _R2, lambda parity: parity)
+    return StateTree(n, root)
 
 
 def build_parity_fourier(n: int, j: int) -> StateTree:
@@ -110,9 +139,10 @@ def _nonempty(m: int, i: int, j: int, k: int) -> bool:
     return m > 3 or j == 0 or i != k  # m = 3: the parity is x2 (i xor k)
 
 
-def _cluster_splits(m: int, i: int, j: int, k: int):
+def _cluster_splits(m: int, sector: tuple[int, int, int]):
     """(left sector, right sector) of each term of sector (i, j, k) over
     m >= 2 qubits: the splits of its strings into nonempty halves."""
+    i, j, k = sector
     for mid_l in (0, 1):
         for mid_r in (0, 1):
             for j1 in (0, 1):
@@ -121,37 +151,11 @@ def _cluster_splits(m: int, i: int, j: int, k: int):
                     yield left, right
 
 
-@lru_cache(maxsize=None)
-def _cluster_terms(m: int, i: int, j: int, k: int) -> tuple[tuple[float, tuple, tuple], ...]:
-    """The terms of a nonempty sector (i, j, k) over m >= 2 qubits:
-    (edge coefficient, left sector, right sector)."""
-    total = _segment_counts(m)[(i, j, k)]
-    left_c, right_c = _segment_counts(m // 2), _segment_counts(m - m // 2)
-    return tuple((math.sqrt(left_c[left] * right_c[right] / total), left, right)
-                 for left, right in _cluster_splits(m, i, j, k))
-
-
-@lru_cache(maxsize=None)
-def _cluster_leaves(m: int, i: int, j: int, k: int) -> int:
-    """Leaves of _cluster_segment over m qubits in a nonempty sector; no
-    count table is needed, so a size past the cap is refused at once."""
-    if m == 1:
-        return 1
-    return sum(_cluster_leaves(m // 2, *left) + _cluster_leaves(m - m // 2, *right)
-               for left, right in _cluster_splits(m, i, j, k))
-
-
-def _cluster_segment(qubits: tuple[int, ...], i: int, j: int, k: int) -> Node:
-    """Sector (i, j, k) over the qubits; it must be nonempty."""
-    m = len(qubits)
-    if m == 1:
-        return Leaf(qubits[0], 1.0 - i, float(i))
-    left_q, right_q = qubits[: m // 2], qubits[m // 2:]
-    terms = [(coeff, Tensor((_cluster_segment(left_q, *left), _cluster_segment(right_q, *right))))
-             for coeff, left, right in _cluster_terms(m, i, j, k)]
-    if len(terms) == 1 and terms[0][0] == 1.0:
-        return terms[0][1]
-    return Plus(tuple(terms))
+def _cluster_coeff(m: int, sector, left, right) -> float:
+    """The edge coefficient of a split: the square root of the share of
+    the sector's strings that it holds."""
+    total = _segment_counts(m)[sector]
+    return math.sqrt(_segment_counts(m // 2)[left] * _segment_counts(m - m // 2)[right] / total)
 
 
 def build_cluster1d(n: int) -> StateTree:
@@ -165,58 +169,28 @@ def build_cluster1d(n: int) -> StateTree:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    odd = [(i, 1, k) for i in (0, 1) for k in (0, 1)]
-    _refuse_oversize(f"cluster1d({n})", n, lambda: n + sum(
-        _cluster_leaves(n, *sector) for sector in odd if _nonempty(n, *sector)))
-    qubits = tuple(range(1, n + 1))
-    uniform = Tensor(tuple(Leaf(q, _R2, _R2) for q in qubits))
+    odd = [(i, 1, k) for i in (0, 1) for k in (0, 1) if _nonempty(n, i, 1, k)]
+    segments = _halving(f"cluster1d({n})", n, odd, _cluster_splits, _cluster_coeff,
+                        lambda sector: sector[0], extra=n)
+    uniform = Tensor(tuple(Leaf(q, _R2, _R2) for q in range(1, n + 1)))
     counts = _segment_counts(n)
-    terms: list[tuple[complex, Node]] = [(1.0, uniform)]
     scale = 2.0 ** (1.0 - n / 2.0)
-    for sector in odd:
-        cnt = counts.get(sector, 0)
-        if cnt:
-            terms.append((-scale * math.sqrt(cnt), _cluster_segment(qubits, *sector)))
+    terms: list[tuple[complex, Node]] = [(1.0, uniform)]
+    terms += [(-scale * math.sqrt(counts[sector]), segment)
+              for sector, segment in zip(odd, segments)]
     return StateTree(n, Plus(tuple(terms)))
 
 
-def _hamming_weights(m: int, k: int) -> range:
-    """The weights j of the left m // 2 qubits in weight-k strings over m qubits."""
+def _hamming_splits(m: int, k: int) -> list[tuple[int, int]]:
+    """(left weight, right weight) of the weight-k strings over m qubits,
+    split after the first m // 2."""
     lh = m // 2
-    return range(max(0, k - (m - lh)), min(lh, k) + 1)
+    return [(j, k - j) for j in range(max(0, k - (m - lh)), min(lh, k) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _hamming_leaves(m: int, k: int) -> int:
-    """Leaves of _hamming_node over m qubits at weight k; the sum stops
-    once it passes COSET_CAP, so past the cap the count is a lower bound."""
-    if m == 1:
-        return 1
-    total = 0
-    for j in _hamming_weights(m, k):
-        total += _hamming_leaves(m // 2, j) + _hamming_leaves(m - m // 2, k - j)
-        if total > COSET_CAP:
-            break
-    return total
-
-
-def _hamming_node(qubits: tuple[int, ...], k: int) -> Node:
-    m = len(qubits)
-    if m == 1:
-        return Leaf(qubits[0], 1.0 - k, float(k))
-    total = math.comb(m, k)
-    lh = m // 2
-    rh = m - lh
-    left_q, right_q = qubits[:lh], qubits[lh:]
-    terms = []
-    for j in _hamming_weights(m, k):
-        ways = math.comb(lh, j) * math.comb(rh, k - j)
-        coeff = math.sqrt(ways / total)
-        terms.append((coeff, Tensor((_hamming_node(left_q, j),
-                                     _hamming_node(right_q, k - j)))))
-    if len(terms) == 1 and terms[0][0] == 1.0:
-        return terms[0][1]
-    return Plus(tuple(terms))
+def _hamming_coeff(m: int, k: int, left: int, right: int) -> float:
+    ways = math.comb(m // 2, left) * math.comb(m - m // 2, right)
+    return math.sqrt(ways / math.comb(m, k))
 
 
 def build_hamming(n: int, k: int) -> StateTree:
@@ -225,8 +199,8 @@ def build_hamming(n: int, k: int) -> StateTree:
         raise ValueError("n must be positive")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    _refuse_oversize(f"hamming({n}, {k})", n, lambda: _hamming_leaves(n, k))
-    return StateTree(n, _hamming_node(tuple(range(1, n + 1)), k))
+    (root,) = _halving(f"hamming({n}, {k})", n, (k,), _hamming_splits, _hamming_coeff, lambda k: k)
+    return StateTree(n, root)
 
 
 def build_coset_sigma1(c: Coset) -> StateTree:

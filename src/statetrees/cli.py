@@ -11,6 +11,7 @@ with status 1; usage errors exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -95,39 +96,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _build_tree(args) -> trees.StateTree:
-    fam = args.family
-    if fam == "cat":
-        return builders.build_cat(args.n)
-    if fam == "parity":
-        return builders.build_parity(args.n, args.j)
-    if fam == "parity-fourier":
-        return builders.build_parity_fourier(args.n, args.j)
-    if fam == "cluster1d":
-        return builders.build_cluster1d(args.n)
-    if fam == "hamming":
-        if args.k is None:
-            raise StateTreesError("hamming needs --k")
-        return builders.build_hamming(args.n, args.k)
-    if fam == "divisibility":
-        if args.p is None:
-            raise StateTreesError("divisibility needs --p")
-        return builders.build_divisibility_tree(args.n, args.p)
-    if fam == "knill":
-        return builders.build_knill_tree()
-    if fam in ("coset-sigma1", "coset-fourier"):
-        if args.matrix is None:
-            raise StateTreesError(f"{fam} needs --matrix FILE")
-        a, b = gf2.parse_matrix(_read(args.matrix))
-        coset = gf2.Coset(a, b or 0)
-        if fam == "coset-sigma1":
-            return builders.build_coset_sigma1(coset)
-        return builders.build_coset_fourier_otree(coset)
-    raise StateTreesError(f"unknown family {fam!r}")
+def _required(value, message: str):
+    """A flag's value that the handler cannot do without."""
+    if value is None:
+        raise StateTreesError(message)
+    return value
+
+
+def _coset(path: str | None, name: str) -> gf2.Coset:
+    a, b = gf2.parse_matrix(_read(_required(path, f"{name} needs --matrix FILE")))
+    return gf2.Coset(a, b or 0)
 
 
 def _cmd_build(args) -> int:
-    tree = _build_tree(args)
+    tree = args.tree(args)
     if args.format == "amps":
         v = trees.evaluate(tree, max_qubits=args.max_qubits)
         _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
@@ -198,30 +180,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rank_exp(args) -> int:
-    kind = args.experiment
-    if kind == "subgroup":
-        rep = rank.subgroup_rank_experiment(args.n, args.trials, args.seed)
-    elif kind == "vandermonde":
-        params = VandermondeParams(args.n, args.k, args.d, args.c)
-        rep = rank.vandermonde_rank_experiment(params, args.trials, args.seed)
-    elif kind == "erasure":
-        if args.matrix is None:
-            raise StateTreesError("erasure needs --matrix FILE")
-        a, b = gf2.parse_matrix(_read(args.matrix))
-        rep = rank.erasure_recoverability_check(gf2.Coset(a, b or 0), args.l,
-                                                args.trials, args.seed)
-    elif kind == "subset-sum":
-        rep = rank.subset_sum_coverage(args.n, args.m, args.p, args.gamma,
-                                       args.trials, args.seed)
-    elif kind == "chi":
-        if args.state is None:
-            raise StateTreesError("chi needs --state FILE (amplitude listing)")
-        v = dsl.parse_amplitudes(_read(args.state))
-        rep = {"n": int(np.log2(len(v))), "chi": rank.chi_max(v, mode=args.mode, seed=args.seed)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise StateTreesError(f"unknown experiment {kind!r}")
-    _write(args.output, _report_tsv(rep))
+    _write(args.output, _report_tsv(args.report(args)))
     return 0
+
+
+def _chi_report(args) -> dict:
+    state = _required(args.state, "chi needs --state FILE (amplitude listing)")
+    v = dsl.parse_amplitudes(_read(state))
+    return {"n": int(np.log2(len(v))), "chi": rank.chi_max(v, mode=args.mode, seed=args.seed)}
 
 
 def _cmd_vandermonde(args) -> int:
@@ -245,14 +211,29 @@ def _cmd_vandermonde(args) -> int:
 # parser
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: an option it does not declare is a usage
+    error under its own usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every
+    dispatch(): its 26 parsers take a few milliseconds to make, and
+    parsing leaves them unchanged."""
     ap = argparse.ArgumentParser(
         prog="statetrees",
         description="State trees, multilinear formulas, coset states and their size measures.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def shared(*flags, **kw) -> argparse.ArgumentParser:
-        """A parent parser declaring one argument, for the subcommands that read it."""
+        """A parent parser declaring one argument, for the parsers that read it."""
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument(*flags, **kw)
         return p
@@ -274,16 +255,31 @@ def build_parser() -> argparse.ArgumentParser:
     command("classify", _cmd_classify, "general / orthogonal / manifestly-orthogonal",
             source, width, tol, out)
 
-    p = command("build", _cmd_build, "emit a named state family", zeros, width, tol, out)
-    p.add_argument("family", choices=["cat", "parity", "parity-fourier", "cluster1d",
-                                      "hamming", "coset-sigma1", "coset-fourier",
-                                      "divisibility", "knill"])
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--j", type=int, default=0, help="parity bit")
-    p.add_argument("--k", type=int, default=None, help="hamming weight")
-    p.add_argument("--p", type=int, default=None, help="divisor")
-    p.add_argument("--matrix", default=None, help="matrix file for coset families")
-    p.add_argument("--format", choices=["tree", "amps"], default="tree")
+    # each family declares the flags its builder reads, and all of them the output format
+    families = command("build", _cmd_build, "emit a named state family").add_subparsers(
+        dest="family", required=True)
+    listing = (shared("--format", choices=["tree", "amps"], default="tree"), zeros, width, tol, out)
+    qubits = shared("--n", type=int, default=4)
+    bit = shared("--j", type=int, default=0, help="parity bit")
+    matrix = shared("--matrix", default=None, help="matrix file for coset families")
+
+    def family(name: str, make, *parents) -> None:
+        families.add_parser(name, parents=parents + listing).set_defaults(tree=make)
+
+    family("cat", lambda a: builders.build_cat(a.n), qubits)
+    family("parity", lambda a: builders.build_parity(a.n, a.j), qubits, bit)
+    family("parity-fourier", lambda a: builders.build_parity_fourier(a.n, a.j), qubits, bit)
+    family("cluster1d", lambda a: builders.build_cluster1d(a.n), qubits)
+    family("hamming", lambda a: builders.build_hamming(a.n, _required(a.k, "hamming needs --k")),
+           qubits, shared("--k", type=int, default=None, help="hamming weight"))
+    family("coset-sigma1", lambda a: builders.build_coset_sigma1(_coset(a.matrix, "coset-sigma1")),
+           matrix)
+    family("coset-fourier",
+           lambda a: builders.build_coset_fourier_otree(_coset(a.matrix, "coset-fourier")), matrix)
+    family("divisibility", lambda a: builders.build_divisibility_tree(
+        a.n, _required(a.p, "divisibility needs --p")),
+        qubits, shared("--p", type=int, default=None, help="divisor"))
+    family("knill", lambda a: builders.build_knill_tree())
 
     p = command("convert", _cmd_convert, "tree DSL <-> formula DSL", source, out)
     p.add_argument("--to", choices=["formula", "tree"], required=True)
@@ -300,22 +296,31 @@ def build_parser() -> argparse.ArgumentParser:
     command("compile", _cmd_compile, "orthogonal tree -> preparation circuit", source, width, out)
     command("simulate", _cmd_simulate, "run a circuit on |0..0>", source, zeros, width, tol, out)
 
-    p = command("rank-exp", _cmd_rank_exp, "rank-statistics experiments", out)
-    p.add_argument("experiment", choices=["subgroup", "vandermonde", "erasure",
-                                          "subset-sum", "chi"])
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--c", type=int, default=8)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--p", type=int, default=101)
-    p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--trials", type=int, default=1000)
+    # each experiment declares the flags its report reads
+    experiments = command("rank-exp", _cmd_rank_exp, "rank-statistics experiments").add_subparsers(
+        dest="experiment", required=True)
+    seeded = (shared("--seed", type=int, default=0, help="master seed (default 0)"), out)
+    trials = shared("--trials", type=int, default=1000)
+    qubits = shared("--n", type=int, default=16)
+
+    def experiment(name: str, report, *parents) -> None:
+        experiments.add_parser(name, parents=parents + seeded).set_defaults(report=report)
+
+    experiment("subgroup", lambda a: rank.subgroup_rank_experiment(a.n, a.trials, a.seed),
+               qubits, trials)
+    experiment("vandermonde", lambda a: rank.vandermonde_rank_experiment(
+        VandermondeParams(a.n, a.k, a.d, a.c), a.trials, a.seed),
+        qubits, shared("--k", type=int, default=3), shared("--d", type=int, default=4),
+        shared("--c", type=int, default=8), trials)
+    experiment("erasure", lambda a: rank.erasure_recoverability_check(
+        _coset(a.matrix, "erasure"), a.l, a.trials, a.seed),
+        shared("--matrix", default=None), shared("--l", type=int, default=4), trials)
+    experiment("subset-sum", lambda a: rank.subset_sum_coverage(
+        a.n, a.m, a.p, a.gamma, a.trials, a.seed),
+        qubits, shared("--m", type=int, default=8), shared("--p", type=int, default=101),
+        shared("--gamma", type=float, default=0.2), trials)
+    experiment("chi", _chi_report, shared("--state", default=None),
+               shared("--mode", choices=["auto", "exhaustive", "sampled"], default="auto"))
 
     p = command("vandermonde", _cmd_vandermonde, "emit the binary Vandermonde matrix", out)
     p.add_argument("--n", type=int, default=15)

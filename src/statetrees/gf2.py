@@ -62,13 +62,7 @@ class BitMatrix:
         return BitMatrix(len(row_ids), self.n, tuple(self.rows[i] for i in row_ids))
 
     def transpose(self) -> "BitMatrix":
-        rows = []
-        for j in range(self.n):
-            r = 0
-            for i in range(self.k):
-                r = (r << 1) | self.entry(i, j)
-            rows.append(r)
-        return BitMatrix(self.n, self.k, tuple(rows))
+        return BitMatrix(self.n, self.k, tuple(self.columns()))
 
     def mul_vec(self, x: int) -> int:
         """A @ x over GF(2); x is an n-bit int, result a k-bit int."""

@@ -104,22 +104,21 @@ def _index_contrib(vars_: tuple[int, ...], n: int) -> np.ndarray:
 
 def partition_matrix(f: np.ndarray, p: Partition) -> np.ndarray:
     """M[y, z] = f at the input assembled from the two index halves."""
-    n = int(np.log2(len(f)))
-    if 1 << n != len(f):
-        raise ValueError("table length must be a power of 2")
-    if len(p.y_vars) + len(p.z_vars) != n:
-        raise ValueError("partition does not cover all variables")
-    yc = _index_contrib(p.y_vars, n)
-    zc = _index_contrib(p.z_vars, n)
-    return f[yc[:, None] + zc[None, :]]
+    return _index_matrix(f, Restriction(p.y_vars, p.z_vars, ()), "partition")
 
 
 def restriction_matrix(f: np.ndarray, r: Restriction) -> np.ndarray:
+    return _index_matrix(f, r, "restriction")
+
+
+def _index_matrix(f: np.ndarray, r: Restriction, name: str) -> np.ndarray:
+    """M[y, z] = f at the input assembled from r's fixed bits and the two
+    index halves; name is the kind of split, for the error text."""
     n = int(np.log2(len(f)))
     if 1 << n != len(f):
         raise ValueError("table length must be a power of 2")
     if len(r.y_vars) + len(r.z_vars) + len(r.fixed) != n:
-        raise ValueError("restriction does not cover all variables")
+        raise ValueError(f"{name} does not cover all variables")
     base = 0
     for v, b in r.fixed:
         base += b << (n - v)

@@ -8,14 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from statetrees.builders import (_cluster_leaves, _hamming_leaves, _nonempty, _parity_leaves,
-                                 _segment_counts, build_cat, build_cluster1d,
+from statetrees import builders
+from statetrees.builders import (_nonempty, _segment_counts, build_cat, build_cluster1d,
                                  build_coset_fourier_otree, build_coset_sigma1,
                                  build_divisibility_state,
                                  build_divisibility_tree, build_hamming,
                                  build_knill_tree, build_parity,
                                  build_parity_fourier)
-from statetrees.dsl import serialize
+from statetrees.dsl import parse, serialize
 from statetrees.errors import OversizeError
 from statetrees.gf2 import COSET_CAP, BitMatrix, Coset, random_bitmatrix, rank_gf2
 from statetrees.mots import mots_coset
@@ -145,16 +145,48 @@ def test_halving_builder_sizes_follow_their_recurrences():
     assert tree_size(build_hamming(40, 20)) == h(40, 20) == 51744
 
 
-def test_predicted_leaf_counts_match_the_built_trees():
-    for n in range(1, 18):
-        assert _parity_leaves(n) == tree_size(build_parity(n, n % 2))
-        for k in range(n + 1):
-            assert _hamming_leaves(n, k) == tree_size(build_hamming(n, k))
-    for n in range(2, 17):
-        predicted = n + sum(_cluster_leaves(n, *sector)
-                            for sector in ((0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1))
-                            if _segment_counts(n).get(sector))
-        assert predicted == tree_size(build_cluster1d(n))
+def test_predicted_leaf_counts_match_the_built_trees(monkeypatch):
+    # the halving engine's one counter refuses a build exactly when it passes the cap
+    cases = [(build_parity, (n, n % 2)) for n in range(1, 18)]
+    cases += [(build_hamming, (n, k)) for n in range(1, 18) for k in range(n + 1)]
+    cases += [(build_cluster1d, (n,)) for n in range(2, 17)]
+    sizes = [tree_size(build(*args)) for build, args in cases]
+    for (build, args), size in zip(cases, sizes):
+        monkeypatch.setattr(builders, "COSET_CAP", size)
+        assert tree_size(build(*args)) == size
+        monkeypatch.setattr(builders, "COSET_CAP", size - 1)
+        with pytest.raises(OversizeError, match=f"more than {size - 1} leaves"):
+            build(*args)
+
+
+def _distinct_vertices(root) -> int:
+    """Vertex objects under root, each shared one counted once."""
+    seen = {id(root)}
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Plus):
+            kids = [ch for _, ch in node.children]
+        else:
+            kids = node.children if isinstance(node, Tensor) else ()
+        for ch in kids:
+            if id(ch) not in seen:
+                seen.add(id(ch))
+                todo.append(ch)
+    return len(seen)
+
+
+def test_halving_builders_share_subtrees_as_parse_does():
+    cases = [(build_parity, (n, j)) for n in range(1, 33) for j in (0, 1)]
+    cases += [(build_hamming, (n, k)) for n in range(1, 25) for k in range(n + 1)]
+    cases += [(build_cluster1d, (n,)) for n in range(2, 21)]
+    for build, args in cases:
+        t = build(*args)
+        parsed = parse(serialize(t), n=t.n).root
+        assert t.root == parsed
+        assert _distinct_vertices(t.root) == _distinct_vertices(parsed), (build.__name__, args)
+    assert [_distinct_vertices(t.root) for t in (build_cluster1d(16), build_hamming(14, 7),
+                                                 build_parity(14, 0))] == [342, 159, 103]
 
 
 def test_nonempty_sectors_match_the_count_tables():

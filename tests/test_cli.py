@@ -219,34 +219,60 @@ def test_error_exit_codes():
 
 
 # each subcommand's shortest argv -> the values it declares, as argparse dests;
-# its handler reads every one of them
+# its handler reads every one of them.  build and rank-exp map each family or
+# experiment to the values it declares.
+LISTING = "format skip_zeros max_qubits tolerance output"
 OPTIONS = [
     (["eval", "-"], "input skip_zeros max_qubits tolerance output"),
     (["simulate", "-"], "input skip_zeros max_qubits tolerance output"),
     (["validate", "-"], "input max_qubits tolerance output"),
     (["classify", "-"], "input max_qubits tolerance output"),
-    (["build", "cat"], "family n j k p matrix format skip_zeros max_qubits tolerance output"),
+    (["build"], {
+        "cat": f"family n {LISTING}",
+        "parity": f"family n j {LISTING}",
+        "parity-fourier": f"family n j {LISTING}",
+        "cluster1d": f"family n {LISTING}",
+        "hamming": f"family n k {LISTING}",
+        "coset-sigma1": f"family matrix {LISTING}",
+        "coset-fourier": f"family matrix {LISTING}",
+        "divisibility": f"family n p {LISTING}",
+        "knill": f"family {LISTING}",
+    }),
     (["convert", "-", "--to", "tree"], "input to n output"),
     (["balance", "-"], "input output"),
     (["mots", "--matrix", "-"], "matrix witness table convention output"),
     (["compile", "-"], "input max_qubits output"),
-    (["rank-exp", "chi"], "experiment n k l d c m p gamma matrix state mode seed trials output"),
+    (["rank-exp"], {
+        "subgroup": "experiment n trials seed output",
+        "vandermonde": "experiment n k d c trials seed output",
+        "erasure": "experiment matrix l trials seed output",
+        "subset-sum": "experiment n m p gamma trials seed output",
+        "chi": "experiment state mode seed output",
+    }),
     (["vandermonde"], "n k d c check_weight output"),
 ]
+
+
+def _subparsers(parser):
+    import argparse
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 @pytest.mark.parametrize("argv, dests", OPTIONS, ids=[argv[0] for argv, _ in OPTIONS])
 def test_each_subcommand_declares_only_what_it_reads(argv, dests):
     from statetrees.cli import build_parser
-    declared = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
-    assert declared == set(dests.split())
+    cases = {(): dests} if isinstance(dests, str) else {(name,): want for name, want in dests.items()}
+    if not isinstance(dests, str):  # the table covers every family or experiment
+        assert set(_subparsers(_subparsers(build_parser()).choices[argv[0]]).choices) == set(dests)
+    for name, want in cases.items():
+        declared = set(vars(build_parser().parse_args(argv + list(name))))
+        # the handlers: the subcommand's, and the family's tree or the experiment's report
+        assert declared - {"command", "func", "tree", "report"} == set(want.split())
 
 
 def test_the_option_table_covers_every_subcommand():
-    import argparse
     from statetrees.cli import build_parser
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == {argv[0] for argv, _ in OPTIONS}
+    assert set(_subparsers(build_parser()).choices) == {argv[0] for argv, _ in OPTIONS}
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,12 +282,22 @@ def test_the_option_table_covers_every_subcommand():
     ["compile", "cluster2.tree", "--tolerance", "0.9"],
     ["balance", "-", "--convention", "free"],
     ["rank-exp", "chi", "--state", "cat.amps", "--max-qubits", "20"],
+    ["rank-exp", "subgroup", "--gamma", "0.9"],
+    ["rank-exp", "subgroup", "--mode", "sampled"],
+    ["rank-exp", "erasure", "--matrix", "sub.mat", "--n", "8"],
+    ["build", "cat", "--n", "3", "--k", "2"],
+    ["build", "cat", "--matrix", "nofile"],
+    ["build", "knill", "--n", "5"],
+    ["build", "hamming", "--k", "2", "--j", "1"],
     ["vandermonde", "--tolerance", "1e-9"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_an_option_the_subcommand_does_not_read_is_a_usage_error(argv):
     r = run(argv, stdin="x\n")
     assert (r.returncode, r.stdout) == (2, "")
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in r.stderr
+    # under the usage line of the parser that was handed the option
+    prog = " ".join(argv[:2] if argv[0] in ("build", "rank-exp") else argv[:1])
+    assert r.stderr.startswith(f"usage: statetrees {prog} [-h]")
+    assert f"statetrees {prog}: error: unrecognized arguments: {argv[-2]} {argv[-1]}" in r.stderr
 
 
 @pytest.mark.parametrize("text, message", [

@@ -18,12 +18,8 @@ ALLOWED = {
     # halves the variable range at each level: depth O(log k)
     "formulas.build_threshold_formula.rec",
     # halve the qubits at each level: depth O(log n)
-    "builders._cluster_leaves",
-    "builders._cluster_segment",
-    "builders._hamming_leaves",
-    "builders._hamming_node",
-    "builders._parity_leaves",
-    "builders._parity_node",
+    "builders._halving.leaves",
+    "builders._halving.node",
     "builders._segment_counts",
     # splits the column set at each level: depth <= n <= MAX_N
     "mots._build_witness.build",
