@@ -226,11 +226,35 @@ def compile_tree(tree: StateTree, max_qubits: int = MAX_QUBITS) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# dense simulation: the state is a tensor with one length-2 axis per wire,
-# wire w on axis w.  Controls are a tuple of per-wire slices, so t[ctrl] is
-# a view of the controlled block that keeps every axis.
+# simulation.  The state is a dense vector; as a tensor it has one length-2
+# axis per wire, wire w on axis w and on bit width-1-w of the flat index.
+# Controls are a tuple of per-wire slices, so t[ctrl] is a view of the
+# controlled block that keeps every axis.
+#
+# A compiled circuit keeps most amplitudes zero through most of its gates:
+# cat(16) never holds more than 2 nonzero of its 2^17.  So the walk also
+# keeps the support, an int64 array of the flat indices that may be nonzero
+# (every index outside it holds 0), starting at {0}.  A gate gathers only
+# the live columns of its block, those with a support entry in one of its
+# 2^k rows, as a 2^k x m matrix, multiplies it and scatters the result back;
+# the support becomes the untouched entries plus the nonzero outputs.
+#
+# The gathered product must give each live column the bits the whole-block
+# product gives it.  OpenBLAS runs the column dimension in groups of 4, the
+# last N mod 4 columns take another path, and a one-column product is a
+# gemv.  A block has N = 2^free columns, so with N >= 4 every column is in a
+# full group: the gathered matrix is padded with zero columns to a multiple
+# of 4.  A block of N < 4 columns is gathered whole, making the whole-block
+# call.  tests/test_circuits.py checks this premise on the BLAS in use.  A
+# dead column keeps its zeros, where the whole-block product can write -0.0;
+# the two zeros compare and print alike.
+#
+# Once the support holds more than 1/2^_DENSE_SHIFT of the vector, it is
+# dropped and the rest of the circuit runs on whole-block views, which copy
+# a nearly dense block faster than a gather does.
 
 _ALL = slice(None)
+_DENSE_SHIFT = 4
 
 
 def _fix(ctrl: tuple[slice, ...], wire: int, bit: int) -> tuple[slice, ...]:
@@ -245,40 +269,61 @@ def _mass(block: np.ndarray) -> float:
 
 
 def _apply_gates(t: np.ndarray, gates: list[Gate], tol: float) -> None:
-    ctrls = [(_ALL,) * t.ndim]  # the controls of each open csub body, innermost last
+    width = t.ndim
+    flat = t.reshape(-1)
+    support: np.ndarray | None = np.zeros(1, dtype=np.int64)  # None once dense
+    # the controls of each open csub body, innermost last: the slices, and
+    # (mask, value) with flat index i in the block iff i & mask == value
+    # (value -1 for an empty block)
+    ctrls = [((_ALL,) * width, 0, 0)]
     for g in _walk(gates):
         if g is None:
             ctrls.pop()
             continue
-        ctrl = ctrls[-1]
+        ctrl, mask, value = ctrls[-1]
         wires = ((g.control,) if isinstance(g, ControlledSub) else
                  (g.target, *g.register) if isinstance(g, OrNot) else
                  (g.qubit,) if isinstance(g, Prep) else g.qubits)
         for w in wires:  # a negative index would silently pick a wire from the end
-            if not 0 <= w < t.ndim:
-                raise ValueError(f"wire {w} is outside 0..{t.ndim - 1}")
+            if not 0 <= w < width:
+                raise ValueError(f"wire {w} is outside 0..{width - 1}")
+        bits = [1 << (width - 1 - w) for w in wires]
         if isinstance(g, ControlledSub):
             if g.polarity not in (0, 1):
                 raise ValueError(f"csub polarity {g.polarity} is not 0 or 1")
-            ctrls.append(_fix(ctrl, g.control, g.polarity))
+            inner = _fix(ctrl, g.control, g.polarity)
+            empty = inner[g.control] == slice(0, 0)
+            ctrls.append((inner, mask | bits[0], -1 if empty else value | bits[0] * g.polarity))
             continue
+        if support is not None:
+            inside = (support & mask) == value
+            sel, rest = support[inside], support[~inside]
         if isinstance(g, OrNot):
             if g.target in g.register or ctrl[g.target] != _ALL:
                 raise ValueError(f"ornot target {g.target} is in its register or a control wire")
-            zero = ctrl
-            for w in g.register:
-                zero = _fix(zero, w, 0)
-            keep = t[zero].copy()
-            t[ctrl] = np.flip(t[ctrl], g.target)
-            t[zero] = keep
+            if support is None:
+                zero = ctrl
+                for w in g.register:
+                    zero = _fix(zero, w, 0)
+                keep = t[zero].copy()
+                t[ctrl] = np.flip(t[ctrl], g.target)
+                t[zero] = keep
+                continue
+            # swap each pair (i, i ^ target) whose register is not all zero
+            hit = (sel & sum(set(bits[1:]))) != 0
+            pairs = np.concatenate((sel[hit], sel[hit] ^ bits[0]))
+            flat[pairs] = flat[pairs ^ bits[0]]
+            support = np.concatenate((rest, sel[~hit], sel[hit] ^ bits[0]))
             continue
         if isinstance(g, Prep):
             mat = g.matrix()
-            in_slice = _mass(t[ctrl])
-            leaked = _mass(t[_fix(ctrl, g.qubit, 1)])
-            if leaked > tol * max(in_slice, 1e-300):
-                raise PrepStateError(
-                    f"prep on wire {g.qubit}: |1> mass {leaked:.3e} of {in_slice:.3e}")
+            # no |1> amplitude passes, as _check_unitary made tol >= 0; any is
+            # tested, and shown, with the sums over the whole block
+            if support is None or flat[sel[(sel & bits[0]) != 0]].any():
+                in_slice, leaked = _mass(t[ctrl]), _mass(t[_fix(ctrl, g.qubit, 1)])
+                if leaked > tol * max(in_slice, 1e-300):
+                    raise PrepStateError(
+                        f"prep on wire {g.qubit}: |1> mass {leaked:.3e} of {in_slice:.3e}")
         else:
             mat = np.asarray(g.matrix, dtype=complex)
             if len(wires) > 3:
@@ -288,10 +333,32 @@ def _apply_gates(t: np.ndarray, gates: list[Gate], tol: float) -> None:
         if any(ctrl[w] != _ALL for w in wires):
             raise ValueError("gate acts on one of its control wires")
         k = len(wires)
-        moved = np.moveaxis(t[ctrl], wires, range(k))
-        # C order keeps `@` on one BLAS path for every view layout
-        block = np.ascontiguousarray(moved).reshape(1 << k, -1)
-        moved[...] = (mat @ block).reshape(moved.shape)
+        if support is None:  # `...` keeps the block of a 0-wire state a view, not a scalar
+            moved = np.moveaxis(t[ctrl + (...,)], wires, range(k))
+            # C order keeps `@` on one BLAS path for every view layout
+            block = np.ascontiguousarray(moved).reshape(1 << k, -1)
+            moved[...] = (mat @ block).reshape(moved.shape)
+            continue
+        if not len(sel):
+            continue
+        gate = sum(bits)
+        if width - k - mask.bit_count() < 2:  # the block's one or two columns
+            cols = np.unique([value, value | ((1 << width) - 1) & ~(mask | gate)])
+            padded = len(cols)
+        else:
+            cols = np.unique(sel & ~gate)
+            padded = -(-len(cols) // 4) * 4
+        rows = np.zeros(1, dtype=np.int64)  # row r sets wires[i] where bit k-1-i of r is set
+        for b in reversed(bits):
+            rows = np.concatenate((rows, rows | b))
+        at = rows[:, None] | cols
+        x = np.zeros((1 << k, padded), dtype=complex)
+        x[:, :len(cols)] = flat[at]
+        y = (mat @ x)[:, :len(cols)]
+        flat[at] = y
+        support = np.concatenate((rest, at[y != 0]))
+        if len(support) > len(flat) >> _DENSE_SHIFT:
+            support = None
 
 
 def _check_unitary(c: Circuit, tol: float) -> None:
@@ -323,7 +390,10 @@ def _check_unitary(c: Circuit, tol: float) -> None:
 
 
 def simulate(c: Circuit, max_width: int = MAX_QUBITS, tol: float = TOLERANCE) -> np.ndarray:
-    """Dense state vector after running the circuit on |0..0>."""
+    """Dense state vector after running the circuit on |0..0>.
+
+    Each gate touches only the columns of its block that hold a nonzero
+    amplitude, and gives them the bits of a whole-block product (see above)."""
     total = c.width
     if total > max_width:
         raise OversizeError(f"{total} wires exceed the dense cap {max_width}")

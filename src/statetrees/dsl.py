@@ -284,11 +284,15 @@ def format_amplitudes(v: np.ndarray, skip_zeros: bool = False, tol: float = 0.0)
         bits = product(*_bit_tables(n))
     else:
         # np.abs can differ from Python's abs in the last bit, so the vector
-        # pass keeps a margin (and NaN rows) and Python's abs decides
+        # pass keeps a margin (and NaN rows) and Python's abs decides, once
+        # per distinct (re, im): abs reads no sign of zero and no NaN payload
         rows = np.flatnonzero(~(np.abs(v) <= tol * (1 - 1e-12)))
-        keep = [not abs(complex(a, b)) <= tol
-                for a, b in zip(v.real[rows].tolist(), v.imag[rows].tolist())]
-        rows = rows[np.array(keep, dtype=bool)]
+        re, re_at = np.unique(v.real[rows], return_inverse=True)
+        im, im_at = np.unique(v.imag[rows], return_inverse=True)
+        pairs, pair_at = np.unique(re_at * len(im) + im_at, return_inverse=True)
+        re, im = re.tolist(), im.tolist()
+        keep = [not abs(complex(re[p // len(im)], im[p % len(im)])) <= tol for p in pairs.tolist()]
+        rows = rows[np.array(keep, dtype=bool)[pair_at]]
         v = v[rows]
         low = n - n // 2
         if len(rows) > (1 << n // 2) + (1 << low):  # more rows than the tables hold

@@ -1,4 +1,4 @@
-"""Circuit compiler and dense simulator."""
+"""Circuit compiler and simulator."""
 
 from __future__ import annotations
 
@@ -12,12 +12,13 @@ from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier
                                  build_coset_sigma1, build_divisibility_tree,
                                  build_hamming, build_knill_tree, build_parity,
                                  build_parity_fourier)
+from statetrees import circuits
 from statetrees.circuits import (Circuit, ControlledSub, OrNot, Prep,
                                  PrepStateError, Unitary, compile_tree,
                                  format_circuit, gate_count, invert,
                                  parse_circuit, simulate, verify_prepare)
 from statetrees.circuits import _ALL, _binarize, _check_unitary, _fix, _mass, _relaxed
-from statetrees.dsl import fmt_float
+from statetrees.dsl import fmt_float, format_amplitudes
 from statetrees.errors import (InvalidTreeError, NonOrthogonalError, NonUnitaryError, OversizeError,
                               ParseError, StateTreesError)
 from statetrees.gf2 import BitMatrix, Coset, random_bitmatrix
@@ -711,3 +712,161 @@ def test_circuit_parse_errors_agree_with_the_recursive_reference():
             assert got == want
             kinds.add(want[1].split(": ", 1)[1].split(" ", 1)[0])
     assert kinds == {"unterminated", "unexpected", "bad"}
+
+
+# ---------------------------------------------------------------------------
+# simulate's gathered kernel against the whole-block kernel
+# _ref_apply_gates: the same values and listings, the same errors.  An
+# exact zero's sign can differ: the dense kernel's BLAS call turns some
+# all-zero columns into -0.0 entries, and fmt_float prints both zeros as 0.
+
+
+def _compiled_corpus():
+    """Every compilable builder tree of width <= 14 (cluster1d does not
+    compile, nor divisibility for p = 3, 5, 7), one per family at width 16,
+    and seeded coset circuits."""
+    trees = ([build_cat(n) for n in range(1, 14)]
+             + [build_parity(n, j) for n in range(1, 11) for j in (0, 1)]
+             + [build_parity_fourier(n, j) for n in range(1, 14) for j in (0, 1)]
+             + [build_hamming(n, k) for n in range(1, 10) for k in range(n + 1)]
+             + [build_divisibility_tree(n, 2) for n in range(2, 14)]
+             + [build_knill_tree()])
+    for k, n in ((1, 6), (2, 7), (3, 8), (5, 7), (5, 8)):
+        a = random_bitmatrix(k, n, 71, n)
+        coset = Coset(a, a.mul_vec(k))
+        trees += [build_coset_sigma1(coset), build_coset_fourier_otree(coset)]
+    for c in map(compile_tree, trees):
+        if c.width <= 14:
+            yield c
+    for t in (build_cat(15), build_parity(12, 1), build_parity_fourier(15, 0),
+              build_hamming(10, 3), build_divisibility_tree(15, 2)):
+        c = compile_tree(t)
+        assert c.width == 16
+        yield c
+
+
+def test_simulate_matches_the_dense_kernel_on_compiled_circuits(monkeypatch):
+    default = circuits._DENSE_SHIFT
+    done = gathered = 0
+    for c in _compiled_corpus():
+        want = ref_simulate(c)
+        texts = c.width <= 14 and (format_amplitudes(want), format_amplitudes(want, True, TOLERANCE))
+        # shift 0 never promotes: every gate of a narrow circuit is gathered
+        for shift in (default, 0) if c.width <= 12 else (default,):
+            monkeypatch.setattr(circuits, "_DENSE_SHIFT", shift)
+            got = simulate(c)
+            assert np.array_equal(got, want), (c.width, shift)
+            if texts:
+                assert (format_amplitudes(got), format_amplitudes(got, True, TOLERANCE)) == texts
+            gathered += shift == 0
+        done += 1
+    assert (done, gathered) == (136, 109)
+
+
+def test_the_gathered_path_agrees_with_the_dense_kernel_on_the_oracle_circuits(monkeypatch):
+    monkeypatch.setattr(circuits, "_DENSE_SHIFT", 0)  # never promote
+    errors: list[str] = []
+    for c in _oracle_circuits():
+        got, want = _outcome(simulate, c), _outcome(ref_simulate, c)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+            errors.append(want[0].__name__)
+    assert errors.count("PrepStateError") >= 5 and len(errors) >= 50
+
+
+def _live_column_cases():
+    """A k-wire u under 0..3 csub levels on a width-6 state whose block has
+    N = 8, 4, 2 or 1 columns, m of them live, in every wire order."""
+    rng = stream(71, 0)
+
+    def prep(w):
+        a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        s = np.hypot(abs(a), abs(b))
+        return Prep(w, a / s, b / s)
+
+    for k in (1, 2, 3):
+        for levels in range(4):
+            free = list(range(3 + levels, 6))  # wires 3.. are the controls
+            for m in (1, 2, 3, 4):
+                if m > 1 << len(free) or (m == 3 and len(free) < 2):
+                    continue
+                gates = [prep(w) for w in range(3, 3 + levels)] + [prep(0)]
+                if m in (2, 4):
+                    gates += [prep(w) for w in free[:m // 2]]
+                elif m == 3:  # columns 00, 10, 11 of the first two free wires
+                    gates += [prep(free[0]), ControlledSub(free[0], 1, Circuit(6, 0, [prep(free[1])]))]
+                for wires in ((0, 1, 2)[:k], (2, 0, 1)[:k], (1, 2, 0)[:k]):
+                    body = [Unitary(wires, random_unitary(rng, 1 << k))]
+                    for w in range(3 + levels - 1, 2, -1):
+                        body = [ControlledSub(w, 1, Circuit(6, 0, body))]
+                    yield 1 << len(free), m, Circuit(6, 0, gates + body)
+
+
+def test_the_gathered_path_handles_blocks_of_every_column_count(monkeypatch):
+    monkeypatch.setattr(circuits, "_DENSE_SHIFT", 0)
+    seen = set()
+    for n_cols, live, c in _live_column_cases():
+        assert np.array_equal(simulate(c), ref_simulate(c)), (n_cols, live)
+        seen.add((n_cols, live))
+    assert seen == {(8, 1), (8, 2), (8, 3), (8, 4), (4, 1), (4, 2), (4, 3), (4, 4),
+                    (2, 1), (2, 2), (1, 1)}
+
+
+def test_a_circuit_that_crosses_the_promotion_threshold_mid_walk():
+    """The support passes 1/2^_DENSE_SHIFT of the vector inside a csub body;
+    the rest of the body and of the circuit runs on whole-block views."""
+    rng = stream(73, 0)
+    width = 10
+    limit = (1 << width) >> circuits._DENSE_SHIFT
+    inner = [Prep(w, 0.6, 0.8j) for w in range(1, 9)]
+    inner += [Unitary((2, 5), random_unitary(rng, 4)), OrNot(0, (3, 4)),
+              ControlledSub(1, 0, Circuit(width, 0, [Unitary((6, 7, 8), random_unitary(rng, 8))]))]
+    head = [Prep(9, 0.8, -0.6)]
+    c = Circuit(width, 0, head + [ControlledSub(9, 1, Circuit(width, 0, inner)),
+                                  Unitary((9, 0), random_unitary(rng, 4))])
+    before = Circuit(width, 0, head + [ControlledSub(9, 1, Circuit(width, 0, inner[:5]))])
+    assert np.count_nonzero(simulate(before)) <= limit < np.count_nonzero(simulate(c))
+    assert np.array_equal(simulate(c), ref_simulate(c))
+
+
+def test_contradictory_controls_and_prep_leaks_under_the_gathered_path(monkeypatch):
+    monkeypatch.setattr(circuits, "_DENSE_SHIFT", 0)
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    nothing = ControlledSub(0, 1, Circuit(3, 0, [ControlledSub(0, 0, Circuit(3, 0, [
+        Unitary((1,), h), OrNot(2, (1,)), Prep(1, 0, 1)]))]))
+    c = Circuit(3, 0, [Prep(0, 0.6, 0.8), nothing, Unitary((2,), h)])
+    assert np.array_equal(simulate(c), ref_simulate(c))
+    assert np.array_equal(simulate(c), simulate(Circuit(3, 0, [Prep(0, 0.6, 0.8), Unitary((2,), h)])))
+    for leak in ([Prep(0, 0.6, 0.8), Prep(0, 1, 0)],
+                 [Prep(0, 0.6, 0.8), Unitary((1,), h), ControlledSub(1, 1, Circuit(3, 0, [Prep(0, 0, 1)]))]):
+        got, want = _outcome(simulate, Circuit(3, 0, leak)), _outcome(ref_simulate, Circuit(3, 0, leak))
+        assert got == want and got[0] is PrepStateError
+    assert got[1] == "prep on wire 0: |1> mass 3.200e-01 of 5.000e-01"
+
+
+def test_phase_gates_on_a_zero_wire_state():
+    c = parse_circuit("qubits 0 0\nu 0 0 1\nu 0 0 1\n")  # the first is gathered, the second not
+    assert simulate(c).tolist() == [-1]
+
+
+def test_blas_gives_a_gathered_column_the_bits_of_the_whole_block_product():
+    """simulate's premise, on the BLAS in use: a column of a 2^k x N product
+    has the same bits in a product of the gathered columns padded with zero
+    columns to a multiple of 4, or, when N < 4, in the whole block."""
+    rng = stream(79, 0)
+    for k in (1, 2, 3):
+        for log_n in range(0, 18 - k, 2):
+            n = 1 << log_n
+            mat = random_unitary(rng, 1 << k)
+            block = rng.normal(size=(1 << k, n)) + 1j * rng.normal(size=(1 << k, n))
+            for m in sorted({1, 2, 3, 5, 6, 7, n // 2 + 1, n} & set(range(1, n + 1))):
+                u = mat if m % 2 else mat.conj().T  # C and Fortran order, as _relaxed makes
+                cols = np.sort(rng.permutation(n)[:m]) if n >= 4 else np.arange(n)
+                x = np.zeros((1 << k, -(-len(cols) // 4) * 4 if n >= 4 else n), dtype=complex)
+                x[:, :len(cols)] = block[:, cols]
+                assert np.array_equal((u @ x)[:, :len(cols)], (u @ block)[:, cols]), (
+                    f"the BLAS in use gives a column of {len(cols)} gathered from a {1 << k} x {n} "
+                    "product other bits than the whole product: simulate's padding rule (zero "
+                    "columns to a multiple of 4, whole blocks under 4 columns) no longer holds")

@@ -254,8 +254,8 @@ def _listing_corpus() -> list[np.ndarray]:
 
 def test_format_amplitudes_matches_the_row_loop():
     cases = [(v, skip_zeros, tol) for v in _listing_corpus()
-             for skip_zeros in (False, True) for tol in (0.0, 1e-9, 0.5, 2.0)]
-    assert len(cases) == 232
+             for skip_zeros in (False, True) for tol in (0.0, 1e-9, 0.5, 2.0, float("inf"))]
+    assert len(cases) == 290
     assert ref_format_amplitudes(np.array([0.5 + 0j])) == "0 0.5 0\n"  # n = 0 lists bit 0
     for v, skip_zeros, tol in cases:
         assert format_amplitudes(v, skip_zeros, tol) == ref_format_amplitudes(v, skip_zeros, tol), \
