@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,18 @@ def _cmd_balance(args) -> int:
     return 0
 
 
+def _dp_table_text(table: mots.DpTable) -> str:
+    """The TSV of a dp table: one row per nonempty column mask, ascending,
+    with the mask and its argmin as n-bit strings ('-' for one column)."""
+    n = len(table.val).bit_length() - 1
+    names = list(map("".join, product(*dsl._bit_tables(n))))
+    argmin = [names[i] for i in table.arg.tolist()]
+    for j in range(n):
+        argmin[1 << j] = "-"
+    rows = zip(names[1:], table.val[1:].tolist(), argmin[1:])
+    return "columns\tvalue\targmin\n" + "".join([f"{m}\t{v}\t{i}\n" for m, v, i in rows])
+
+
 def _cmd_mots(args) -> int:
     a, b = gf2.parse_matrix(_read(args.matrix))
     need_witness = args.witness is not None
@@ -146,11 +159,7 @@ def _cmd_mots(args) -> int:
     if need_witness:
         Path(args.witness).write_text(dsl.serialize(res.witness))
     if args.table is not None:
-        names = [format(m, f"0{a.n}b") for m in range(1 << a.n)]
-        # res.table is keyed in ascending mask order
-        lines = [f"{names[m]}\t{v}\t{'-' if i is None else names[i]}"
-                 for m, (v, i) in res.table.items()]
-        Path(args.table).write_text("columns\tvalue\targmin\n" + "\n".join(lines) + "\n")
+        Path(args.table).write_text(_dp_table_text(res.table))
     rank = gf2.rank_gf2(a)
     out = _tsv(["key", "value"], [
         ["value", res.value],

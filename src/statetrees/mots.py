@@ -15,19 +15,21 @@ The solver runs the recurrence as a dynamic program over column-subset
 bitmasks.  It fills the table one popcount layer at a time, so every
 submask is final before a wider mask reads it, and scores all splits of
 a layer's masks with numpy in fixed-size chunks: about 3^n / 2 splits,
-four table lookups each.  Visiting masks by popcount follows the ranked
-layout of Bjorklund-Husfeldt-Kaski-Koivisto's fast subset convolution;
-the 2^(rank deficit) factor makes this a structured min over splits, not
-a min-plus subset convolution, so their running time does not carry
-over.  The solver then reconstructs a witness tree by grouping coset
-elements, and `mots_bruteforce` independently minimizes over all
-manifestly orthogonal trees for tiny explicit supports so the
-recurrence can be cross-checked.
+two lookups each into one array of packed (rank, value) keys.  Visiting
+masks by popcount follows the ranked layout of
+Bjorklund-Husfeldt-Kaski-Koivisto's fast subset convolution; the
+2^(rank deficit) factor makes this a structured min over splits, not a
+min-plus subset convolution, so their running time does not carry over.
+The solver then reconstructs a witness tree by grouping coset elements,
+and `mots_bruteforce` independently minimizes over all manifestly
+orthogonal trees for tiny explicit supports so the recurrence can be
+cross-checked.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +44,17 @@ _R2 = 2.0 ** -0.5
 CONVENTIONS = ("classical", "free")
 
 # Widest matrix the exact dp accepts.  On a 2-vCPU VM one value-only dp
-# takes about 3.3 s (process peak 53 MiB) at n = 18 and 8 s (68 MiB) at
+# takes about 2.7 s (process peak 44 MiB) at n = 18 and 6.2 s (53 MiB) at
 # n = 19.
 MAX_N = 18
 
-# Candidate splits scored per numpy step; larger chunks raise peak memory
-# and run no faster.
+# Candidate splits scored per numpy step (at least one mask's); larger
+# chunks raise peak memory and run no faster.
 _CHUNK = 1 << 14
+
+# Low bits of a packed dp key that hold the value (see _split_dp).
+_VAL_BITS = 24
+_VAL_MASK = (1 << _VAL_BITS) - 1
 
 
 def _leaf_base(convention: str, zero_column: bool) -> int:
@@ -57,12 +63,33 @@ def _leaf_base(convention: str, zero_column: bool) -> int:
     return (2 if convention == "classical" else 1) if zero_column else 1
 
 
+class DpTable(Mapping):
+    """The dp table as a read-only mapping mask -> (M(A_mask), argmin I),
+    over the nonempty masks in ascending order; a one-column mask has no
+    split, so its argmin is None.  `val` and `arg` are the dp's arrays,
+    indexed by mask."""
+
+    def __init__(self, val: np.ndarray, arg: np.ndarray):
+        self.val, self.arg = val, arg
+
+    def __getitem__(self, m: int) -> tuple[int, int | None]:
+        if not 0 < m < len(self.val):
+            raise KeyError(m)
+        return int(self.val[m]), int(self.arg[m]) if m & (m - 1) else None
+
+    def __iter__(self):
+        return iter(range(1, len(self.val)))
+
+    def __len__(self) -> int:
+        return len(self.val) - 1
+
+
 @dataclass
 class MotsResult:
     value: int
     convention: str
     witness: StateTree | None
-    table: dict[int, tuple[int, int | None]] | None
+    table: DpTable | None
 
 
 def _subset_ranks(a: BitMatrix) -> np.ndarray:
@@ -88,48 +115,56 @@ def _subset_ranks(a: BitMatrix) -> np.ndarray:
 def _split_dp(cols: list[int], rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
     """val[mask] = M(A_mask) and, for masks of two or more columns, arg[mask] = I.
 
-    For a mask with lowest bit `low` and rest = mask ^ low, the I sides are
-    low | s for the proper submasks s of rest, made in ascending order by
-    depositing t = 0, 1, ... into the set bits of rest.  np.argmin returns
-    the first minimum, so ties go to the smallest I.
+    For a mask of p columns with lowest bit `low` and rest = mask ^ low,
+    d[t] deposits the bits of t into the set bits of rest, t = 0 ...
+    2^(p-1) - 1.  The I sides low + d[t], t < 2^(p-1) - 1, are the proper
+    splits in ascending order, and the J side of d[t] is d[2^(p-1)-1-t].
+    np.argmin returns the first minimum, so ties go to the smallest I.
 
-    No score overflows int64: splitting off the low column shows by
-    induction that val[m] <= |m| 2^(|m| - rank m), so every candidate is at
-    most |I| 2^|I| + |J| 2^|J| < n 2^n < 2^23 for n <= MAX_N.  The int8
-    ranks (sums up to 2n) keep the lookup traffic small.
+    Layout: one int32 array key[x] = rank[x] << _VAL_BITS | val[x], so one
+    lookup per side gives key[I] + key[J], whose low _VAL_BITS bits are
+    the value sum and whose high bits are the rank sum.  Splitting off
+    the low column shows by induction that val[m] <= |m| 2^(|m| - rank m),
+    so a value sum and a score are both at most |I| 2^|I| + |J| 2^|J| <
+    n 2^n <= MAX_N 2^MAX_N < 2^_VAL_BITS; with rank sums at most 2 MAX_N,
+    a key sum stays below (2 MAX_N + 1) 2^_VAL_BITS < 2^31.  The field
+    holds n <= 19 (19 2^19 < 2^24); the tests check MAX_N against it.
     """
     n = len(cols)
-    val = np.zeros(1 << n, dtype=np.int64)
-    arg = np.zeros(1 << n, dtype=np.int64)
+    key = rank.astype(np.int32) << _VAL_BITS
+    arg = np.zeros(1 << n, dtype=np.int32)
     for j, c in enumerate(cols):
-        val[1 << j] = _leaf_base(convention, c == 0)
-    pop = np.bitwise_count(np.arange(1 << n))
-    layers = np.split(np.argsort(pop, kind="stable"), np.cumsum(np.bincount(pop))[:-1])
+        key[1 << j] |= _leaf_base(convention, c == 0)
+    pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
+    layers = np.split(np.argsort(pop, kind="stable").astype(np.int32),
+                      np.cumsum(np.bincount(pop))[:-1])
     for p in range(2, n + 1):
         masks = layers[p]
-        bits = np.empty((len(masks), p), dtype=np.int64)  # set bits, low bit first
+        bits = np.empty((len(masks), p), dtype=np.int32)  # set bits, low bit first
         rest = masks.copy()
         for q in range(p):
             bits[:, q] = rest & -rest
             rest ^= bits[:, q]
-        splits = (1 << (p - 1)) - 1
-        step = max(1, _CHUNK // splits)
+        step = max(1, _CHUNK >> (p - 1))
         for a in range(0, len(masks), step):
             m, b = masks[a:a + step], bits[a:a + step]
-            i = np.empty((len(m), splits + 1), dtype=np.int64)
-            i[:, 0] = b[:, 0]
+            d = np.zeros((len(m), 1 << (p - 1)), dtype=np.int32)
             for q in range(1, p):
                 h = 1 << (q - 1)
-                np.add(i[:, :h], b[:, q:q + 1], out=i[:, h:2 * h])
-            i = i[:, :splits]
-            j = m[:, None] - i
-            score = ((np.take(val, i) + np.take(val, j))
-                     << (np.take(rank, i) + np.take(rank, j) - rank[m, None]))
-            best = np.argmin(score, axis=1)
+                np.add(d[:, :h], b[:, q:q + 1], out=d[:, h:2 * h])
+            i = d[:, :-1] + b[:, :1]
+            s = np.take(key, i)
+            s += np.take(key, d[:, :0:-1])
+            shift = s >> _VAL_BITS
+            shift -= rank[m, None]
+            s &= _VAL_MASK
+            s <<= shift
+            best = np.argmin(s, axis=1)
             rows = np.arange(len(m))
-            val[m] = score[rows, best]
+            val = s[rows, best]
             arg[m] = i[rows, best]
-    return val, arg
+            key[m] |= val
+    return key & _VAL_MASK, arg
 
 
 def _check_width(n: int) -> None:
@@ -146,15 +181,10 @@ def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
     subgroup state), is manifestly orthogonal, and has exactly M(A)
     leaves under the chosen convention.
     """
-    n = a.n
-    _check_width(n)
-    cols = a.columns()
-    val, arg = _split_dp(cols, _subset_ranks(a), convention)
-    vals, args = val.tolist(), arg.tolist()
-    result_table = ({m: (vals[m], args[m] if m & (m - 1) else None) for m in range(1, 1 << n)}
-                    if table else None)
-    wit = _build_witness(a, b, vals, args, convention) if witness else None
-    return MotsResult(vals[-1], convention, wit, result_table)
+    _check_width(a.n)
+    val, arg = _split_dp(a.columns(), _subset_ranks(a), convention)
+    wit = _build_witness(a, b, arg.tolist(), convention) if witness else None
+    return MotsResult(int(val[-1]), convention, wit, DpTable(val, arg) if table else None)
 
 
 def _column_qubit_bit(n: int, j: int) -> int:
@@ -162,8 +192,7 @@ def _column_qubit_bit(n: int, j: int) -> int:
     return 1 << (n - 1 - j)
 
 
-def _build_witness(a: BitMatrix, b: int, val: list[int], arg: list[int],
-                   convention: str) -> StateTree:
+def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> StateTree:
     n = a.n
     elems = enumerate_coset(Coset(a, b))
 
@@ -373,6 +402,6 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
 
 
 __all__ = [
-    "CONVENTIONS", "MAX_N", "MotsResult", "mots_bruteforce", "mots_coset",
+    "CONVENTIONS", "MAX_N", "DpTable", "MotsResult", "mots_bruteforce", "mots_coset",
     "mots_random_experiment",
 ]

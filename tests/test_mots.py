@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from statetrees.builders import build_coset_sigma1
+from statetrees.cli import dispatch
 from statetrees.errors import OversizeError
 from statetrees.gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix
-from statetrees.mots import (MAX_N, _leaf_base, _subset_ranks, mots_bruteforce,
-                             mots_coset, mots_random_experiment)
+from statetrees.mots import (_CHUNK, _VAL_BITS, MAX_N, _leaf_base, _split_dp, _subset_ranks,
+                             mots_bruteforce, mots_coset, mots_random_experiment)
 from statetrees.rng import stream
 from statetrees.trees import classify_tree, evaluate, fidelity, tree_size, validate
 
@@ -218,10 +222,10 @@ def _matrix(bits: np.ndarray) -> BitMatrix:
     return BitMatrix(k, n, tuple(int("".join(map(str, row)), 2) for row in bits))
 
 
-def _tie_heavy_matrix(trial: int) -> tuple[str, BitMatrix]:
-    """Seeded k x n bit matrices, n <= 10, cycling through four families."""
+def _tie_heavy_matrix(trial: int, n: int | None = None) -> tuple[str, BitMatrix]:
+    """Seeded k x n bit matrices, n <= 10 unless given, cycling through four families."""
     rng = stream(4242, trial)
-    n = int(rng.integers(1, 11))
+    n = int(rng.integers(1, 11)) if n is None else n
     k = int(rng.integers(1, 7))
     kind = ("uniform", "zero columns", "repeated columns", "low rank")[trial % 4]
     if kind == "low rank":
@@ -254,11 +258,108 @@ def test_kernel_matches_split_loop():
         for conv in ("classical", "free"):
             table = mots_coset(a, conv, witness=False).table
             assert table == _loop_table(a, conv), (trial, kind, conv)
-            # the bound behind the int64 scores (see mots._split_dp)
+            # the bound behind the packed int32 keys (see mots._split_dp)
             for m, (v, _) in table.items():
                 p = m.bit_count()
                 assert v <= p << (p - rank[m])
     assert len(kinds) == 4
+
+
+def _int64_split_dp(cols: list[int], rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """The dp on unpacked int64 arrays: four lookups per split and J = mask - I."""
+    n = len(cols)
+    val = np.zeros(1 << n, dtype=np.int64)
+    arg = np.zeros(1 << n, dtype=np.int64)
+    for j, c in enumerate(cols):
+        val[1 << j] = _leaf_base(convention, c == 0)
+    pop = np.bitwise_count(np.arange(1 << n))
+    layers = np.split(np.argsort(pop, kind="stable"), np.cumsum(np.bincount(pop))[:-1])
+    for p in range(2, n + 1):
+        masks = layers[p]
+        bits = np.empty((len(masks), p), dtype=np.int64)  # set bits, low bit first
+        rest = masks.copy()
+        for q in range(p):
+            bits[:, q] = rest & -rest
+            rest ^= bits[:, q]
+        splits = (1 << (p - 1)) - 1
+        step = max(1, _CHUNK // splits)
+        for a in range(0, len(masks), step):
+            m, b = masks[a:a + step], bits[a:a + step]
+            i = np.empty((len(m), splits + 1), dtype=np.int64)
+            i[:, 0] = b[:, 0]
+            for q in range(1, p):
+                h = 1 << (q - 1)
+                np.add(i[:, :h], b[:, q:q + 1], out=i[:, h:2 * h])
+            i = i[:, :splits]
+            j = m[:, None] - i
+            score = ((np.take(val, i) + np.take(val, j))
+                     << (np.take(rank, i) + np.take(rank, j) - rank[m, None]))
+            best = np.argmin(score, axis=1)
+            rows = np.arange(len(m))
+            val[m] = score[rows, best]
+            arg[m] = i[rows, best]
+    return val, arg
+
+
+def test_packed_kernel_matches_int64_kernel_where_chunks_hold_one_mask():
+    # from n = 14 on, a chunk of the widest layers holds one or two masks
+    for trial in range(12):
+        n = 13 + trial % 4
+        kind = ("uniform", "zero columns", "repeated columns")[trial // 4]
+        rng = stream(4444, trial)
+        bits = rng.integers(0, 2, size=(int(rng.integers(1, n)), n))
+        if kind == "zero columns":
+            bits[:, rng.random(n) < 0.3] = 0
+        elif kind == "repeated columns":
+            bits = bits[:, rng.integers(0, n // 2, size=n)]
+        a = _matrix(bits)
+        cols, rank = a.columns(), _subset_ranks(a)
+        for conv in ("classical", "free"):
+            val, arg = _split_dp(cols, rank, conv)
+            want_val, want_arg = _int64_split_dp(cols, rank, conv)
+            assert np.array_equal(val, want_val) and np.array_equal(arg, want_arg), (trial, kind, conv)
+
+
+def test_packed_key_layout_holds_max_n():
+    # a value sum is below MAX_N 2^MAX_N (see mots._split_dp): it must fit its field
+    assert MAX_N << MAX_N < 1 << _VAL_BITS
+    # a key sum: a rank sum of at most 2 MAX_N above a value sum
+    assert (2 * MAX_N + 1) << _VAL_BITS <= np.iinfo(np.int32).max + 1
+
+
+def _row_by_row_table_text(table, n: int) -> str:
+    """The --table text as the CLI once wrote it, one f-string per row."""
+    names = [format(m, f"0{n}b") for m in range(1 << n)]
+    lines = [f"{names[m]}\t{v}\t{'-' if i is None else names[i]}" for m, (v, i) in table.items()]
+    return "columns\tvalue\targmin\n" + "\n".join(lines) + "\n"
+
+
+def test_table_text_matches_row_by_row_text(tmp_path):
+    mat, tab = tmp_path / "a.mat", tmp_path / "t.tsv"
+    for n in range(1, 13):
+        cases = [_tie_heavy_matrix(4 * n + trial, n)[1] for trial in range(4)] + [BitMatrix(0, n, ())]
+        for a in cases:
+            mat.write_text(f"{a.k} {n}\n" + "".join(f"{r:0{n}b}\n" for r in a.rows))
+            for conv in ("classical", "free"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert dispatch(["mots", "--matrix", str(mat), "--table", str(tab),
+                                     "--convention", conv]) == 0
+                want = _row_by_row_table_text(mots_coset(a, conv, witness=False).table, n)
+                assert tab.read_text() == want, (n, a, conv)
+
+
+def test_table_is_a_mapping_over_the_dp_arrays():
+    a = random_bitmatrix(3, 6, 31)
+    table = mots_coset(a, witness=False).table
+    as_dict = dict(table.items())
+    assert table == as_dict and as_dict == table
+    assert list(table) == list(range(1, 64)) and len(table) == 63
+    assert all(table[m] == (int(table.val[m]), int(table.arg[m]) if m & (m - 1) else None)
+               for m in table)
+    for m in (0, 64):
+        assert m not in table
+        with pytest.raises(KeyError):
+            table[m]
 
 
 # ---------------------------------------------------------------------------
