@@ -9,11 +9,17 @@ Tree grammar (whitespace-insensitive, ';' comments run to end of line):
     COMPLEX := FLOAT | FLOAT ("+"|"-") FLOAT "i"   ; e.g. 0.5, -0.5+0.5i; finite
     INDEX  := an integer >= 1                      ; numbers use ASCII digits
 
-The reader shared with the formula DSL (formulas.parse_formula) splits
-the text with one regex into plain string tokens and walks them once with
-an explicit stack; parse takes n from the largest qubit it reads.  Token
-offsets are not kept: an error scans the text again to give the
-line:column of the token it reports.  Every failure is a ParseError.
+The reader shared with the formula DSL (formulas.parse_formula) drops
+comments, pads each parenthesis with spaces and splits the text with
+str.split into plain string tokens, then walks them once with an explicit
+stack; parse takes n from the largest qubit it reads.  str.split also
+splits on whitespace that the grammar keeps inside an atom (\v, \f,
+\x1c-\x1f, \x85, \xa0 and the Unicode spaces); no atom accepts such a
+character, so a text that has one outside a comment is refused, and only
+to refuse it at the same token is it split with the grammar's own regex,
+_TOKEN_RE.  Token offsets are not kept: an error scans the text again with
+_TOKEN_RE to give the line:column of the token it reports.  Every failure
+is a ParseError.
 
 parse interns vertices: equal subtree text gives one object, so a tree
 read from text shares its repeated subtrees (the 15,478 vertices of
@@ -23,6 +29,8 @@ leaf's three tokens, a tensor's children by id, a + vertex's coefficient
 texts and children by id.  No node is hashed, as a dataclass hash walks
 the whole subtree.  A key is looked up only once its tokens have passed
 the checks a new vertex runs, so each error keeps its text and position.
+Each distinct + coefficient text is read once per call; a bad one is
+never stored, so its first occurrence raises.
 
 Amplitude listing: one line per basis state, "BITSTRING RE IM", in
 lexicographic bitstring order; zero rows may be omitted.  The states of
@@ -46,10 +54,15 @@ from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, _vertices
 
 # re.ASCII: \d must not match other scripts' digits, which int() and float() accept
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_FLOAT_RE = re.compile(rf"^[+-]?{_UFLOAT}$", re.ASCII)
-_COMPLEX_RE = re.compile(rf"^(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?$", re.ASCII)
-_INT_RE = re.compile(r"^\d+$", re.ASCII)
+# matched with fullmatch: "$" would also match before a trailing newline
+_FLOAT_RE = re.compile(rf"[+-]?{_UFLOAT}", re.ASCII)
+_COMPLEX_RE = re.compile(rf"(?P<re>[+-]?{_UFLOAT})(?:(?P<im>[+-]{_UFLOAT})i)?", re.ASCII)
+_INT_RE = re.compile(r"\d+", re.ASCII)
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")  # a comment, a paren or an atom
+_COMMENT_RE = re.compile(r";[^\n]*")
+# whitespace that str.split splits on but an atom of _TOKEN_RE holds; \s is str.isspace
+_ODD_SPACE_RE = re.compile(r"[^\S \t\r\n]")
+_ODD_ASCII_SPACE = [c for c in map(chr, range(128)) if _ODD_SPACE_RE.match(c)]  # \v \f \x1c-\x1f
 
 
 def fmt_float(x: float) -> str:
@@ -70,7 +83,7 @@ def fmt_complex(z: complex) -> str:
 
 
 def parse_complex_text(text: str) -> complex:
-    m = _COMPLEX_RE.match(text)
+    m = _COMPLEX_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a complex literal: {text!r}")
     re_part = float(m.group("re"))
@@ -87,7 +100,15 @@ class _Reader:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != ";"]
+        body = _COMMENT_RE.sub(" ", text) if ";" in text else text
+        # isascii is O(1): only a text with non-ASCII characters needs the regex scan
+        if (any(c in body for c in _ODD_ASCII_SPACE) if body.isascii()
+                else _ODD_SPACE_RE.search(body)):
+            # an error path, not a second reader: an atom holds this whitespace and no
+            # atom accepts it, so these tokens only let the walk refuse the same one
+            self.tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != ";"]
+        else:
+            self.tokens = body.replace("(", " ( ").replace(")", " ) ").split()
         self.end = len(self.tokens)  # the index of the sentinel
         self.tokens.append("")
 
@@ -110,7 +131,7 @@ class _Reader:
     def index(self, what: str, i: int) -> int:
         """Token i as a qubit or variable index: an integer, at least 1."""
         t = self.tokens[i]
-        if not _INT_RE.match(t):
+        if not _INT_RE.fullmatch(t):
             raise self.error(f"{what} must be an integer, got {t!r}", i)
         if int(t) < 1:
             raise self.error(f"{what} must be at least 1, got {t!r}", i)
@@ -131,6 +152,7 @@ def parse(text: str, n: int | None = None) -> StateTree:
     # a vertex's key -> the one object read for it; keys of the three kinds never
     # collide: a leaf's holds strings, a tensor's ints, a + vertex's both in turn
     made: dict[tuple, Node] = {}
+    coeffs: dict[str, complex] = {}  # a + coefficient's text -> its value
     stack: list[tuple[int, list, list]] = []  # an open vertex's head token, children, key so far
     top = i = 0  # the largest qubit read; the next token
     while True:
@@ -177,7 +199,10 @@ def parse(text: str, n: int | None = None) -> StateTree:
                 if plus:
                     if toks[i] != "(":
                         raise r.unexpected("(", i)
-                    children.append(r.complex(i + 1))
+                    c = coeffs.get(toks[i + 1])
+                    if c is None:
+                        c = coeffs[toks[i + 1]] = r.complex(i + 1)
+                    children.append(c)
                     key.append(toks[i + 1])
                     i += 2
                 break
@@ -321,7 +346,7 @@ def parse_amplitudes(text: str) -> np.ndarray:
             n = len(bits)
         elif len(bits) != n:
             raise ParseError(f"inconsistent bitstring length {bits!r}", ln_no, 1)
-        if not (_FLOAT_RE.match(re_s) and _FLOAT_RE.match(im_s)):
+        if not (_FLOAT_RE.fullmatch(re_s) and _FLOAT_RE.fullmatch(im_s)):
             raise ParseError(f"bad amplitude numbers in {raw!r}", ln_no, 1)
         re_part, im_part = float(re_s), float(im_s)
         if not (math.isfinite(re_part) and math.isfinite(im_part)):  # 1e999, as parse_complex_text

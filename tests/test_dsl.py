@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_tree
 from statetrees.builders import build_cluster1d
-from statetrees.dsl import (fmt_complex, fmt_float, format_amplitudes, parse,
+from statetrees.dsl import (_TOKEN_RE, _Reader, fmt_complex, fmt_float, format_amplitudes, parse,
                             parse_amplitudes, parse_complex_text, serialize)
 from statetrees.errors import ParseError
 from statetrees.formulas import parse_formula, serialize_formula, tree_to_formula
@@ -125,6 +125,27 @@ def test_parse_errors_carry_position():
     (parse, "(* (leaf 1 1 0) (leaf 1 1", "1:25: unexpected end of input"),
     (parse, "(* (leaf 1 1 0)\n   (leaf 1 1 0 ; )\n", "2:14: unexpected end of input"),
     (parse, "(+ (1 (leaf 1 1 0)) (1 (leaf 1 1 0) x))", "1:37: expected ')', got 'x'"),
+    # whitespace other than space, tab, CR and LF is part of an atom, and no atom accepts it
+    (parse, "(leaf\x0b1 1 0)", "1:2: unknown node head 'leaf\\x0b1'"),
+    (parse_formula, "(var\x0b1)", "1:2: unknown formula head 'var\\x0b1'"),
+    (parse, "(leaf 1 1 0)\xa0", "1:13: trailing input '\\xa0'"),
+    (parse_formula, "(var 1)\xa0", "1:8: trailing input '\\xa0'"),
+    (parse, "(* (leaf 1 1 0)\u2003(leaf 2 1 0))", "1:16: expected '(', got '\\u2003'"),
+    (parse_formula, "(var\u20031)", "1:2: unknown formula head 'var\\u20031'"),
+    (parse, "\x1c(leaf 1 1 0)", "1:1: expected '(', got '\\x1c'"),
+    (parse_formula, "\x1c(var 1)", "1:1: expected '(', got '\\x1c'"),
+    (parse, "(leaf 1 1 0\x0c)", "1:11: expected a complex number, got '0\\x0c'"),
+    (parse_formula, "(+ (var 1)\x85(var 2))", "1:11: expected '(', got '\\x85'"),
+    (parse, "(leaf 1 1 0) ; \xa0 in a comment\n\x1f", "2:1: trailing input '\\x1f'"),
+    # a comment with no newline after it, and a comment right after an atom
+    (parse, "(* (leaf 1 1 0) ; no newline", "1:2: unterminated (* ...)"),
+    (parse_formula, "(+ (var 1) (var 2) ; no newline", "1:18: unexpected end of input"),
+    (parse, "(leaf 1 1 x;)\n)", "1:11: expected a complex number, got 'x'"),
+    (parse_formula, "(var x;)\n)", "1:6: var index must be an integer, got 'x'"),
+    # a + coefficient text is read once per parse; a bad one raises where it first stands
+    (parse, "(+ (1 (leaf 1 1 0)) (1 (leaf 1 0 1)) (x (leaf 1 1 1)))",
+     "1:39: expected a complex number, got 'x'"),
+    (parse, "(+ (x (leaf 1 1 0)) (x (leaf 1 0 1)))", "1:5: expected a complex number, got 'x'"),
 ])
 def test_parse_error_line_and_column(reader, text, message):
     with pytest.raises(ParseError) as err:
@@ -133,7 +154,7 @@ def test_parse_error_line_and_column(reader, text, message):
 
 
 _NOISE = ("(", ")", " ", "\n", "\r\n", "\t", ";", "; ) (", "leaf", "+", "*", "var", "const",
-          "0", "1", "7", "-0.5+0.5i", "1e3", "x", "\u0661")
+          "0", "1", "7", "-0.5+0.5i", "1e3", "x", "\u0661", "\x0b", "\xa0", "\x1c", "\u2003")
 
 
 def _corrupt(rnd: random.Random, text: str) -> str:
@@ -162,6 +183,8 @@ def test_corrupted_texts_parse_or_raise_parse_error():
     outcomes = Counter()
     for _ in range(3000):
         text = _corrupt(rnd, rnd.choice(texts))
+        # the str.split tokens are the grammar's own: _TOKEN_RE's, comments dropped
+        assert _Reader(text).tokens == [t for t in _TOKEN_RE.findall(text) if t[0] != ";"] + [""]
         for reader, write in ((parse, serialize), (parse_formula, serialize_formula)):
             try:
                 got = reader(text)
@@ -174,6 +197,37 @@ def test_corrupted_texts_parse_or_raise_parse_error():
                 assert got.n == qubit_mask(got.root).bit_length()
                 assert parse(text, 40) == StateTree(40, got.root)
     assert len(outcomes) == 4 and min(outcomes.values()) >= 50, outcomes
+
+
+class _NoRegexTokens:
+    """Stands in for _TOKEN_RE where only error positions may use it."""
+
+    def findall(self, text):
+        raise AssertionError(f"the regex tokenizer read {text[:40]!r}")
+
+
+def test_written_text_is_split_without_the_regex(monkeypatch):
+    texts = [serialize(random_tree(55, 1 + t % 6, t)) for t in range(30)]
+    texts.append(serialize(build_cluster1d(6)))
+    formulas = [serialize_formula(tree_to_formula(parse(text))) for text in texts[:10]]
+    monkeypatch.setattr("statetrees.dsl._TOKEN_RE", _NoRegexTokens())
+    for text in texts:
+        assert serialize(parse(text)) == text
+    for text in formulas:
+        assert serialize_formula(parse_formula(text)) == text
+    with pytest.raises(AssertionError, match="regex tokenizer"):
+        parse("(leaf 1 1 0)\xa0")
+
+
+def test_numbers_refuse_a_trailing_newline():
+    # "$" matches before a final newline; the readers match the whole text
+    for text in ("1\n", "0.5\n", "-0.5+0.5i\n", "1e3\n"):
+        with pytest.raises(ValueError, match="^not a complex literal"):
+            parse_complex_text(text)
+    reader = _Reader("(var 1)")
+    reader.tokens[2] = "1\n"
+    with pytest.raises(ParseError, match="var index must be an integer"):
+        reader.index("var index", 2)
 
 
 def test_roundtrip_random_trees_bit_identical():

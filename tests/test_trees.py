@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_tree, random_unitary
-from statetrees.builders import (build_cat, build_cluster1d, build_divisibility_tree,
+from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier_otree,
+                                 build_coset_sigma1, build_divisibility_tree,
                                  build_hamming, build_knill_tree, build_parity,
                                  build_parity_fourier)
 from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
+from statetrees.gf2 import BitMatrix, Coset
 from statetrees.rng import stream
-from statetrees.trees import (Leaf, Plus, StateTree, Tensor, amplitude_index,
+from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, amplitude_index,
                               apply_local_unitary, classify_tree, depth,
                               eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
@@ -85,6 +87,71 @@ def test_classify_examples():
     t = StateTree(1, Plus(((R2, Leaf(1, 1, 0)), (R2, Leaf(1, 1, 0)))))
     # two identical children: inner product 1
     assert classify_tree(t) == "general"
+
+
+def ref_classify(tree: StateTree, tol: float) -> str:
+    """classify_tree read off each + vertex's children's amplitudes, found
+    by recursion: as (basis indices over the subtree's qubits, ascending;
+    amplitudes), with no shared code but the node classes."""
+    seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    manifest = orthogonal = True
+
+    def amps(node):
+        nonlocal manifest, orthogonal
+        if id(node) in seen:
+            return seen[id(node)]
+        if isinstance(node, Leaf):
+            out = np.array([0, 1 << (node.qubit - 1)]), np.array([node.alpha, node.beta], dtype=complex)
+        elif isinstance(node, Tensor):
+            keys, vals = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+            for kid in node.children:
+                k, v = amps(kid)
+                keys, vals = (keys[:, None] | k).ravel(), np.multiply.outer(vals, v).ravel()
+            order = np.argsort(keys)
+            out = keys[order], vals[order]
+        else:
+            kids = [amps(kid)[1] for _, kid in node.children]
+            if len(kids) > 1:
+                if np.any(sum(np.abs(v) > tol for v in kids) > 1):  # a basis index held twice
+                    manifest = False
+                if any(abs(np.vdot(kids[i], kids[j])) > tol
+                       for i in range(len(kids)) for j in range(i)):
+                    orthogonal = False
+            out = amps(node.children[0][1])[0], sum(c * v for (c, _), v in zip(node.children, kids))
+        seen[id(node)] = out
+        return out
+
+    amps(tree.root)
+    return "general" if not orthogonal else "orthogonal" if not manifest else "manifestly-orthogonal"
+
+
+def _classify_corpus() -> list[StateTree]:
+    """Every builder family at n <= 10 and seeded random trees."""
+    rng = stream(5)
+    out = [build_knill_tree()]
+    for n in range(1, 11):
+        out += [build_cat(n), build_parity(n, 0), build_parity(n, 1), build_parity_fourier(n, 0),
+                build_parity_fourier(n, 1)]
+        out += [build_hamming(n, k) for k in sorted({0, n // 2, n})]
+        if n > 1:
+            out.append(build_cluster1d(n))
+        if n > 2:
+            out.append(build_divisibility_tree(n, 3))
+        for k in sorted({1, n // 2, n - 1} - {0}):
+            coset = Coset(BitMatrix(k, n, tuple(int(x) for x in rng.integers(0, 1 << n, size=k))), 0)
+            out += [build_coset_sigma1(coset), build_coset_fourier_otree(coset)]
+    return out + [random_tree(41, 1 + t % 8, t) for t in range(40)]
+
+
+def test_classify_matches_the_recursive_reference():
+    trees = _classify_corpus()
+    labels = {}
+    for tol in (TOLERANCE, 0.1):
+        labels[tol] = [classify_tree(t, tol=tol) for t in trees]
+        assert labels[tol] == [ref_classify(t, tol) for t in trees], tol
+        assert len(set(labels[tol])) == 3
+    # the looser tolerance changes some labels, and the reference agrees on them too
+    assert sum(a != b for a, b in zip(labels[TOLERANCE], labels[0.1])) >= 10
 
 
 def test_fidelity_and_l2():
