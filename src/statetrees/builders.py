@@ -22,6 +22,12 @@ from .trees import Leaf, Node, Plus, StateTree, Tensor, basis_product, local_bas
 _R2 = 1.0 / math.sqrt(2.0)
 
 
+def _refuse_oversize(name: str, leaves: int) -> None:
+    """Refuse a build of more than COSET_CAP leaves before any vertex is made."""
+    if leaves > COSET_CAP:
+        raise OversizeError(f"{name} would have more than {COSET_CAP} leaves")
+
+
 def _halving(name: str, n: int, sectors, splits, coeff, bit, extra: int = 0) -> list[Node]:
     """The tree of each sector over qubits 1..n, by halving the qubits.
 
@@ -29,9 +35,9 @@ def _halving(name: str, n: int, sectors, splits, coeff, bit, extra: int = 0) -> 
     splits(m, sector), of coeff(m, sector, left, right) times the left
     sector over the first m // 2 qubits tensor the right sector over the
     rest; over one qubit it is the basis leaf |bit(sector)>.  A build
-    whose leaves, plus `extra`, pass COSET_CAP is refused before any
-    vertex is made.  Each (first qubit, m, sector) is built once, so the
-    trees share their repeated subtrees as dsl.parse shares equal text.
+    whose leaves, plus `extra`, pass COSET_CAP is refused.  Each (first
+    qubit, m, sector) is built once, so the trees share their repeated
+    subtrees as dsl.parse shares equal text.
     """
     counted: dict = {}
 
@@ -50,8 +56,7 @@ def _halving(name: str, n: int, sectors, splits, coeff, bit, extra: int = 0) -> 
         return counted[m, sector]
 
     # every sector has at least n leaves, so n alone decides past the cap
-    if n > COSET_CAP or extra + sum(leaves(n, sector) for sector in sectors) > COSET_CAP:
-        raise OversizeError(f"{name} would have more than {COSET_CAP} leaves")
+    _refuse_oversize(name, n if n > COSET_CAP else extra + sum(leaves(n, sector) for sector in sectors))
     built: dict = {}
 
     def node(first: int, m: int, sector) -> Node:
@@ -78,6 +83,7 @@ def build_cat(n: int) -> StateTree:
     """(|0...0> + |1...1>)/sqrt(2); 2n leaves for n >= 2."""
     if n < 1:
         raise ValueError("n must be positive")
+    _refuse_oversize(f"cat({n})", 2 * n)
     if n == 1:
         return StateTree(1, Leaf(1, _R2, _R2))
     zeros = Tensor(tuple(Leaf(q, 1.0, 0.0) for q in range(1, n + 1)))
@@ -107,6 +113,7 @@ def build_parity_fourier(n: int, j: int) -> StateTree:
         raise ValueError("parity j must be 0 or 1")
     if n < 1:
         raise ValueError("n must be positive")
+    _refuse_oversize(f"parity-fourier({n})", 2 * n)
     plus_prod = Tensor(tuple(Leaf(q, _R2, _R2) for q in range(1, n + 1)))
     minus_prod = Tensor(tuple(Leaf(q, _R2, -_R2) for q in range(1, n + 1)))
     sign = -1.0 if j else 1.0
@@ -266,6 +273,7 @@ def build_divisibility_tree(n: int, p: int) -> StateTree:
     """
     if p < 2:
         raise ValueError("p must be at least 2")
+    _refuse_oversize(f"divisibility({n}, {p})", n * p)  # before 1 << n is formed
     if 2 * p > (1 << n):
         raise ValueError("need 2p <= 2^n so the state is nondegenerate")
     m = (((1 << n) - 1) // p) + 1

@@ -159,11 +159,6 @@ def _relaxed(gates: list[Gate], inverse: bool) -> list[Gate]:
     return out[::-1] if inverse else out
 
 
-def invert(c: Circuit) -> Circuit:
-    """Reverse the gates and conjugate-transpose each one."""
-    return Circuit(c.n_data, c.n_ancilla, _relaxed(c.gates, inverse=True))
-
-
 def compile_tree(tree: StateTree, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Circuit preparing evaluate(tree) from |0..0>, per the sum recursion.
 
@@ -513,6 +508,6 @@ def parse_circuit(text: str) -> Circuit:
 
 __all__ = [
     "Circuit", "ControlledSub", "Gate", "OrNot", "Prep", "PrepStateError",
-    "Unitary", "compile_tree", "format_circuit", "gate_count", "invert",
+    "Unitary", "compile_tree", "format_circuit", "gate_count",
     "parse_circuit", "simulate", "verify_prepare",
 ]

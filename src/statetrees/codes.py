@@ -102,51 +102,6 @@ def gf2d_pow(f: GF2dField, a: int, e: int) -> int:
     return out
 
 
-def mult_matrix(f: GF2dField, a: int) -> BitMatrix:
-    """The d x d Boolean matrix sending q (coefficient vector) to a*q.
-
-    Row i / column t hold the coefficient of x^i in a * x^t, so the
-    matrix acts on vectors written with vec_of_element.
-    """
-    cols = [gf2d_mul(f, a, 1 << t) for t in range(f.d)]
-    rows = []
-    for i in range(f.d):
-        r = 0
-        for t in range(f.d):
-            r = (r << 1) | ((cols[t] >> i) & 1)
-        rows.append(r)
-    return BitMatrix(f.d, f.d, tuple(rows))
-
-
-def vec_of_element(q: int, d: int) -> int:
-    """Field element -> column vector in BitMatrix bit order (coord 0 first)."""
-    v = 0
-    for j in range(d):
-        v = (v << 1) | ((q >> j) & 1)
-    return v
-
-
-def element_of_vec(v: int, d: int) -> int:
-    q = 0
-    for j in range(d):
-        q |= ((v >> (d - 1 - j)) & 1) << j
-    return q
-
-
-def hadamard_encode(v: int, d: int) -> int:
-    """Length-2^d Hadamard codeword of a d-bit vector, packed MSB-first.
-
-    Bit u of the codeword (counting entry u from the most significant
-    end) is <v, u> mod 2.
-    """
-    if not 0 <= v < (1 << d):
-        raise ValueError("v must be a d-bit value")
-    out = 0
-    for u in range(1 << d):
-        out = (out << 1) | (bin(v & u).count("1") & 1)
-    return out
-
-
 @dataclass(frozen=True)
 class VandermondeParams:
     n: int
@@ -194,8 +149,7 @@ def min_nonzero_image_weight(vbin: BitMatrix) -> int:
 
 
 __all__ = [
-    "GF2dField", "VandermondeParams", "build_binary_vandermonde",
-    "element_of_vec", "field", "gf2d_mul", "gf2d_pow", "hadamard_encode",
-    "is_irreducible", "min_nonzero_image_weight", "mult_matrix",
-    "smallest_irreducible", "vec_of_element",
+    "GF2dField", "VandermondeParams", "build_binary_vandermonde", "field",
+    "gf2d_mul", "gf2d_pow", "is_irreducible", "min_nonzero_image_weight",
+    "smallest_irreducible",
 ]

@@ -81,11 +81,6 @@ def formula_vars(f: Formula) -> frozenset[int]:
     return _fold(f, _leaf_vars, lambda _, a, b: a | b)
 
 
-def formula_eval(f: Formula, point: dict[int, complex]) -> complex:
-    leaf = lambda g: complex(point[g.index]) if isinstance(g, Var) else complex(g.value)
-    return _fold(f, leaf, _arith)
-
-
 def formula_truth_values(f: Formula, nvars: int) -> np.ndarray:
     """Values on all 2^nvars bit points, x_1 as the most significant bit."""
     points = np.arange(1 << nvars)
@@ -153,26 +148,6 @@ def polys_close(p: dict[int, complex], q: dict[int, complex], tol: float = 1e-9)
         if abs(p.get(m, 0) - q.get(m, 0)) > tol:
             return False
     return True
-
-
-def is_multilinear(f: Formula, max_vars: int = 24) -> bool:
-    try:
-        expand_polynomial(f, max_vars=max_vars)
-        return True
-    except NonMultilinearError:
-        return False
-
-
-def is_syntactic(f: Formula) -> bool:
-    """True when every * vertex has children on disjoint variable sets."""
-
-    def node(g: Add | Mul, a: frozenset[int] | None, b: frozenset[int] | None):
-        """The variables under g, or None once a * vertex shares some."""
-        if a is None or b is None or (isinstance(g, Mul) and a & b):
-            return None
-        return a | b
-
-    return _fold(f, _leaf_vars, node) is not None
 
 
 def _substitute_zero(f: Formula, var: int) -> Formula:
@@ -462,28 +437,6 @@ def build_threshold_formula(k: int, h: int) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# amplitude vectors as functions
-
-
-def state_to_function(v: np.ndarray) -> np.ndarray:
-    """The function table x -> amplitude is the vector itself; copy it."""
-    if len(v) == 0 or len(v) & (len(v) - 1):
-        raise ValueError("amplitude vector length must be a power of 2")
-    return np.array(v, dtype=complex)
-
-
-def function_to_state(table: np.ndarray) -> np.ndarray:
-    """Normalize a function table into an amplitude vector."""
-    if len(table) == 0 or len(table) & (len(table) - 1):
-        raise ValueError("table length must be a power of 2")
-    t = np.asarray(table, dtype=complex)
-    nrm = float(np.linalg.norm(t))
-    if nrm == 0:
-        raise ValueError("the all-zero table has no state")
-    return t / nrm
-
-
-# ---------------------------------------------------------------------------
 # formula DSL
 
 
@@ -541,8 +494,7 @@ def parse_formula(text: str) -> Formula:
 __all__ = [
     "Add", "Const", "Formula", "Mul", "Var",
     "balance", "build_threshold_formula", "expand_polynomial",
-    "formula_depth", "formula_eval", "formula_size", "formula_truth_values",
-    "formula_to_tree", "formula_vars", "function_to_state", "is_multilinear",
-    "is_syntactic", "make_syntactic", "parse_formula", "polys_close",
-    "serialize_formula", "state_to_function", "tree_to_formula",
+    "formula_depth", "formula_size", "formula_truth_values", "formula_to_tree",
+    "formula_vars", "make_syntactic", "parse_formula", "polys_close",
+    "serialize_formula", "tree_to_formula",
 ]

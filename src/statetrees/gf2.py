@@ -9,6 +9,7 @@ packed words, so elimination works one row-XOR at a time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EmptyCosetError, OversizeError, ParseError
@@ -61,41 +62,12 @@ class BitMatrix:
     def row_submatrix(self, row_ids: list[int]) -> "BitMatrix":
         return BitMatrix(len(row_ids), self.n, tuple(self.rows[i] for i in row_ids))
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.n, self.k, tuple(self.columns()))
-
     def mul_vec(self, x: int) -> int:
         """A @ x over GF(2); x is an n-bit int, result a k-bit int."""
         out = 0
         for r in self.rows:
             out = (out << 1) | (bin(r & x).count("1") & 1)
         return out
-
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.n != other.k:
-            raise ValueError("inner dimensions differ")
-        rows = []
-        for r in self.rows:
-            acc = 0
-            for j in range(self.n):
-                if (r >> (self.n - 1 - j)) & 1:
-                    acc ^= other.rows[j]
-            rows.append(acc)
-        return BitMatrix(self.k, other.n, tuple(rows))
-
-
-def from_bits(bits: list[list[int]]) -> BitMatrix:
-    k = len(bits)
-    n = len(bits[0]) if k else 1
-    rows = []
-    for row in bits:
-        if len(row) != n:
-            raise ValueError("ragged rows")
-        v = 0
-        for b in row:
-            v = (v << 1) | (b & 1)
-        rows.append(v)
-    return BitMatrix(k, n, tuple(rows))
 
 
 def _echelon(rows: list[int]) -> list[int]:
@@ -131,12 +103,6 @@ def rank_gf2(a: BitMatrix) -> int:
 def row_space_basis(a: BitMatrix) -> list[int]:
     """Echelon basis of the row space, as n-bit ints."""
     return _echelon(list(a.rows))
-
-
-def is_invertible(a: BitMatrix) -> bool:
-    if a.k != a.n:
-        raise ValueError("is_invertible needs a square matrix")
-    return rank_gf2(a) == a.n
 
 
 def kernel_basis(a: BitMatrix) -> list[int]:
@@ -196,13 +162,6 @@ class Coset:
     def size(self) -> int:
         return 1 << (self.a.n - rank_gf2(self.a))
 
-    def contains(self, x: int) -> bool:
-        return self.a.mul_vec(x) == self.b
-
-
-def subgroup(a: BitMatrix) -> Coset:
-    return Coset(a, 0)
-
 
 def enumerate_coset(c: Coset) -> list[int]:
     """All solutions of Ax = b in increasing (lexicographic) order."""
@@ -260,29 +219,34 @@ def format_matrix(a: BitMatrix, b: int | None = None) -> str:
     lines = [f"{a.k} {a.n}"]
     lines += [format(r, f"0{a.n}b") for r in a.rows]
     if b is not None:
-        lines.append("b " + format(b, f"0{max(a.k, 1)}b"))
+        lines.append(f"b {b:0{a.k}b}" if a.k else "b")  # k bits, none at k = 0
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> tuple[BitMatrix, int | None]:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith(";")]
+    raw = text.splitlines()
+    line_nos = [i + 1 for i, ln in enumerate(raw) if ln.strip() and not ln.strip().startswith(";")]
+    lines = [raw[i - 1].strip() for i in line_nos]
     if not lines:
         raise ParseError("empty matrix text")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError(f"matrix header must be 'k n', got {lines[0]!r}", 1, 1)
+        raise ParseError(f"matrix header must be 'k n', got {lines[0]!r}", line_nos[0], 1)
     try:
         k, n = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError(f"matrix header must be 'k n', got {lines[0]!r}", 1, 1) from None
+        raise ParseError(f"matrix header must be 'k n', got {lines[0]!r}", line_nos[0], 1) from None
+    cols = [m.start() + 1 for m in re.finditer(r"\S+", raw[line_nos[0] - 1])]
+    for what, count, col in zip(("row", "column"), (k, n), cols):
+        if count < 0:
+            raise ParseError(f"{what} count {count} is negative", line_nos[0], col)
     if len(lines) < 1 + k:
         raise ParseError(f"expected {k} rows, found {len(lines) - 1}")
     rows = []
     for i in range(k):
         s = lines[1 + i]
         if len(s) != n or set(s) - {"0", "1"}:
-            raise ParseError(f"row must be {n} chars of 0/1, got {s!r}", 2 + i, 1)
+            raise ParseError(f"row must be {n} chars of 0/1, got {s!r}", line_nos[1 + i], 1)
         rows.append(int(s, 2))
     b = None
     rest = lines[1 + k:]
@@ -302,16 +266,13 @@ __all__ = [
     "COSET_CAP",
     "enumerate_coset",
     "format_matrix",
-    "from_bits",
     "invertibility_product",
-    "is_invertible",
     "kernel_basis",
     "parse_matrix",
     "random_bitmatrix",
     "rank_gf2",
     "row_space_basis",
     "solve",
-    "subgroup",
     "to_numpy",
     "from_numpy",
 ]

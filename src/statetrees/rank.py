@@ -17,7 +17,8 @@ solution, and otherwise has rank 2^(r(A_y) + r(A_z) - r([A_y A_z])),
 each distinct row repeated 2^(l - r(A_y)) times and holding
 2^(l - r(A_z)) ones.
 
-`rank_exact` is kept for callers; the experiments do not use it.
+No experiment calls `rank_exact`; it stays because the benchmark
+(`perfbench/spans.py`) traces it by name.
 Integer matrices are ranked over the rationals by fraction-free
 (Bareiss) elimination.  Float matrices are reconstructed as small dyadic
 rationals when possible and eliminated modulo the Mersenne prime

@@ -647,18 +647,10 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
     return StateTree(tree.n, _fold(tree.root, leaf, _vertices(_rebuild)))
 
 
-def amplitude_index(bits: Iterable[int]) -> int:
-    """Index of |x1 x2 ... xn> under the qubit-1-is-MSB convention."""
-    v = 0
-    for b in bits:
-        v = (v << 1) | (b & 1)
-    return v
-
-
 __all__ = [
     "Leaf", "Plus", "Tensor", "Node", "StateTree", "Violation",
     "TOLERANCE", "MAX_QUBITS",
-    "amplitude_index", "apply_local_unitary", "basis_product", "classify_tree", "depth",
+    "apply_local_unitary", "basis_product", "classify_tree", "depth",
     "eps_to_delta", "evaluate", "fidelity", "l2_distance2",
     "local_basis_change", "mask_qubits", "normalize_node", "plus",
     "qubit_mask", "restrict", "tensor", "tree_size", "validate",

@@ -331,6 +331,23 @@ def test_simulate_bad_header_and_gates(text, error):
     assert (r.returncode, r.stdout, r.stderr) == (1, "", error + "\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("-1 3\n", "1:1: row count -1 is negative"),
+    ("2 -3\n", "1:3: column count -3 is negative"),
+    ("; a comment\n\n  -2 4\n", "3:3: row count -2 is negative"),
+    ("2 x\n", "1:1: matrix header must be 'k n', got '2 x'"),
+    ("2 3\n101\n; a comment\n1x1\n", "4:1: row must be 3 chars of 0/1, got '1x1'"),
+    ("2 3\n101\n", "expected 2 rows, found 1"),
+    ("1 3\n101\nb 11\n", "b line must carry 1 chars of 0/1, got '11'"),
+], ids=["negative-rows", "negative-columns", "header-after-comment", "bad-header",
+        "row-after-comment", "missing-row", "long-b"])
+def test_mots_bad_matrix_text(tmp_path, text, error):
+    mat = tmp_path / "bad.mat"
+    mat.write_text(text)
+    r = run(["mots", "--matrix", str(mat)])
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR parse: {error}\n")
+
+
 def _product_text(amps) -> str:
     return "(* " + " ".join(f"(leaf {q} {a!r} {b!r})" for q, (a, b) in enumerate(amps, 1)) + ")"
 
@@ -503,6 +520,11 @@ def test_builds_with_too_few_qubits_are_one_domain_error(args, message):
     (["hamming", "--n", "128", "--k", "64"], "hamming(128, 64)"),
     (["parity", "--n", "10000"], "parity(10000)"),
     (["cluster1d", "--n", "64"], "cluster1d(64)"),
+    (["cat", "--n", "600000"], "cat(600000)"),
+    (["parity-fourier", "--n", "600000"], "parity-fourier(600000)"),
+    (["divisibility", "--n", "40", "--p", "30000"], "divisibility(40, 30000)"),
+    # refused before the 12 MB int 1 << n is formed
+    (["divisibility", "--n", "100000000", "--p", "2"], "divisibility(100000000, 2)"),
 ])
 def test_oversize_builds_are_refused_before_they_start(args, name):
     # hamming(128, 64) alone would be 38,776,320 leaves

@@ -1,14 +1,13 @@
-"""GF(2^d) field arithmetic, Hadamard encoding, binary Vandermonde."""
+"""GF(2^d) field arithmetic and the Hadamard-encoded binary Vandermonde matrix."""
 
 from __future__ import annotations
 
 import pytest
 
 from statetrees.codes import (GF2dField, VandermondeParams,
-                              build_binary_vandermonde, element_of_vec, field,
-                              gf2d_mul, gf2d_pow, hadamard_encode,
-                              is_irreducible, min_nonzero_image_weight,
-                              mult_matrix, smallest_irreducible, vec_of_element)
+                              build_binary_vandermonde, field, gf2d_mul,
+                              gf2d_pow, is_irreducible, min_nonzero_image_weight,
+                              smallest_irreducible)
 from statetrees.gf2 import rank_gf2
 from statetrees.rng import stream
 
@@ -37,31 +36,6 @@ def test_field_multiplication_properties():
     # nonzero elements form a group: a^(2^d - 1) = 1
     for a in range(1, 16):
         assert gf2d_pow(f, a, 15) == 1
-
-
-def test_mult_matrix_is_multiplication():
-    f = field(4)
-    ident = mult_matrix(f, 1)
-    assert all(ident.entry(i, j) == (i == j) for i in range(4) for j in range(4))
-    rng = stream(9)
-    for _ in range(50):
-        a, b = (int(x) for x in rng.integers(0, 16, 2))
-        ma, mb = mult_matrix(f, a), mult_matrix(f, b)
-        assert ma.matmul(mb) == mult_matrix(f, gf2d_mul(f, a, b))
-    # exhaustive action check: m(a) q = vec(a * q)
-    for a in range(16):
-        ma = mult_matrix(f, a)
-        for q in range(16):
-            got = ma.mul_vec(vec_of_element(q, 4))
-            assert element_of_vec(got, 4) == gf2d_mul(f, a, q)
-
-
-def test_hadamard_encode_weights():
-    for d in (2, 3, 4):
-        assert hadamard_encode(0, d) == 0
-        for v in range(1, 1 << d):
-            w = bin(hadamard_encode(v, d)).count("1")
-            assert w == 1 << (d - 1)
 
 
 def test_vandermonde_params_guards():

@@ -343,3 +343,14 @@ def test_matrix_format_roundtrip():
         parse_matrix("2 2\n01\n")
     with pytest.raises(ParseError):
         parse_matrix("2 2\n01\n0x\n")
+
+
+def test_matrix_text_roundtrips_at_every_row_count():
+    # k = 0 writes an empty b line, which parse_matrix reads back as 0
+    for k in range(4):
+        a = BitMatrix(k, 3, tuple((5 * i + 3) % 8 for i in range(k)))
+        for b in [None, *range(1 << k)]:
+            text = format_matrix(a, b)
+            assert parse_matrix(text) == (a, b)
+            assert format_matrix(a, b) == text
+    assert format_matrix(BitMatrix(0, 3, ()), b=0) == "0 3\nb\n"

@@ -15,7 +15,7 @@ from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier
 from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
 from statetrees.gf2 import BitMatrix, Coset
 from statetrees.rng import stream
-from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, amplitude_index,
+from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor,
                               apply_local_unitary, classify_tree, depth,
                               eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
@@ -69,8 +69,8 @@ def test_evaluate_interleaved_tensor():
     t = StateTree(3, Tensor((inner, Leaf(2, 0, 1))))
     v = evaluate(t)
     expect = np.zeros(8, dtype=complex)
-    expect[amplitude_index([0, 1, 0])] = R2
-    expect[amplitude_index([1, 1, 1])] = R2
+    expect[0b010] = R2
+    expect[0b111] = R2
     assert np.allclose(v, expect)
 
 
@@ -228,7 +228,7 @@ def test_restrict_random_slices():
             for x in range(1 << n):
                 bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
                 if all(bits[q - 1] == b for q, b in assign.items()):
-                    ri = amplitude_index(bits[q - 1] for q in remaining)
+                    ri = sum(bits[q - 1] << (len(remaining) - 1 - i) for i, q in enumerate(remaining))
                     expect[ri] = v[x]
             if rest is None:
                 assert len(remaining) == 0
