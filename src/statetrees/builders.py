@@ -211,7 +211,8 @@ def build_hamming(n: int, k: int) -> StateTree:
 
 
 def build_coset_sigma1(c: Coset) -> StateTree:
-    """|C| classical product terms with coefficients 1/sqrt(|C|)."""
+    """|C| classical product terms with coefficients 1/sqrt(|C|); n |C| leaves."""
+    _refuse_oversize(f"coset-sigma1({c.a.k} x {c.n})", c.n * c.size())
     elems = enumerate_coset(c)
     n = c.n
     qubits = list(range(1, n + 1))
@@ -226,12 +227,12 @@ def build_coset_fourier_otree(c: Coset) -> StateTree:
 
     The coset state in the Hadamard basis is supported on the row space
     of A with signs (-1)^{u.x0}; build that sparse superposition with
-    classical leaves, then change every leaf back with a Hadamard.
+    classical leaves, then change every leaf back with a Hadamard:
+    n 2^rank(A) leaves.
     """
     r = rank_gf2(c.a)
-    if (1 << r) > COSET_CAP:
-        raise OversizeError(f"dual support 2^{r} exceeds cap {COSET_CAP}")
     n = c.n
+    _refuse_oversize(f"coset-fourier({c.a.k} x {n})", n << r)
     x0 = solve(c.a, c.b)
     assert x0 is not None
     basis = row_space_basis(c.a)
@@ -277,7 +278,10 @@ def build_divisibility_tree(n: int, p: int) -> StateTree:
     if 2 * p > (1 << n):
         raise ValueError("need 2p <= 2^n so the state is nondegenerate")
     m = (((1 << n) - 1) // p) + 1
-    coeff = (2.0 ** (n / 2.0)) / (p * math.sqrt(m))
+    try:
+        coeff = (2.0 ** (n / 2.0)) / (p * math.sqrt(m))
+    except OverflowError:
+        raise OversizeError(f"divisibility({n}, {p}) coefficient overflows a float") from None
     terms = []
     for h in range(p):
         leaves = []

@@ -159,7 +159,7 @@ def _relaxed(gates: list[Gate], inverse: bool) -> list[Gate]:
     return out[::-1] if inverse else out
 
 
-def compile_tree(tree: StateTree, max_qubits: int = MAX_QUBITS) -> Circuit:
+def compile_tree(tree: StateTree) -> Circuit:
     """Circuit preparing evaluate(tree) from |0..0>, per the sum recursion.
 
     Requires the tree to classify as orthogonal or manifestly
@@ -167,7 +167,7 @@ def compile_tree(tree: StateTree, max_qubits: int = MAX_QUBITS) -> Circuit:
     vertices (with fan-in folded to 2).  Compiled in post-order on an explicit
     stack: each vertex's (gates, ancilla levels used below, qubit mask) goes up.
     """
-    if classify_tree(tree, max_qubits=max_qubits) == "general":
+    if classify_tree(tree) == "general":
         raise NonOrthogonalError("the sum recursion needs orthogonal children")
     n = tree.n
     wires: list[int] = []  # shared ints: the ornot registers of a deep tree hold O(depth^2) wires
@@ -384,14 +384,14 @@ def _check_unitary(c: Circuit, tol: float) -> None:
         raise NonUnitaryError(min(faults)[1])
 
 
-def simulate(c: Circuit, max_width: int = MAX_QUBITS, tol: float = TOLERANCE) -> np.ndarray:
+def simulate(c: Circuit, tol: float = TOLERANCE) -> np.ndarray:
     """Dense state vector after running the circuit on |0..0>.
 
     Each gate touches only the columns of its block that hold a nonzero
     amplitude, and gives them the bits of a whole-block product (see above)."""
     total = c.width
-    if total > max_width:
-        raise OversizeError(f"{total} wires exceed the dense cap {max_width}")
+    if total > MAX_QUBITS:
+        raise OversizeError(f"{total} wires exceed the dense cap {MAX_QUBITS}")
     _check_unitary(c, tol)
     vec = np.zeros(1 << total, dtype=complex)
     vec[0] = 1.0

@@ -75,7 +75,7 @@ def _report_tsv(rep: dict) -> str:
 
 def _cmd_eval(args) -> int:
     tree = dsl.parse(_read(args.input))
-    v = trees.evaluate(tree, max_qubits=args.max_qubits)
+    v = trees.evaluate(tree)
     _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
                                               tol=args.tolerance))
     return 0
@@ -83,7 +83,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_validate(args) -> int:
     tree = dsl.parse(_read(args.input))
-    problems = trees.validate(tree, max_qubits=args.max_qubits, tol=args.tolerance)
+    problems = trees.validate(tree, tol=args.tolerance)
     rows = [[("/".join(str(i) for i in v.path) or "root"), v.rule, v.measured]
             for v in problems]
     _write(args.output, _tsv(["path", "rule", "measured"], rows))
@@ -92,7 +92,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     tree = dsl.parse(_read(args.input))
-    label = trees.classify_tree(tree, max_qubits=args.max_qubits, tol=args.tolerance)
+    label = trees.classify_tree(tree, tol=args.tolerance)
     _write(args.output, label + "\n")
     return 0
 
@@ -110,13 +110,7 @@ def _coset(path: str | None, name: str) -> gf2.Coset:
 
 
 def _cmd_build(args) -> int:
-    tree = args.tree(args)
-    if args.format == "amps":
-        v = trees.evaluate(tree, max_qubits=args.max_qubits)
-        _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
-                                                  tol=args.tolerance))
-    else:
-        _write(args.output, dsl.serialize(tree))
+    _write(args.output, dsl.serialize(args.tree(args)))
     return 0
 
 
@@ -175,14 +169,14 @@ def _cmd_mots(args) -> int:
 
 def _cmd_compile(args) -> int:
     tree = dsl.parse(_read(args.input))
-    circ = circuits.compile_tree(tree, max_qubits=args.max_qubits)
+    circ = circuits.compile_tree(tree)
     _write(args.output, circuits.format_circuit(circ))
     return 0
 
 
 def _cmd_simulate(args) -> int:
     circ = circuits.parse_circuit(_read(args.input))
-    v = circuits.simulate(circ, max_width=args.max_qubits, tol=args.tolerance)
+    v = circuits.simulate(circ, tol=args.tolerance)
     _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
                                               tol=args.tolerance))
     return 0
@@ -249,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     source = shared("input")
     zeros = shared("--skip-zeros", action="store_true")
-    width = shared("--max-qubits", type=int, default=trees.MAX_QUBITS)
     tol = shared("--tolerance", type=float, default=trees.TOLERANCE)
     out = shared("-o", "--output", default=None, help="output file ('-' = stdout)")
 
@@ -258,22 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("eval", _cmd_eval, "tree DSL -> amplitude listing", source, zeros, width, tol, out)
-    command("validate", _cmd_validate, "report invariant violations of a tree",
-            source, width, tol, out)
+    command("eval", _cmd_eval, "tree DSL -> amplitude listing", source, zeros, tol, out)
+    command("validate", _cmd_validate, "report invariant violations of a tree", source, tol, out)
     command("classify", _cmd_classify, "general / orthogonal / manifestly-orthogonal",
-            source, width, tol, out)
+            source, tol, out)
 
-    # each family declares the flags its builder reads, and all of them the output format
+    # each family declares the flags its builder reads, and -o
     families = command("build", _cmd_build, "emit a named state family").add_subparsers(
         dest="family", required=True)
-    listing = (shared("--format", choices=["tree", "amps"], default="tree"), zeros, width, tol, out)
     qubits = shared("--n", type=int, default=4)
     bit = shared("--j", type=int, default=0, help="parity bit")
     matrix = shared("--matrix", default=None, help="matrix file for coset families")
 
     def family(name: str, make, *parents) -> None:
-        families.add_parser(name, parents=parents + listing).set_defaults(tree=make)
+        families.add_parser(name, parents=parents + (out,)).set_defaults(tree=make)
 
     family("cat", lambda a: builders.build_cat(a.n), qubits)
     family("parity", lambda a: builders.build_parity(a.n, a.j), qubits, bit)
@@ -302,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default=None, help="write the DP table here (TSV)")
     p.add_argument("--convention", choices=list(mots.CONVENTIONS), default="classical")
 
-    command("compile", _cmd_compile, "orthogonal tree -> preparation circuit", source, width, out)
-    command("simulate", _cmd_simulate, "run a circuit on |0..0>", source, zeros, width, tol, out)
+    command("compile", _cmd_compile, "orthogonal tree -> preparation circuit", source, out)
+    command("simulate", _cmd_simulate, "run a circuit on |0..0>", source, zeros, tol, out)
 
     # each experiment declares the flags its report reads
     experiments = command("rank-exp", _cmd_rank_exp, "rank-statistics experiments").add_subparsers(

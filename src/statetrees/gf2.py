@@ -241,7 +241,7 @@ def parse_matrix(text: str) -> tuple[BitMatrix, int | None]:
         if count < 0:
             raise ParseError(f"{what} count {count} is negative", line_nos[0], col)
     if len(lines) < 1 + k:
-        raise ParseError(f"expected {k} rows, found {len(lines) - 1}")
+        raise ParseError(f"expected {k} rows, found {len(lines) - 1}", line_nos[0], cols[0])
     rows = []
     for i in range(k):
         s = lines[1 + i]
@@ -252,10 +252,10 @@ def parse_matrix(text: str) -> tuple[BitMatrix, int | None]:
     rest = lines[1 + k:]
     if rest:
         if not rest[0].startswith("b"):
-            raise ParseError(f"unexpected trailing line {rest[0]!r}")
+            raise ParseError(f"unexpected trailing line {rest[0]!r}", line_nos[1 + k], 1)
         s = rest[0][1:].strip()
         if len(s) != k or set(s) - {"0", "1"}:
-            raise ParseError(f"b line must carry {k} chars of 0/1, got {s!r}")
+            raise ParseError(f"b line must carry {k} chars of 0/1, got {s!r}", line_nos[1 + k], 1)
         b = int(s, 2) if k else 0
     return BitMatrix(k, n, tuple(rows)), b
 

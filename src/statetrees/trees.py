@@ -271,7 +271,7 @@ def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tupl
     return mask, vec
 
 
-def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
+def evaluate(tree: StateTree) -> np.ndarray:
     """Dense amplitude vector of length 2^n.
 
     Checks structural invariants (qubit sets, ranges) but not per-vertex
@@ -279,14 +279,14 @@ def evaluate(tree: StateTree, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     by :func:`restrict`.  A vector that overflows a float is refused with
     ValueError.
     """
-    return _checked_vector(tree, max_qubits)
+    return _checked_vector(tree)
 
 
-def _checked_vector(tree: StateTree, max_qubits: int, inspect=lambda kids: None) -> np.ndarray:
+def _checked_vector(tree: StateTree, inspect=lambda kids: None) -> np.ndarray:
     """evaluate(), with inspect() passed on to _vector (numpy's overflow
     warnings off: inf and NaN reach the vector, which is then refused)."""
-    if tree.n > max_qubits:
-        raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
+    if tree.n > MAX_QUBITS:
+        raise OversizeError(f"n={tree.n} exceeds max_qubits={MAX_QUBITS}")
     with np.errstate(over="ignore", invalid="ignore"):
         m, v = _vector(tree.root, inspect, tree.n)
     if m != (1 << tree.n) - 1:
@@ -318,7 +318,7 @@ def _norm(v: np.ndarray) -> float:
     return nrm
 
 
-def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERANCE) -> list[Violation]:
+def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
     """Check all structural and normalization invariants.
 
     Violations come back as data, in depth-first order; an empty list
@@ -326,8 +326,8 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     float is refused with ValueError: no norm can be read off them.  A
     finite norm is read even where its squares overflow.
     """
-    if tree.n > max_qubits:
-        raise OversizeError(f"n={tree.n} exceeds max_qubits={max_qubits}")
+    if tree.n > MAX_QUBITS:
+        raise OversizeError(f"n={tree.n} exceeds max_qubits={MAX_QUBITS}")
     path: list[int] = []
     found: list[tuple[tuple, Violation]] = []
 
@@ -364,7 +364,7 @@ def validate(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERAN
     return out
 
 
-def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TOLERANCE) -> str:
+def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     """'manifestly-orthogonal', 'orthogonal' or 'general' (strongest wins).
 
     A tree is manifestly orthogonal when every + vertex combines children
@@ -390,7 +390,7 @@ def classify_tree(tree: StateTree, max_qubits: int = MAX_QUBITS, tol: float = TO
             if np.max(np.abs(off)) > tol:
                 orthogonal = False
 
-    _checked_vector(tree, max_qubits, inspect)
+    _checked_vector(tree, inspect)
     if not finite:
         raise ValueError(_OVERFLOW)
     if not orthogonal:

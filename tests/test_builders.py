@@ -146,10 +146,13 @@ def test_halving_builder_sizes_follow_their_recurrences():
 
 
 def test_predicted_leaf_counts_match_the_built_trees(monkeypatch):
-    # the halving engine's one counter refuses a build exactly when it passes the cap
+    # the halving engine's one counter, and the coset builders' n |C| and
+    # n 2^rank, refuse a build exactly when it passes the cap
     cases = [(build_parity, (n, n % 2)) for n in range(1, 18)]
     cases += [(build_hamming, (n, k)) for n in range(1, 18) for k in range(n + 1)]
     cases += [(build_cluster1d, (n,)) for n in range(2, 17)]
+    cases += [(build, (Coset(random_bitmatrix(k, 6, 3, k), 0),))
+              for build in (build_coset_sigma1, build_coset_fourier_otree) for k in range(6)]
     sizes = [tree_size(build(*args)) for build, args in cases]
     for (build, args), size in zip(cases, sizes):
         monkeypatch.setattr(builders, "COSET_CAP", size)

@@ -128,7 +128,7 @@ def test_rank_exp_subcommands(tmp_path):
     r = run(["rank-exp", "subset-sum", "--n", "12", "--m", "6", "--p", "13",
              "--gamma", "0.2", "--trials", "20", "--seed", "5"])
     assert r.returncode == 0
-    amps = run(["build", "cat", "--n", "4", "--format", "amps"]).stdout
+    amps = run(["eval", "-"], stdin=run(["build", "cat", "--n", "4"]).stdout).stdout
     state = tmp_path / "cat.amps"
     state.write_text(amps)
     r = run(["rank-exp", "chi", "--state", str(state)])
@@ -221,27 +221,26 @@ def test_error_exit_codes():
 # each subcommand's shortest argv -> the values it declares, as argparse dests;
 # its handler reads every one of them.  build and rank-exp map each family or
 # experiment to the values it declares.
-LISTING = "format skip_zeros max_qubits tolerance output"
 OPTIONS = [
-    (["eval", "-"], "input skip_zeros max_qubits tolerance output"),
-    (["simulate", "-"], "input skip_zeros max_qubits tolerance output"),
-    (["validate", "-"], "input max_qubits tolerance output"),
-    (["classify", "-"], "input max_qubits tolerance output"),
+    (["eval", "-"], "input skip_zeros tolerance output"),
+    (["simulate", "-"], "input skip_zeros tolerance output"),
+    (["validate", "-"], "input tolerance output"),
+    (["classify", "-"], "input tolerance output"),
     (["build"], {
-        "cat": f"family n {LISTING}",
-        "parity": f"family n j {LISTING}",
-        "parity-fourier": f"family n j {LISTING}",
-        "cluster1d": f"family n {LISTING}",
-        "hamming": f"family n k {LISTING}",
-        "coset-sigma1": f"family matrix {LISTING}",
-        "coset-fourier": f"family matrix {LISTING}",
-        "divisibility": f"family n p {LISTING}",
-        "knill": f"family {LISTING}",
+        "cat": "family n output",
+        "parity": "family n j output",
+        "parity-fourier": "family n j output",
+        "cluster1d": "family n output",
+        "hamming": "family n k output",
+        "coset-sigma1": "family matrix output",
+        "coset-fourier": "family matrix output",
+        "divisibility": "family n p output",
+        "knill": "family output",
     }),
     (["convert", "-", "--to", "tree"], "input to n output"),
     (["balance", "-"], "input output"),
     (["mots", "--matrix", "-"], "matrix witness table convention output"),
-    (["compile", "-"], "input max_qubits output"),
+    (["compile", "-"], "input output"),
     (["rank-exp"], {
         "subgroup": "experiment n trials seed output",
         "vandermonde": "experiment n k d c trials seed output",
@@ -277,15 +276,18 @@ def test_the_option_table_covers_every_subcommand():
 
 @pytest.mark.parametrize("argv", [
     ["eval", "cluster2.tree", "--seed", "5"],
+    ["eval", "cluster2.tree", "--max-qubits", "20"],
     ["validate", "cluster2.tree", "--trials", "3"],
     ["mots", "--matrix", "parity4.mat", "--max-qubits", "20"],
     ["compile", "cluster2.tree", "--tolerance", "0.9"],
+    ["compile", "cluster2.tree", "--max-qubits", "20"],
     ["balance", "-", "--convention", "free"],
     ["rank-exp", "chi", "--state", "cat.amps", "--max-qubits", "20"],
     ["rank-exp", "subgroup", "--gamma", "0.9"],
     ["rank-exp", "subgroup", "--mode", "sampled"],
     ["rank-exp", "erasure", "--matrix", "sub.mat", "--n", "8"],
     ["build", "cat", "--n", "3", "--k", "2"],
+    ["build", "cat", "--n", "3", "--format", "amps"],
     ["build", "cat", "--matrix", "nofile"],
     ["build", "knill", "--n", "5"],
     ["build", "hamming", "--k", "2", "--j", "1"],
@@ -337,10 +339,14 @@ def test_simulate_bad_header_and_gates(text, error):
     ("; a comment\n\n  -2 4\n", "3:3: row count -2 is negative"),
     ("2 x\n", "1:1: matrix header must be 'k n', got '2 x'"),
     ("2 3\n101\n; a comment\n1x1\n", "4:1: row must be 3 chars of 0/1, got '1x1'"),
-    ("2 3\n101\n", "expected 2 rows, found 1"),
-    ("1 3\n101\nb 11\n", "b line must carry 1 chars of 0/1, got '11'"),
+    ("2 3\n101\n", "1:1: expected 2 rows, found 1"),
+    ("; a comment\n 2 3\n101\n", "2:2: expected 2 rows, found 1"),
+    ("1 3\n101\nb 11\n", "3:1: b line must carry 1 chars of 0/1, got '11'"),
+    ("; a comment\n1 3\n101\nb 11\n", "4:1: b line must carry 1 chars of 0/1, got '11'"),
+    ("; a comment\n1 3\n101\n011\n", "4:1: unexpected trailing line '011'"),
 ], ids=["negative-rows", "negative-columns", "header-after-comment", "bad-header",
-        "row-after-comment", "missing-row", "long-b"])
+        "row-after-comment", "missing-row", "missing-row-after-comment", "long-b",
+        "long-b-after-comment", "trailing-row-after-comment"])
 def test_mots_bad_matrix_text(tmp_path, text, error):
     mat = tmp_path / "bad.mat"
     mat.write_text(text)
@@ -525,12 +531,28 @@ def test_builds_with_too_few_qubits_are_one_domain_error(args, message):
     (["divisibility", "--n", "40", "--p", "30000"], "divisibility(40, 30000)"),
     # refused before the 12 MB int 1 << n is formed
     (["divisibility", "--n", "100000000", "--p", "2"], "divisibility(100000000, 2)"),
+    # 2^20 elements of 20 leaves each
+    (["coset-sigma1", "--matrix", "0 20\n"], "coset-sigma1(0 x 20)"),
+    # 2^17 Fourier terms of 17 leaves each
+    (["coset-fourier", "--matrix", "17 17\n" + "".join(f"{1 << i:017b}\n" for i in range(17))],
+     "coset-fourier(17 x 17)"),
 ])
-def test_oversize_builds_are_refused_before_they_start(args, name):
+def test_oversize_builds_are_refused_before_they_start(tmp_path, args, name):
     # hamming(128, 64) alone would be 38,776,320 leaves
+    if args[1] == "--matrix":  # the matrix text goes to a file
+        mat = tmp_path / "big.mat"
+        mat.write_text(args[2])
+        args = args[:2] + [str(mat)]
     r = run(["build"] + args)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == f"ERROR oversize: {name} would have more than 1048576 leaves\n"
+
+
+def test_divisibility_whose_coefficient_overflows_is_one_error_line():
+    # 2050 leaves, but sqrt(2^1024) is past the largest float
+    r = run(["build", "divisibility", "--n", "1025", "--p", "2"])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR oversize: divisibility(1025, 2) coefficient overflows a float\n"
 
 
 def test_cluster1d_at_a_non_power_of_two_validates():
