@@ -11,8 +11,8 @@ script exposes everything on files.
 
 from .trees import (  # noqa: F401
     Leaf, Plus, Tensor, StateTree, TOLERANCE, MAX_QUBITS,
-    apply_local_unitary, classify_tree, depth, eps_to_delta, evaluate,
-    fidelity, l2_distance2, local_basis_change, restrict, tree_size, validate,
+    classify_tree, depth, eps_to_delta, evaluate, fidelity, l2_distance2,
+    local_basis_change, restrict, tree_size, validate,
 )
 from .dsl import parse, serialize  # noqa: F401
 from .gf2 import BitMatrix, Coset, rank_gf2, kernel_basis, enumerate_coset  # noqa: F401

@@ -249,14 +249,15 @@ def parse_matrix(text: str) -> tuple[BitMatrix, int | None]:
             raise ParseError(f"row must be {n} chars of 0/1, got {s!r}", line_nos[1 + i], 1)
         rows.append(int(s, 2))
     b = None
-    rest = lines[1 + k:]
-    if rest:
-        if not rest[0].startswith("b"):
-            raise ParseError(f"unexpected trailing line {rest[0]!r}", line_nos[1 + k], 1)
-        s = rest[0][1:].strip()
+    at = 1 + k
+    if at < len(lines) and lines[at].startswith("b"):
+        s = lines[at][1:].strip()
         if len(s) != k or set(s) - {"0", "1"}:
-            raise ParseError(f"b line must carry {k} chars of 0/1, got {s!r}", line_nos[1 + k], 1)
+            raise ParseError(f"b line must carry {k} chars of 0/1, got {s!r}", line_nos[at], 1)
         b = int(s, 2) if k else 0
+        at += 1
+    if at < len(lines):
+        raise ParseError(f"unexpected trailing line {lines[at]!r}", line_nos[at], 1)
     return BitMatrix(k, n, tuple(rows)), b
 
 

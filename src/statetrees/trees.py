@@ -57,14 +57,6 @@ class StateTree:
     root: Node
 
 
-def plus(*weighted: tuple[complex, Node]) -> Plus:
-    return Plus(tuple((complex(c), ch) for c, ch in weighted))
-
-
-def tensor(*children: Node) -> Tensor:
-    return Tensor(tuple(children))
-
-
 def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequence = ()):
     """Post-order fold over the vertices under `root`, with an explicit stack.
 
@@ -556,71 +548,6 @@ def basis_product(qubits: list[int], bits: int) -> Node:
     return Tensor(tuple(leaves))
 
 
-def _column_tree(qubits: list[int], col: np.ndarray) -> Node:
-    """Tree for the k-qubit state with amplitudes `col` on `qubits`."""
-    k = len(qubits)
-    if k == 1:
-        return Leaf(qubits[0], complex(col[0]), complex(col[1]))
-    terms = [(complex(col[z]), basis_product(qubits, z))
-             for z in range(1 << k) if col[z] != 0]
-    if len(terms) == 1 and abs(abs(terms[0][0]) - 1.0) < 1e-12:
-        # a pure basis column: fold the phase into one leaf
-        phase, prod = terms[0]
-        first = prod if isinstance(prod, Leaf) else prod.children[0]
-        scaled = Leaf(first.qubit, phase * first.alpha, phase * first.beta)
-        if isinstance(prod, Leaf):
-            return scaled
-        return Tensor((scaled,) + prod.children[1:])
-    return Plus(tuple(terms))
-
-
-def apply_local_unitary(tree: StateTree, u: np.ndarray, qubits: list[int]) -> StateTree:
-    """Apply a k-qubit unitary (k <= 4) and return a tree for the result.
-
-    The output is assembled as sum_y U|y> (x) T_y from the restrictions
-    T_y of the input, so its size grows by at most k 4^k.
-    """
-    k = len(qubits)
-    if k == 0 or k > 4:
-        raise ValueError("qubit list must have 1..4 entries")
-    if len(set(qubits)) != k:
-        raise ValueError("qubit list has repeats")
-    for q in qubits:
-        if not 1 <= q <= tree.n:
-            raise ValueError(f"qubit {q} outside 1..{tree.n}")
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (1 << k, 1 << k):
-        raise NonUnitaryError(f"matrix is {u.shape}, expected {(1 << k, 1 << k)}")
-    _check_unitary(u)
-    if tree.n > MAX_QUBITS:
-        raise OversizeError(f"n={tree.n} exceeds max_qubits={MAX_QUBITS}")
-
-    terms: list[tuple[complex, Node]] = []
-    for y in range(1 << k):
-        assign = {q: (y >> (k - 1 - j)) & 1 for j, q in enumerate(qubits)}
-        s, rest = _restrict_node(tree.root, assign, tree.n)
-        col = u[:, y]
-        if rest is None:
-            if s == 0:
-                continue
-            terms.append((complex(s), _column_tree(qubits, col)))
-            continue
-        if s == 0:
-            continue
-        mu, rest_n = normalize_node(rest)
-        amp = complex(s) * complex(mu)
-        if amp == 0:
-            continue
-        terms.append((amp, Tensor((_column_tree(qubits, col), rest_n))))
-    if not terms:
-        raise InvalidTreeError("all restrictions vanished; input had zero norm")
-    if len(terms) == 1 and terms[0][0] == 1:
-        root = terms[0][1]
-    else:
-        root = Plus(tuple(terms))
-    return StateTree(tree.n, root)
-
-
 def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
     """Apply one 2x2 unitary per qubit (gates[q-1] to qubit q).
 
@@ -650,8 +577,7 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
 __all__ = [
     "Leaf", "Plus", "Tensor", "Node", "StateTree", "Violation",
     "TOLERANCE", "MAX_QUBITS",
-    "apply_local_unitary", "basis_product", "classify_tree", "depth",
-    "eps_to_delta", "evaluate", "fidelity", "l2_distance2",
-    "local_basis_change", "mask_qubits", "normalize_node", "plus",
-    "qubit_mask", "restrict", "tensor", "tree_size", "validate",
+    "basis_product", "classify_tree", "depth", "eps_to_delta", "evaluate",
+    "fidelity", "l2_distance2", "local_basis_change", "mask_qubits",
+    "normalize_node", "qubit_mask", "restrict", "tree_size", "validate",
 ]

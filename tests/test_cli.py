@@ -344,9 +344,12 @@ def test_simulate_bad_header_and_gates(text, error):
     ("1 3\n101\nb 11\n", "3:1: b line must carry 1 chars of 0/1, got '11'"),
     ("; a comment\n1 3\n101\nb 11\n", "4:1: b line must carry 1 chars of 0/1, got '11'"),
     ("; a comment\n1 3\n101\n011\n", "4:1: unexpected trailing line '011'"),
+    ("1 3\n101\nb 1\nextra\n", "4:1: unexpected trailing line 'extra'"),
+    ("1 3\n101\nb 1\n; a comment\nextra\n", "5:1: unexpected trailing line 'extra'"),
 ], ids=["negative-rows", "negative-columns", "header-after-comment", "bad-header",
         "row-after-comment", "missing-row", "missing-row-after-comment", "long-b",
-        "long-b-after-comment", "trailing-row-after-comment"])
+        "long-b-after-comment", "trailing-row-after-comment", "line-after-b",
+        "line-after-b-and-comment"])
 def test_mots_bad_matrix_text(tmp_path, text, error):
     mat = tmp_path / "bad.mat"
     mat.write_text(text)

@@ -5,8 +5,12 @@ A name a module lists in `__all__` must be read somewhere other than
 in the benchmark harness or in README's library tour.  Only Python
 code counts, read with `ast`, so a name that appears in a docstring,
 a comment or a string (an argv, a `getattr` table) is not a caller.
-Names are matched by spelling, not resolved, so a local variable or an
-attribute of the same name counts as a read.
+A bare name counts only where it resolves to module scope: a name that
+an enclosing function, lambda or comprehension binds (a parameter, an
+assignment or for target, a nested def) is not a read of the module's
+name, while a free name read inside a function is.  Scopes are resolved
+by the stdlib `symtable`, the compiler's own analysis.  Attributes still
+match by spelling, so `x.plus` counts as a read of every `plus`.
 The few test-only names that stay are listed in KEPT with the reason.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+import symtable
 from pathlib import Path
 
 import statetrees
@@ -28,9 +33,10 @@ KEPT = {
     "rank.restriction_matrix": "the tree-rank certificate and graph-state experiments will read it",
     "trees.qubit_mask": "the reference compiler in test_circuits.py and the fold table in "
                         "test_sharing.py read it; deleting it moves its 3 lines into the tests",
-    "trees.l2_distance2": "the package __init__ exports it",
-    "trees.eps_to_delta": "the package __init__ exports it",
-    "trees.apply_local_unitary": "the package __init__ exports it",
+    "trees.l2_distance2": "the approximate tree-rank certificate will measure a tree's "
+                          "distance to its target with it",
+    "trees.eps_to_delta": "the approximate tree-rank certificate will turn a fidelity "
+                          "into its distance bound with it",
     "trees.restrict": "the package __init__ exports it, and the tree-rank certificate will "
                       "restrict trees with it",
     "rank.rank_exact": "perfbench/spans.py traces it by name (TRACED), and Tracer.install "
@@ -39,8 +45,9 @@ KEPT = {
 
 
 def _read_names(code: str) -> set[str]:
-    """Names a piece of code reads.  A top-level def, class or assignment
-    does not read the name it defines, and an import reads nothing."""
+    """Names a piece of code reads from module scope, and every attribute
+    it reads.  A top-level def, class or assignment does not read the name
+    it defines, and an import reads nothing."""
     out: set[str] = set()
     for stmt in ast.parse(code).body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
@@ -52,11 +59,13 @@ def _read_names(code: str) -> set[str]:
             own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
         else:
             own = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+        out |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        tables = [symtable.symtable(ast.unparse(stmt), "<stmt>", "exec")]
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            out |= {s.get_name() for s in table.get_symbols()
+                    if s.is_referenced() and s.is_global() and s.get_name() not in own}
     return out
 
 
@@ -96,3 +105,14 @@ def test_the_readers_see_what_they_should():
     assert names == {"g", "k"}
     # a name in a string or docstring is not a read
     assert _read_names('def f():\n    """calls g"""\n    return getattr(x, "h")\n') == {"getattr", "x"}
+    # a name that an enclosing function, lambda or comprehension binds is
+    # not a read of the module's name
+    assert _read_names("def f(plus):\n    return plus\n") == set()
+    assert _read_names("def f():\n    plus = 1\n    return plus\n") == set()
+    assert _read_names("def f():\n    for plus in y:\n        z(plus)\n") == {"y", "z"}
+    assert _read_names("def f():\n    def plus():\n        pass\n    return plus()\n") == set()
+    assert _read_names("g = lambda plus: plus\n") == set()
+    assert _read_names("def f():\n    return [plus for plus in y]\n") == {"y"}
+    assert _read_names("def f(plus):\n    def g():\n        return plus\n    return g\n") == set()
+    # a free name read inside a function is a read
+    assert _read_names("def f():\n    def g():\n        return plus\n    return g\n") == {"plus"}

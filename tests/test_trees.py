@@ -15,9 +15,8 @@ from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier
 from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
 from statetrees.gf2 import BitMatrix, Coset
 from statetrees.rng import stream
-from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor,
-                              apply_local_unitary, classify_tree, depth,
-                              eps_to_delta, evaluate, fidelity, l2_distance2,
+from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, classify_tree,
+                              depth, eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
                               validate)
 from statetrees.trees import _fold, _rebuild, _vector, _vertices
@@ -239,41 +238,6 @@ def test_restrict_random_slices():
                 assert np.allclose(got, expect, atol=1e-10)
 
 
-def test_apply_local_unitary_identity_and_hadamard():
-    t = build_cat(3)
-    out = apply_local_unitary(t, np.eye(2), [2])
-    assert fidelity(evaluate(out), evaluate(t)) == pytest.approx(1.0, abs=1e-12)
-    out = apply_local_unitary(StateTree(1, Leaf(1, 1, 0)), H, [1])
-    assert np.allclose(evaluate(out), [R2, R2])
-
-
-def test_apply_local_unitary_random_vs_dense():
-    rng = stream(31)
-    for trial in range(20):
-        n = int(rng.integers(2, 6))
-        t = random_tree(310, n, trial)
-        k = int(rng.integers(1, 3))
-        qs = sorted(int(q) for q in rng.permutation(n)[:k] + 1)
-        u = random_unitary(rng, 1 << k)
-        out = apply_local_unitary(t, u, qs)
-        assert validate(out) == []
-        assert tree_size(out) <= k * 4**k * tree_size(t)
-        vt = evaluate(t).reshape([2] * n)
-        axes = [q - 1 for q in qs]
-        vt = np.moveaxis(vt, axes, range(k))
-        vt = (u @ vt.reshape(1 << k, -1)).reshape([2] * n)
-        want = np.moveaxis(vt, range(k), axes).reshape(-1)
-        assert fidelity(evaluate(out), want) > 1 - 1e-9
-
-
-def test_apply_local_unitary_rejects_bad_input():
-    t = build_cat(2)
-    with pytest.raises(NonUnitaryError):
-        apply_local_unitary(t, np.ones((2, 2)), [1])
-    with pytest.raises(ValueError):
-        apply_local_unitary(t, np.eye(4), [1, 1])
-
-
 # a 2-qubit tree with a leaf on qubit 3
 OUTSIDE_LEAF = StateTree(2, Tensor((Leaf(1, 1, 0), Leaf(3, 0, 1))))
 
@@ -289,11 +253,6 @@ def test_local_basis_change_refuses_a_leaf_outside_the_qubits():
     x = np.array([[0, 1], [1, 0]])
     with pytest.raises(InvalidTreeError, match=r"^tree uses qubits outside 1\.\.n$"):
         local_basis_change(t, [np.eye(2), x])
-
-
-def test_apply_local_unitary_refuses_a_leaf_outside_the_qubits():
-    with pytest.raises(InvalidTreeError, match=r"^tree uses qubits outside 1\.\.n$"):
-        apply_local_unitary(OUTSIDE_LEAF, H, [1])
 
 
 def test_local_basis_change_hadamard_cat_gives_even_parity():
