@@ -44,6 +44,7 @@ as formatting row by row.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from itertools import islice, product
 
@@ -320,9 +321,11 @@ def format_amplitudes(v: np.ndarray, skip_zeros: bool = False, tol: float = 0.0)
         rows = rows[np.array(keep, dtype=bool)[pair_at]]
         v = v[rows]
         low = n - n // 2
-        if len(rows) > (1 << n // 2) + (1 << low):  # more rows than the tables hold
+        # more rows than the tables hold: 3 or more, so itemgetter gives tuples
+        if len(rows) > (1 << n // 2) + (1 << low):
             hi_t, lo_t = _bit_tables(n)
-            bits = ((hi_t[x >> low], lo_t[x & ((1 << low) - 1)]) for x in rows.tolist())
+            bits = zip(operator.itemgetter(*(rows >> low).tolist())(hi_t),
+                       operator.itemgetter(*(rows & ((1 << low) - 1)).tolist())(lo_t))
         else:
             bits = ((f"{x:0{n}b}", "") for x in rows.tolist())
     return "\n".join([f"{hb}{lb} {a} {b}"

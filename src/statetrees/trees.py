@@ -356,6 +356,32 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
     return out
 
 
+# a norm^2 below this keeps every gram entry finite, with room for rounding
+_ROOM = np.finfo(float).max / 4
+
+
+def _disjoint(vs: list[np.ndarray]) -> bool:
+    """Whether no amplitude index is exactly nonzero in two of the vectors."""
+    seen = vs[0] != 0
+    for v in vs[1:]:
+        held = v != 0
+        if np.logical_and(held, seen).any():
+            return False
+        seen |= held
+    return True
+
+
+def _gram_labels(vs: list[np.ndarray], tol: float) -> tuple[bool, bool, bool]:
+    """(manifest, orthogonal, finite) of one + vertex's children, read off
+    their |v| > tol supports and their k x k gram."""
+    manifest = not np.any(sum(np.abs(v) > tol for v in vs) > 1)
+    stacked = np.stack(vs)
+    gram = stacked @ stacked.conj().T
+    finite = bool(np.isfinite(gram).all())  # NaN would pass the test below
+    off = gram - np.diag(np.diag(gram))
+    return manifest, not np.max(np.abs(off)) > tol, finite
+
+
 def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     """'manifestly-orthogonal', 'orthogonal' or 'general' (strongest wins).
 
@@ -365,22 +391,30 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     unnormalized trees can be classified too; a structural fault or an
     overflowing vector raises what evaluate() raises, and so do inner
     products that overflow: no label can be read off them.
+
+    A + vertex's labels come from its children's |v| > tol supports and
+    their gram, with two exact shortcuts that build no gram.  Where tol >= 0
+    and no amplitude index is exactly nonzero in two children, every
+    off-diagonal product has an exact zero factor, so the off-diagonal
+    gram is exactly 0 and the tol supports, subsets of the exact ones, are
+    disjoint: the vertex keeps both labels.  Once the tree is not
+    orthogonal, the other labels no longer matter.  Either way only
+    finiteness is left, and it holds when each child's norm^2 is below a
+    quarter of the largest float: then by Cauchy-Schwarz every gram entry
+    stays finite however it is rounded.  A child whose norm^2 is not (NaN,
+    inf or near the limit) sends the vertex to the gram.
     """
     manifest = orthogonal = finite = True
 
     def inspect(kids):
         nonlocal manifest, orthogonal, finite
         if len(kids) > 1:
-            stacked = np.stack([v for _, v in kids])
-            support = np.abs(stacked) > tol
-            if np.any(support.sum(axis=0) > 1):
-                manifest = False
-            gram = stacked @ stacked.conj().T
-            if not np.isfinite(gram).all():  # NaN would pass every test below
-                finite = False
-            off = gram - np.diag(np.diag(gram))
-            if np.max(np.abs(off)) > tol:
-                orthogonal = False
+            vs = [v for _, v in kids]
+            if (all(np.vdot(v, v).real < _ROOM for v in vs)
+                    and (not orthogonal or tol >= 0 and _disjoint(vs))):
+                return
+            m, o, f = _gram_labels(vs, tol)
+            manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f
 
     _checked_vector(tree, inspect)
     if not finite:
@@ -528,14 +562,6 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     return _fold(node, leaf, _vertices(tensor, plus))[:2]
 
 
-def _check_unitary(u: np.ndarray, tol: float = TOLERANCE) -> None:
-    d = u.shape[0]
-    if u.shape != (d, d):
-        raise NonUnitaryError(f"matrix is {u.shape}, expected square")
-    if not np.allclose(u @ u.conj().T, np.eye(d), rtol=0.0, atol=tol):
-        raise NonUnitaryError("matrix is not unitary within tolerance")
-
-
 def basis_product(qubits: list[int], bits: int) -> Node:
     """|bits> as a product of classical leaves on the given qubits."""
     k = len(qubits)
@@ -560,7 +586,8 @@ def local_basis_change(tree: StateTree, gates: list[np.ndarray]) -> StateTree:
         g = np.asarray(g, dtype=complex)
         if g.shape != (2, 2):
             raise NonUnitaryError("per-qubit gates must be 2x2")
-        _check_unitary(g)
+        if not np.allclose(g @ g.conj().T, np.eye(2), rtol=0.0, atol=TOLERANCE):
+            raise NonUnitaryError("matrix is not unitary within tolerance")
         mats.append(g)
 
     def leaf(lf: Leaf) -> Leaf:

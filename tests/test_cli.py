@@ -587,10 +587,12 @@ OVERFLOWING_PRODUCTS = "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 1e200 1e200)))\n"
 OVERFLOWING_AMPLITUDES = "(* (leaf 1 1e200 0) (leaf 2 1e200 0))\n"
 # finite amplitudes whose norm, about 2.1e308, overflows
 OVERFLOWING_NORM = "(leaf 1 1.5e308 1.5e308)\n"
+# disjoint supports: the vector is finite, the children's norms^2 overflow
+OVERFLOWING_DISJOINT = "(+ (0.6 (leaf 1 1e200 0)) (0.8 (leaf 1 0 1e200)))\n"
 
 
 @pytest.mark.parametrize("text, command", [
-    *((text, command) for text in (OVERFLOWING_PRODUCTS, OVERFLOWING_AMPLITUDES)
+    *((text, command) for text in (OVERFLOWING_PRODUCTS, OVERFLOWING_AMPLITUDES, OVERFLOWING_DISJOINT)
       for command in ("classify", "compile")),
     (OVERFLOWING_AMPLITUDES, "validate"),
     (OVERFLOWING_NORM, "validate"),
@@ -600,6 +602,12 @@ def test_an_overflowing_tree_is_one_domain_error_line(command, text):
     r = run([command, "-"], stdin=text)
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR domain: amplitudes or their inner products overflow a float\n"
+
+
+def test_classify_reads_norms_whose_squares_are_near_the_float_limit():
+    # each norm^2, about 1.7e308, is finite, but above a quarter of the largest float
+    r = run(["classify", "-"], stdin="(+ (0.6 (leaf 1 1.3e154 0)) (0.8 (leaf 1 0 1.3e154)))\n")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "manifestly-orthogonal\n", "")
 
 
 @pytest.mark.parametrize("text, listing", [

@@ -12,9 +12,11 @@ from statetrees.builders import (build_cat, build_cluster1d, build_coset_fourier
                                  build_coset_sigma1, build_divisibility_tree,
                                  build_hamming, build_knill_tree, build_parity,
                                  build_parity_fourier)
+from statetrees.dsl import parse, serialize
 from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
 from statetrees.gf2 import BitMatrix, Coset
 from statetrees.rng import stream
+from statetrees import trees as trees_module
 from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, classify_tree,
                               depth, eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
@@ -142,15 +144,47 @@ def _classify_corpus() -> list[StateTree]:
     return out + [random_tree(41, 1 + t % 8, t) for t in range(40)]
 
 
+def _wide_disjoint_trees() -> list[StateTree]:
+    """Coset-sigma1 trees, whose root's many children have exactly disjoint
+    supports, and the parsed cluster1d(12), whose wide + vertices have too,
+    except the root's."""
+    rng = stream(6)
+    cosets = [Coset(BitMatrix(k, 12, tuple(int(x) for x in rng.integers(0, 1 << 12, size=k))), 0)
+              for k in (4, 6, 8)]
+    return [build_coset_sigma1(c) for c in cosets] + [parse(serialize(build_cluster1d(12)))]
+
+
 def test_classify_matches_the_recursive_reference():
-    trees = _classify_corpus()
+    trees = _classify_corpus() + _wide_disjoint_trees()
     labels = {}
+    for tol in (TOLERANCE, 0.1, 0.0, -1e-9, math.nan):
+        labels[tol] = got = [classify_tree(t, tol=tol) for t in trees]
+        want = [ref_classify(t, tol) for t in trees]
+        if tol == 0.0:
+            # at tol 0 an inner product that is exactly 0 is read off rounding: the
+            # gram's zgemm can leave 1e-17 where the reference's vdot leaves 0
+            want = ["general" if (w, g) == ("orthogonal", "general") else w for w, g in zip(want, got)]
+        assert got == want, tol
+    assert labels[TOLERANCE][-4:] == ["manifestly-orthogonal"] * 3 + ["general"]
     for tol in (TOLERANCE, 0.1):
-        labels[tol] = [classify_tree(t, tol=tol) for t in trees]
-        assert labels[tol] == [ref_classify(t, tol) for t in trees], tol
-        assert len(set(labels[tol])) == 3
+        assert len(set(labels[tol])) == 3, tol
     # the looser tolerance changes some labels, and the reference agrees on them too
     assert sum(a != b for a, b in zip(labels[TOLERANCE], labels[0.1])) >= 10
+    # below 0 every + vertex of two or more children overlaps and is not orthogonal;
+    # NaN passes no test
+    assert set(labels[-1e-9]) == {"manifestly-orthogonal", "general"}
+    assert set(labels[math.nan]) == {"manifestly-orthogonal"}
+
+
+def test_classify_reads_disjoint_supports_without_the_gram(monkeypatch):
+    def refuse(vs, tol):
+        raise AssertionError(f"gram of {len(vs)} x {len(vs[0])} built")
+
+    monkeypatch.setattr(trees_module, "_gram_labels", refuse)
+    rng = stream(8)
+    coset = Coset(BitMatrix(8, 16, tuple(int(x) for x in rng.integers(0, 1 << 16, size=8))), 0)
+    for tree in (build_coset_sigma1(coset), build_parity(14, 0)):
+        assert classify_tree(tree) == "manifestly-orthogonal"
 
 
 def test_fidelity_and_l2():
@@ -278,8 +312,10 @@ def test_local_basis_change_random_vs_dense():
     for g in gates[1:]:
         op = np.kron(op, g)
     assert fidelity(evaluate(out), op @ evaluate(t)) > 1 - 1e-9
-    with pytest.raises(NonUnitaryError):
+    with pytest.raises(NonUnitaryError, match="^matrix is not unitary within tolerance$"):
         local_basis_change(t, [np.eye(2)] * 5 + [np.ones((2, 2))])
+    with pytest.raises(NonUnitaryError, match="^per-qubit gates must be 2x2$"):
+        local_basis_change(t, [np.eye(2)] * 5 + [np.eye(3)])
 
 
 def test_norm_and_size_invariants_on_random_trees():
