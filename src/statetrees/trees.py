@@ -393,16 +393,15 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     products that overflow: no label can be read off them.
 
     A + vertex's labels come from its children's |v| > tol supports and
-    their gram, with two exact shortcuts that build no gram.  Where tol >= 0
+    their gram, with one exact shortcut that builds no gram.  Where tol >= 0
     and no amplitude index is exactly nonzero in two children, every
     off-diagonal product has an exact zero factor, so the off-diagonal
     gram is exactly 0 and the tol supports, subsets of the exact ones, are
-    disjoint: the vertex keeps both labels.  Once the tree is not
-    orthogonal, the other labels no longer matter.  Either way only
-    finiteness is left, and it holds when each child's norm^2 is below a
-    quarter of the largest float: then by Cauchy-Schwarz every gram entry
-    stays finite however it is rounded.  A child whose norm^2 is not (NaN,
-    inf or near the limit) sends the vertex to the gram.
+    disjoint: the vertex keeps both labels.  Only finiteness is left, and
+    it holds when each child's norm^2 is below a quarter of the largest
+    float: then by Cauchy-Schwarz every gram entry stays finite however it
+    is rounded.  A child whose norm^2 is not (NaN, inf or near the limit)
+    sends the vertex to the gram.
     """
     manifest = orthogonal = finite = True
 
@@ -410,8 +409,7 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
         nonlocal manifest, orthogonal, finite
         if len(kids) > 1:
             vs = [v for _, v in kids]
-            if (all(np.vdot(v, v).real < _ROOM for v in vs)
-                    and (not orthogonal or tol >= 0 and _disjoint(vs))):
+            if tol >= 0 and _disjoint(vs) and all(np.vdot(v, v).real < _ROOM for v in vs):
                 return
             m, o, f = _gram_labels(vs, tol)
             manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f

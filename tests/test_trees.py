@@ -154,7 +154,7 @@ def _wide_disjoint_trees() -> list[StateTree]:
     return [build_coset_sigma1(c) for c in cosets] + [parse(serialize(build_cluster1d(12)))]
 
 
-def test_classify_matches_the_recursive_reference():
+def test_classify_matches_the_recursive_reference(monkeypatch):
     trees = _classify_corpus() + _wide_disjoint_trees()
     labels = {}
     for tol in (TOLERANCE, 0.1, 0.0, -1e-9, math.nan):
@@ -162,8 +162,15 @@ def test_classify_matches_the_recursive_reference():
         want = [ref_classify(t, tol) for t in trees]
         if tol == 0.0:
             # at tol 0 an inner product that is exactly 0 is read off rounding: the
-            # gram's zgemm can leave 1e-17 where the reference's vdot leaves 0
-            want = ["general" if (w, g) == ("orthogonal", "general") else w for w, g in zip(want, got)]
+            # gram's zgemm can leave 1e-17 where the reference's vdot leaves 0, on
+            # these trees and no others; every + vertex through the gram agrees
+            off = [i for i, (w, g) in enumerate(zip(want, got)) if w != g]
+            assert {(want[i], got[i]) for i in off} == {("orthogonal", "general")}
+            assert len(off) == 17
+            with monkeypatch.context() as m:
+                m.setattr(trees_module, "_disjoint", lambda vs: False)
+                assert got == [classify_tree(t, tol=tol) for t in trees]
+            want = got
         assert got == want, tol
     assert labels[TOLERANCE][-4:] == ["manifestly-orthogonal"] * 3 + ["general"]
     for tol in (TOLERANCE, 0.1):
