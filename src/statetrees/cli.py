@@ -4,8 +4,9 @@ Subcommands: eval, validate, classify, build, convert, balance, mots,
 compile, simulate, rank-exp, vandermonde.  '-' means stdin/stdout.
 Inputs that do not exist on disk are also looked up in the fixture
 directory ($STATETREES_FIXTURES, defaulting to the trees bundled with
-the package).  Domain failures print 'ERROR <code>: <message>' and exit
-with status 1; usage errors exit with status 2.
+the package).  Every subcommand returns its output text and dispatch()
+writes it.  Domain and I/O failures print 'ERROR <code>: <message>' and
+exit with status 1; usage errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # so that a full disk or a closed pipe fails here
     else:
         Path(path).write_text(text)
 
@@ -70,31 +72,22 @@ def _report_tsv(rep: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the text its -o receives
 
 
-def _cmd_eval(args) -> int:
-    tree = dsl.parse(_read(args.input))
-    v = trees.evaluate(tree)
-    _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
-                                              tol=args.tolerance))
-    return 0
+def _tree(args) -> trees.StateTree:
+    return dsl.parse(_read(args.input))
 
 
-def _cmd_validate(args) -> int:
-    tree = dsl.parse(_read(args.input))
-    problems = trees.validate(tree, tol=args.tolerance)
+def _amplitudes(args, v: np.ndarray) -> str:
+    return dsl.format_amplitudes(v, skip_zeros=args.skip_zeros, tol=args.tolerance)
+
+
+def _validate(args) -> str:
+    problems = trees.validate(_tree(args), tol=args.tolerance)
     rows = [[("/".join(str(i) for i in v.path) or "root"), v.rule, v.measured]
             for v in problems]
-    _write(args.output, _tsv(["path", "rule", "measured"], rows))
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    tree = dsl.parse(_read(args.input))
-    label = trees.classify_tree(tree, tol=args.tolerance)
-    _write(args.output, label + "\n")
-    return 0
+    return _tsv(["path", "rule", "measured"], rows)
 
 
 def _required(value, message: str):
@@ -109,28 +102,14 @@ def _coset(path: str | None, name: str) -> gf2.Coset:
     return gf2.Coset(a, b or 0)
 
 
-def _cmd_build(args) -> int:
-    _write(args.output, dsl.serialize(args.tree(args)))
-    return 0
-
-
-def _cmd_convert(args) -> int:
+def _convert(args) -> str:
     text = _read(args.input)
     if args.to == "formula":
-        tree = dsl.parse(text)
-        _write(args.output, formulas.serialize_formula(formulas.tree_to_formula(tree)))
-    else:
-        f = formulas.parse_formula(text)
-        fv = formulas.formula_vars(f)
-        n = args.n if args.n is not None else (max(fv) if fv else 1)
-        _write(args.output, dsl.serialize(formulas.formula_to_tree(f, n)))
-    return 0
-
-
-def _cmd_balance(args) -> int:
-    f = formulas.parse_formula(_read(args.input))
-    _write(args.output, formulas.serialize_formula(formulas.balance(f)))
-    return 0
+        return formulas.serialize_formula(formulas.tree_to_formula(dsl.parse(text)))
+    f = formulas.parse_formula(text)
+    fv = formulas.formula_vars(f)
+    n = args.n if args.n is not None else (max(fv) if fv else 1)
+    return dsl.serialize(formulas.formula_to_tree(f, n))
 
 
 def _dp_table_text(table: mots.DpTable) -> str:
@@ -145,7 +124,8 @@ def _dp_table_text(table: mots.DpTable) -> str:
     return "columns\tvalue\targmin\n" + "".join([f"{m}\t{v}\t{i}\n" for m, v, i in rows])
 
 
-def _cmd_mots(args) -> int:
+def _mots(args) -> str:
+    """The key/value TSV; the --witness and --table files are written here."""
     a, b = gf2.parse_matrix(_read(args.matrix))
     need_witness = args.witness is not None
     res = mots.mots_coset(a, convention=args.convention, b=b or 0,
@@ -155,7 +135,7 @@ def _cmd_mots(args) -> int:
     if args.table is not None:
         Path(args.table).write_text(_dp_table_text(res.table))
     rank = gf2.rank_gf2(a)
-    out = _tsv(["key", "value"], [
+    return _tsv(["key", "value"], [
         ["value", res.value],
         ["convention", res.convention],
         ["rows", a.k],
@@ -163,28 +143,6 @@ def _cmd_mots(args) -> int:
         ["rank", rank],
         ["coset_size", 1 << (a.n - rank)],
     ])
-    _write(args.output, out)
-    return 0
-
-
-def _cmd_compile(args) -> int:
-    tree = dsl.parse(_read(args.input))
-    circ = circuits.compile_tree(tree)
-    _write(args.output, circuits.format_circuit(circ))
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    circ = circuits.parse_circuit(_read(args.input))
-    v = circuits.simulate(circ, tol=args.tolerance)
-    _write(args.output, dsl.format_amplitudes(v, skip_zeros=args.skip_zeros,
-                                              tol=args.tolerance))
-    return 0
-
-
-def _cmd_rank_exp(args) -> int:
-    _write(args.output, _report_tsv(args.report(args)))
-    return 0
 
 
 def _chi_report(args) -> dict:
@@ -193,7 +151,7 @@ def _chi_report(args) -> dict:
     return {"n": int(np.log2(len(v))), "chi": rank.chi_max(v, mode=args.mode, seed=args.seed)}
 
 
-def _cmd_vandermonde(args) -> int:
+def _vandermonde(args) -> str:
     params = VandermondeParams(args.n, args.k, args.d, args.c)
     vbin = build_binary_vandermonde(params)
     if args.check_weight:
@@ -204,10 +162,9 @@ def _cmd_vandermonde(args) -> int:
             "min_nonzero_image_weight": w,
             "guarantee": (params.n - params.k) * (1 << (params.d - 1)),
         }
-        _write(args.output, _report_tsv(rep))
+        return _report_tsv(rep)
     else:
-        _write(args.output, gf2.format_matrix(vbin))
-    return 0
+        return gf2.format_matrix(vbin)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("eval", _cmd_eval, "tree DSL -> amplitude listing", source, zeros, tol, out)
-    command("validate", _cmd_validate, "report invariant violations of a tree", source, tol, out)
-    command("classify", _cmd_classify, "general / orthogonal / manifestly-orthogonal",
-            source, tol, out)
+    command("eval", lambda a: _amplitudes(a, trees.evaluate(_tree(a))),
+            "tree DSL -> amplitude listing", source, zeros, tol, out)
+    command("validate", _validate, "report invariant violations of a tree", source, tol, out)
+    command("classify", lambda a: trees.classify_tree(_tree(a), tol=a.tolerance) + "\n",
+            "general / orthogonal / manifestly-orthogonal", source, tol, out)
 
-    # each family declares the flags its builder reads, and -o
-    families = command("build", _cmd_build, "emit a named state family").add_subparsers(
+    # each family declares the flags its builder reads, and -o, and sets func
+    families = command("build", None, "emit a named state family").add_subparsers(
         dest="family", required=True)
     qubits = shared("--n", type=int, default=4)
     bit = shared("--j", type=int, default=0, help="parity bit")
     matrix = shared("--matrix", default=None, help="matrix file for coset families")
 
     def family(name: str, make, *parents) -> None:
-        families.add_parser(name, parents=parents + (out,)).set_defaults(tree=make)
+        families.add_parser(name, parents=parents + (out,)).set_defaults(
+            func=lambda a: dsl.serialize(make(a)))
 
     family("cat", lambda a: builders.build_cat(a.n), qubits)
     family("parity", lambda a: builders.build_parity(a.n, a.j), qubits, bit)
@@ -281,30 +240,36 @@ def build_parser() -> argparse.ArgumentParser:
         qubits, shared("--p", type=int, default=None, help="divisor"))
     family("knill", lambda a: builders.build_knill_tree())
 
-    p = command("convert", _cmd_convert, "tree DSL <-> formula DSL", source, out)
+    p = command("convert", _convert, "tree DSL <-> formula DSL", source, out)
     p.add_argument("--to", choices=["formula", "tree"], required=True)
     p.add_argument("--n", type=int, default=None, help="qubit count for formula->tree")
 
-    command("balance", _cmd_balance, "depth-reduce a multilinear formula", source, out)
+    command("balance", lambda a: formulas.serialize_formula(
+        formulas.balance(formulas.parse_formula(_read(a.input)))),
+        "depth-reduce a multilinear formula", source, out)
 
-    p = command("mots", _cmd_mots, "exact manifestly-orthogonal tree size of a coset", out)
+    p = command("mots", _mots, "exact manifestly-orthogonal tree size of a coset", out)
     p.add_argument("--matrix", required=True)
     p.add_argument("--witness", default=None, help="write the witness tree here")
     p.add_argument("--table", default=None, help="write the DP table here (TSV)")
     p.add_argument("--convention", choices=list(mots.CONVENTIONS), default="classical")
 
-    command("compile", _cmd_compile, "orthogonal tree -> preparation circuit", source, out)
-    command("simulate", _cmd_simulate, "run a circuit on |0..0>", source, zeros, tol, out)
+    command("compile", lambda a: circuits.format_circuit(circuits.compile_tree(_tree(a))),
+            "orthogonal tree -> preparation circuit", source, out)
+    command("simulate", lambda a: _amplitudes(a, circuits.simulate(
+        circuits.parse_circuit(_read(a.input)), tol=a.tolerance)),
+        "run a circuit on |0..0>", source, zeros, tol, out)
 
-    # each experiment declares the flags its report reads
-    experiments = command("rank-exp", _cmd_rank_exp, "rank-statistics experiments").add_subparsers(
+    # each experiment declares the flags its report reads, and sets func
+    experiments = command("rank-exp", None, "rank-statistics experiments").add_subparsers(
         dest="experiment", required=True)
     seeded = (shared("--seed", type=int, default=0, help="master seed (default 0)"), out)
     trials = shared("--trials", type=int, default=1000)
     qubits = shared("--n", type=int, default=16)
 
     def experiment(name: str, report, *parents) -> None:
-        experiments.add_parser(name, parents=parents + seeded).set_defaults(report=report)
+        experiments.add_parser(name, parents=parents + seeded).set_defaults(
+            func=lambda a: _report_tsv(report(a)))
 
     experiment("subgroup", lambda a: rank.subgroup_rank_experiment(a.n, a.trials, a.seed),
                qubits, trials)
@@ -322,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment("chi", _chi_report, shared("--state", default=None),
                shared("--mode", choices=["auto", "exhaustive", "sampled"], default="auto"))
 
-    p = command("vandermonde", _cmd_vandermonde, "emit the binary Vandermonde matrix", out)
+    p = command("vandermonde", _vandermonde, "emit the binary Vandermonde matrix", out)
     p.add_argument("--n", type=int, default=15)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--d", type=int, default=4)
@@ -334,26 +299,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run one command line and write its text to -o.  A domain or I/O error is one
+    'ERROR' line on stderr and status 1; a closed stdout pipe goes on to main()."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(args.output, args.func(args))
+    except BrokenPipeError:
+        raise
     except StateTreesError as e:
         print(f"ERROR {e.code}: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"ERROR domain: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:
     try:
         code = dispatch(sys.argv[1:])
-        sys.stdout.flush()
     except BrokenPipeError:
-        # downstream closed the pipe (e.g. | head); exit quietly
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(1)
+        code = 1  # downstream closed the pipe (e.g. | head); exit quietly
+    if code:
+        # a failed write to stdout leaves its bytes in the buffer, and the flush
+        # at exit would fail on them again: send them to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

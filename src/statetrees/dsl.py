@@ -50,8 +50,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import ParseError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, _fold, _vertices
+from .errors import OversizeError, ParseError
+from .trees import MAX_QUBITS, Leaf, Node, Plus, StateTree, Tensor, _fold, _vertices
 
 # re.ASCII: \d must not match other scripts' digits, which int() and float() accept
 _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -347,6 +347,8 @@ def parse_amplitudes(text: str) -> np.ndarray:
             raise ParseError(f"bad bitstring {bits!r}", ln_no, 1)
         if n is None:
             n = len(bits)
+            if n > MAX_QUBITS:  # refused before the 2^n vector is made
+                raise OversizeError(f"{n}-bit amplitude listing exceeds the dense cap {MAX_QUBITS}")
         elif len(bits) != n:
             raise ParseError(f"inconsistent bitstring length {bits!r}", ln_no, 1)
         if not (_FLOAT_RE.fullmatch(re_s) and _FLOAT_RE.fullmatch(im_s)):

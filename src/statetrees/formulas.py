@@ -19,12 +19,16 @@ from typing import Union
 import numpy as np
 
 from .dsl import _Reader, _layout, _write, fmt_complex
-from .errors import NonMultilinearError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, normalize_node
+from .errors import NonMultilinearError, OversizeError
+from .trees import Leaf, Node, Plus, StateTree, Tensor, mask_qubits, normalize_node
 from .trees import _fold as _fold_tree, _vertices
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
 _MAX_TERMS = 1 << 22  # expansion budget: monomial pairs one * vertex may form
+# widest tree formula_to_tree makes: every leaf's qubit mask is as wide as its
+# qubit, so memory grows as n^2; 2^15 took 0.6-0.7 s and a 120 MiB peak in the CLI
+# on a 2-vCPU VM, 2^16 1.1 s and 347 MiB
+_TREE_MAX_QUBITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,10 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
     variable sets with free (|0>+|1>) leaves, collapse single-variable
     pieces a + b x_i into leaves a|0> + (a+b)|1>; every vertex is then
     rescaled to unit norm.  Raises on non-multilinear input and on the
-    zero function.
+    zero function, and refuses n > _TREE_MAX_QUBITS before any padding.
     """
+    if n > _TREE_MAX_QUBITS:
+        raise OversizeError(f"a tree over {n} qubits exceeds the cap 2^{_TREE_MAX_QUBITS.bit_length() - 1}")
     g = make_syntactic(f)
     used = formula_vars(g)
     if used and max(used) > n:
@@ -235,9 +241,7 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
 
     def pad(node: Node | None, have: int, need: int) -> Node | None:
         """Tensor on free (|0>+|1>) leaves for the missing variables."""
-        missing = need & ~have
-        parts: list[Node] = [Leaf(q + 1, 1.0, 1.0)
-                             for q in range(n) if (missing >> q) & 1]
+        parts: list[Node] = [Leaf(q, 1.0, 1.0) for q in mask_qubits(need & ~have)]
         if node is not None:
             parts.append(node)
         if not parts:

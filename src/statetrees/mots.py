@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import BitMatrix, Coset, enumerate_coset, rank_gf2, random_bitmatrix, row_space_basis
-from .rng import stream
+from .gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix, row_space_basis
 from .trees import Leaf, Node, Plus, StateTree, Tensor
 
 _R2 = 2.0 ** -0.5
@@ -354,18 +353,14 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
                            convention: str = "classical") -> dict:
     """Distribution of M(A) over uniform k x n matrices; report only.
 
-    Also counts the structural 'bad events' a lower-bound argument cares
-    about: an all-zero column, and (when 12k <= n) a sampled k x 12k
-    column submatrix of rank at most 2k/3.
+    Also counts the fraction of matrices with an all-zero column, a
+    structural 'bad event' of the lower-bound argument.
     """
     _check_width(n)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     values = []
     zero_cols = 0
-    low_rank = 0
-    d = 12 * k
-    check_low_rank = 0 < d <= n
     for t in range(trials):
         a = random_bitmatrix(k, n, seed, t)
         res = mots_coset(a, convention=convention, witness=False, table=False)
@@ -373,16 +368,6 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
         cols = a.columns()
         if any(c == 0 for c in cols):
             zero_cols += 1
-        if check_low_rank:
-            rng = stream(seed, (1 << 32) + t)
-            hit = False
-            for _ in range(50):
-                pick = sorted(int(x) for x in rng.choice(n, size=d, replace=False))
-                sub = a.column_submatrix(pick)
-                if rank_gf2(sub) * 3 <= 2 * k:
-                    hit = True
-                    break
-            low_rank += hit
     hist: dict[int, int] = {}
     for v in values:
         hist[v] = hist.get(v, 0) + 1
@@ -397,7 +382,6 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
         "max": max(values),
         "histogram": dict(sorted(hist.items())),
         "zero_column_fraction": zero_cols / trials,
-        "low_rank_submatrix_fraction": (low_rank / trials) if check_low_rank else None,
     }
 
 

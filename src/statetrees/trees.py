@@ -146,7 +146,13 @@ def qubit_mask(node: Node) -> int:
 
 
 def mask_qubits(mask: int) -> list[int]:
-    return [q + 1 for q in range(mask.bit_length()) if (mask >> q) & 1]
+    """The qubits of a mask, ascending: one step per set bit, not per bit."""
+    qubits = []
+    while mask:
+        low = mask & -mask
+        qubits.append(low.bit_length())
+        mask ^= low
+    return qubits
 
 
 def tree_size(tree: StateTree | Node) -> int:

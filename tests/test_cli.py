@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ import pytest
 CLI = [sys.executable, "-m", "statetrees.cli"]
 
 
-def run(args, stdin: str = "", cwd=None):
+def run(args, stdin: str = "", timeout=None):
     return subprocess.run(CLI + args, input=stdin, capture_output=True,
-                          text=True, cwd=cwd)
+                          text=True, timeout=timeout)
 
 
 def test_eval_fixture_exact_lines():
@@ -265,8 +267,8 @@ def test_each_subcommand_declares_only_what_it_reads(argv, dests):
         assert set(_subparsers(_subparsers(build_parser()).choices[argv[0]]).choices) == set(dests)
     for name, want in cases.items():
         declared = set(vars(build_parser().parse_args(argv + list(name))))
-        # the handlers: the subcommand's, and the family's tree or the experiment's report
-        assert declared - {"command", "func", "tree", "report"} == set(want.split())
+        # func is the one handler: the subcommand's, the family's or the experiment's
+        assert declared - {"command", "func"} == set(want.split())
 
 
 def test_the_option_table_covers_every_subcommand():
@@ -637,3 +639,103 @@ def test_chi_refuses_an_amplitude_that_overflows(tmp_path):
     r = run(["rank-exp", "chi", "--state", str(state)])
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR parse: 1:1: amplitude numbers out of range in '0 1e999 0'\n"
+
+
+def _one_error_line(r, code: str) -> None:
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith(f"ERROR {code}: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_io_failures_are_one_error_line(tmp_path):
+    (tmp_path / "adir").mkdir()
+    adir = tmp_path / "adir"
+    r = run(["eval", str(adir)])
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", f"ERROR domain: [Errno 21] Is a directory: '{adir}'\n")
+    missing = tmp_path / "no" / "such"
+    r = run(["build", "cat", "--n", "3", "-o", str(missing / "x.tree")])
+    _one_error_line(r, "domain")
+    assert "No such file or directory" in r.stderr
+    mat = tmp_path / "p.mat"
+    mat.write_text("1 4\n1111\n")
+    r = run(["mots", "--matrix", str(mat), "--witness", str(missing / "w")])
+    _one_error_line(r, "domain")
+    assert "No such file or directory" in r.stderr
+
+
+def _stdout_env(buffered: bool) -> dict:
+    # a buffered stdout keeps the bytes of a failed write, and the interpreter
+    # tries them again at exit; an unbuffered one fails in the write itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_full_stdout_is_one_error_line(buffered):
+    with open("/dev/full", "w") as full:
+        r = subprocess.run(CLI + ["build", "cat", "--n", "3"], stdout=full, stderr=subprocess.PIPE,
+                           text=True, env=_stdout_env(buffered))
+    assert (r.returncode, r.stderr) == (1, "ERROR domain: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_pipe_exits_quietly(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        r = subprocess.run(CLI + ["build", "cat", "--n", "3"], stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, env=_stdout_env(buffered))
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("width", [21, 50])
+def test_a_listing_wider_than_the_dense_cap_is_refused(tmp_path, width):
+    # 50 bits would ask numpy for a 16 PiB vector
+    state = tmp_path / "wide.amps"
+    state.write_text("0" * width + " 1 0\n")
+    t = time.perf_counter()
+    r = run(["rank-exp", "chi", "--state", str(state)], timeout=30)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"ERROR oversize: {width}-bit amplitude listing exceeds the dense cap 20\n"
+
+
+def test_subset_sum_refuses_a_p_past_the_cap_before_testing_it():
+    # trial division up to sqrt(2^61 - 1) would not finish
+    t = time.perf_counter()
+    r = run(["rank-exp", "subset-sum", "--p", str((1 << 61) - 1)], timeout=30)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR oversize: p=2305843009213693951 exceeds the cap 2^40\n"
+    r = run(["rank-exp", "subset-sum", "--p", str((1 << 40) - 87), "--trials", "3"])  # prime
+    assert (r.returncode, r.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("formula, flags, n", [
+    ("(var 1)\n", ["--n", "100000000"], 100000000),
+    ("(* (var 300000000) (var 2))\n", [], 300000000),  # n defaults to the largest variable
+    ("(var 1)\n", ["--n", str((1 << 15) + 1)], (1 << 15) + 1),
+])
+def test_convert_refuses_more_qubits_than_the_cap(formula, flags, n):
+    t = time.perf_counter()
+    r = run(["convert", "-", "--to", "tree"] + flags, stdin=formula, timeout=30)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"ERROR oversize: a tree over {n} qubits exceeds the cap 2^15\n"
+
+
+@pytest.mark.parametrize("formula, flags", [
+    ("(var 1)\n", ["--n", str(1 << 15)]),
+    # 2000 + vertices, each padding one side with qubit 2^15: a scan over
+    # every qubit below the widest took minutes here
+    ("(+ (var 1) " * 2000 + f"(var {1 << 15})" + ")" * 2000 + "\n", []),
+])
+def test_convert_pads_up_to_the_cap(formula, flags):
+    from statetrees.dsl import parse
+    t = time.perf_counter()
+    r = run(["convert", "-", "--to", "tree"] + flags, stdin=formula, timeout=60)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stderr) == (0, "")
+    assert parse(r.stdout).n == 1 << 15
