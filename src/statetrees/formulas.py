@@ -20,7 +20,7 @@ import numpy as np
 
 from .dsl import _Reader, _layout, _write, fmt_complex
 from .errors import NonMultilinearError, OversizeError
-from .trees import Leaf, Node, Plus, StateTree, Tensor, mask_qubits, normalize_node
+from .trees import MAX_QUBITS, Leaf, Node, Plus, StateTree, Tensor, mask_qubits, normalize_node
 from .trees import _fold as _fold_tree, _vertices
 
 _DROP = 0.0  # coefficients are dropped only when they cancel exactly
@@ -230,8 +230,12 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
     variable sets with free (|0>+|1>) leaves, collapse single-variable
     pieces a + b x_i into leaves a|0> + (a+b)|1>; every vertex is then
     rescaled to unit norm.  Raises on non-multilinear input and on the
-    zero function, and refuses n > _TREE_MAX_QUBITS before any padding.
+    zero function, and refuses n > _TREE_MAX_QUBITS before any padding
+    and a + vertex over more than MAX_QUBITS qubits before padding it,
+    since rescaling builds each + vertex's dense vector.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > _TREE_MAX_QUBITS:
         raise OversizeError(f"a tree over {n} qubits exceeds the cap 2^{_TREE_MAX_QUBITS.bit_length() - 1}")
     g = make_syntactic(f)
@@ -291,6 +295,8 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
             if alpha == 0 and beta == 0:
                 return 0.0 + 0.0j, None, 0
             return 1.0 + 0.0j, Leaf(q, alpha, beta), union
+        if union.bit_count() > MAX_QUBITS:
+            raise OversizeError(f"a + vertex over {union.bit_count()} qubits exceeds the dense cap {MAX_QUBITS}")
         p1 = pad(t1, m1, union)
         p2 = pad(t2, m2, union)
         return 1.0 + 0.0j, Plus(((s1, p1), (s2, p2))), union
@@ -300,8 +306,6 @@ def formula_to_tree(f: Formula, n: int) -> StateTree:
     if scalar == 0:
         raise ValueError("the zero function has no state")
     node = pad(node, mask, full)
-    if node is None:
-        raise ValueError("n must be at least 1")
     _, root = normalize_node(node)
     phase = scalar / abs(scalar)  # the norm goes; the phase stays on a one-child + vertex
     if phase != 1:

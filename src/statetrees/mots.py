@@ -20,10 +20,11 @@ masks by popcount follows the ranked layout of
 Bjorklund-Husfeldt-Kaski-Koivisto's fast subset convolution; the
 2^(rank deficit) factor makes this a structured min over splits, not a
 min-plus subset convolution, so their running time does not carry over.
-The solver then reconstructs a witness tree by grouping coset elements,
-and `mots_bruteforce` independently minimizes over all manifestly
-orthogonal trees for tiny explicit supports so the recurrence can be
-cross-checked.
+The solver then builds a witness tree from the dp's splits over
+subproblems (column mask, right-hand side), each built once and shared,
+without listing the coset's elements, and `mots_bruteforce`
+independently minimizes over all manifestly orthogonal trees for tiny
+explicit supports so the recurrence can be cross-checked.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix, row_space_basis
+from .gf2 import BitMatrix, Coset, random_bitmatrix, row_space_basis
+from .gf2 import enumerate_coset  # noqa: F401  (no caller here; perfbench's tracer test reads it)
 from .trees import Leaf, Node, Plus, StateTree, Tensor
 
 _R2 = 2.0 ** -0.5
@@ -186,54 +188,49 @@ def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
     return MotsResult(int(val[-1]), convention, wit, DpTable(val, arg) if table else None)
 
 
-def _column_qubit_bit(n: int, j: int) -> int:
-    """Bit of column j (variable j+1) inside an n-bit string int."""
-    return 1 << (n - 1 - j)
-
-
 def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> StateTree:
-    n = a.n
-    elems = enumerate_coset(Coset(a, b))
+    """The witness over subproblems (mask, rhs), each standing for the coset
+    {x_mask : A_mask x_mask = rhs}.  A one-column mask is a leaf.  Any
+    other mask splits at I = arg[mask], J = mask ^ I, into the tensor of
+    (I, c) and (J, rhs ^ c) for each value c of A_I x_I, ascending, with
+    rhs ^ c in the span of A_J's columns, summed with equal weights.  Each
+    (mask, rhs) is built once, so equal subtrees are one object."""
+    Coset(a, b)  # an unsolvable b raises EmptyCosetError
+    cols = a.columns()
+    spans: dict[int, set[int]] = {}
+    built: dict[tuple[int, int], Node] = {}
 
-    def mask_bits(col_mask: int) -> int:
-        out = 0
-        for j in range(n):
-            if (col_mask >> j) & 1:
-                out |= _column_qubit_bit(n, j)
-        return out
+    def span(mask: int) -> set[int]:
+        if mask not in spans:
+            s = {0}
+            for j, c in enumerate(cols):
+                if mask >> j & 1:
+                    s |= {x ^ c for x in s}
+            spans[mask] = s
+        return spans[mask]
 
-    def build(col_mask: int, group: list[int]) -> Node:
-        if col_mask & (col_mask - 1) == 0:
-            j = col_mask.bit_length() - 1
-            q = j + 1
-            bit = _column_qubit_bit(n, j)
-            vals = {1 if (x & bit) else 0 for x in group}
-            if len(vals) == 1:
-                v = vals.pop()
-                return Leaf(q, 1.0 - v, float(v))
-            if convention == "free":
-                return Leaf(q, _R2, _R2)
-            return Plus(((_R2, Leaf(q, 1.0, 0.0)), (_R2, Leaf(q, 0.0, 1.0))))
-        i_mask = arg[col_mask]
-        j_mask = col_mask ^ i_mask
-        i_bits = mask_bits(i_mask)
-        j_bits = mask_bits(j_mask)
-        groups: dict[int, list[int]] = {}
-        for x in group:
-            groups.setdefault(a.mul_vec(x & i_bits), []).append(x)
-        parts = []
-        for key in sorted(groups):
-            sub = groups[key]
-            si = sorted({x & i_bits for x in sub})
-            sj = sorted({x & j_bits for x in sub})
-            assert len(si) * len(sj) == len(sub), "coset projection grouping broke"
-            parts.append(Tensor((build(i_mask, si), build(j_mask, sj))))
-        if len(parts) == 1:
-            return parts[0]
-        coeff = (1.0 / len(parts)) ** 0.5
-        return Plus(tuple((coeff, p) for p in parts))
+    def build(mask: int, rhs: int) -> Node:
+        if (mask, rhs) in built:
+            return built[mask, rhs]
+        if mask & (mask - 1) == 0:
+            j = mask.bit_length() - 1
+            if cols[j]:
+                node = Leaf(j + 1, 0.0, 1.0) if rhs else Leaf(j + 1, 1.0, 0.0)
+            elif convention == "free":
+                node = Leaf(j + 1, _R2, _R2)
+            else:
+                node = Plus(((_R2, Leaf(j + 1, 1.0, 0.0)), (_R2, Leaf(j + 1, 0.0, 1.0))))
+        else:
+            i_mask = arg[mask]
+            j_mask = mask ^ i_mask
+            parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c)))
+                     for c in sorted(span(i_mask)) if rhs ^ c in span(j_mask)]
+            coeff = (1.0 / len(parts)) ** 0.5
+            node = parts[0] if len(parts) == 1 else Plus(tuple((coeff, p) for p in parts))
+        built[mask, rhs] = node
+        return node
 
-    return StateTree(n, build((1 << n) - 1, elems))
+    return StateTree(a.n, build((1 << a.n) - 1, b))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ _MERSENNE61 = (1 << 61) - 1
 _EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
 _CHI_MAX_QUBITS = 16  # widest state chi_max reads
 _SUBSET_SUM_MAX_P = 1 << 40  # largest p _is_prime tries: about 0.06 s on a 2-vCPU VM
+# largest trials * min(2^m, p), a bound on the residues all trials build: one
+# trial at m = 20, p = 10^9 + 7 takes about 0.65 s and a 129 MiB peak on a 2-vCPU VM
+_SUBSET_SUM_MAX_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -513,9 +516,13 @@ def subset_sum_coverage(n: int, m: int, p: int, gamma: float,
         raise ValueError(f"p={p} is not prime")
     if m > 24:
         raise OversizeError("subset size capped at 24")
-    if m > n:
-        raise ValueError("need m <= n")
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
     _check_trials(trials)
+    work = trials * min(1 << m, p)
+    if work > _SUBSET_SUM_MAX_WORK:
+        raise OversizeError(f"trials * min(2^m, p) = {work} exceeds the cap "
+                            f"2^{_SUBSET_SUM_MAX_WORK.bit_length() - 1}")
     target = (1.0 + gamma) * p / 2.0
     coverages = []
     hits = 0

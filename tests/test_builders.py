@@ -179,10 +179,17 @@ def _distinct_vertices(root) -> int:
     return len(seen)
 
 
+def mots_witness(k: int, n: int, convention: str) -> StateTree:
+    a = random_bitmatrix(k, n, 15, n)
+    return mots_coset(a, convention, b=a.mul_vec((1 << n) // 3), table=False).witness
+
+
 def test_halving_builders_share_subtrees_as_parse_does():
     cases = [(build_parity, (n, j)) for n in range(1, 33) for j in (0, 1)]
     cases += [(build_hamming, (n, k)) for n in range(1, 25) for k in range(n + 1)]
     cases += [(build_cluster1d, (n,)) for n in range(2, 21)]
+    cases += [(mots_witness, (k, n, conv)) for k, n in ((0, 1), (1, 1), (3, 5), (4, 9), (6, 15))
+              for conv in ("classical", "free")]
     for build, args in cases:
         t = build(*args)
         parsed = parse(serialize(t), n=t.n).root

@@ -739,3 +739,29 @@ def test_convert_pads_up_to_the_cap(formula, flags):
     assert time.perf_counter() - t < 5
     assert (r.returncode, r.stderr) == (0, "")
     assert parse(r.stdout).n == 1 << 15
+
+
+@pytest.mark.parametrize("formula, flags, message", [
+    # rescaling would build the 2^40-entry vector of the + vertex
+    ("(+ " + "".join(f"(* (var {i}) " for i in range(1, 40)) + "(var 40)" + ")" * 39 + " (const 1))\n",
+     [],
+     "ERROR oversize: a + vertex over 40 qubits exceeds the dense cap 20\n"),
+    # 2000 + vertices over distinct variables: padding them all grew past 4 GiB
+    ("".join(f"(+ (var {i}) " for i in range(1, 2001)) + f"(var {1 << 15})" + ")" * 2000 + "\n", [],
+     "ERROR oversize: a + vertex over 21 qubits exceeds the dense cap 20\n"),
+    ("(const 1)\n", ["--n", "-5"], "ERROR domain: n must be at least 1\n"),
+])
+def test_convert_refuses_a_wide_plus_vertex_and_a_negative_n(formula, flags, message):
+    t = time.perf_counter()
+    r = run(["convert", "-", "--to", "tree"] + flags, stdin=formula, timeout=30)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", message)
+
+
+def test_subset_sum_refuses_work_past_the_budget():
+    t = time.perf_counter()
+    r = run(["rank-exp", "subset-sum", "--n", "24", "--m", "20", "--p", "1000000007", "--trials", "2"],
+            timeout=30)
+    assert time.perf_counter() - t < 5
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "ERROR oversize: trials * min(2^m, p) = 2097152 exceeds the cap 2^20\n"

@@ -10,12 +10,14 @@ import pytest
 
 from statetrees.builders import build_coset_sigma1
 from statetrees.cli import dispatch
-from statetrees.errors import OversizeError
+from statetrees.dsl import serialize
+from statetrees.errors import EmptyCosetError, OversizeError
 from statetrees.gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix
 from statetrees.mots import (_CHUNK, _VAL_BITS, MAX_N, _leaf_base, _split_dp, _subset_ranks,
                              mots_bruteforce, mots_coset, mots_random_experiment)
 from statetrees.rng import stream
-from statetrees.trees import classify_tree, evaluate, fidelity, tree_size, validate
+from statetrees.trees import (Leaf, Node, Plus, StateTree, Tensor, classify_tree, evaluate,
+                              fidelity, tree_size, validate)
 
 
 def parity_matrix(n: int) -> BitMatrix:
@@ -70,8 +72,6 @@ def test_witness_soundness():
 
 
 def test_classical_witness_uses_classical_leaves():
-    from statetrees.trees import Leaf, Tensor
-
     def leaves(node):
         if isinstance(node, Leaf):
             yield node
@@ -413,3 +413,65 @@ def test_witness_metamorphic_up_to_14():
         expect = np.zeros(1 << n, dtype=complex)
         expect[elems] = len(elems) ** -0.5
         assert fidelity(evaluate(w), expect) >= 1 - 1e-9
+
+
+def reference_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> StateTree:
+    """The witness rebuilt from the coset's elements: at each split I = arg[mask]
+    the elements are grouped by A_I x_I, and each group is checked to be
+    the product of its projections on I and J."""
+    n, r2 = a.n, 2.0 ** -0.5
+
+    def qubit_bits(mask: int) -> int:  # column j is bit n - 1 - j of a string
+        return sum(1 << (n - 1 - j) for j in range(n) if mask >> j & 1)
+
+    def build(mask: int, group: list[int]) -> Node:
+        if mask & (mask - 1) == 0:
+            q = mask.bit_length()
+            vals = {x >> (n - q) & 1 for x in group}
+            if len(vals) == 1:
+                v = vals.pop()
+                return Leaf(q, 1.0 - v, float(v))
+            if convention == "free":
+                return Leaf(q, r2, r2)
+            return Plus(((r2, Leaf(q, 1.0, 0.0)), (r2, Leaf(q, 0.0, 1.0))))
+        i_mask = arg[mask]
+        i_bits, j_bits = qubit_bits(i_mask), qubit_bits(mask ^ i_mask)
+        groups: dict[int, list[int]] = {}
+        for x in group:
+            groups.setdefault(a.mul_vec(x & i_bits), []).append(x)
+        parts = []
+        for key in sorted(groups):
+            si = sorted({x & i_bits for x in groups[key]})
+            sj = sorted({x & j_bits for x in groups[key]})
+            assert len(si) * len(sj) == len(groups[key])
+            parts.append(Tensor((build(i_mask, si), build(mask ^ i_mask, sj))))
+        if len(parts) == 1:
+            return parts[0]
+        return Plus(tuple(((1.0 / len(parts)) ** 0.5, p) for p in parts))
+
+    return StateTree(n, build((1 << n) - 1, enumerate_coset(Coset(a, b))))
+
+
+def test_witness_text_matches_the_element_grouping_reference():
+    cases = 0
+    for n in range(1, 11):
+        for k in range(n + 2):  # k = 0 and k > n included
+            for t in range(2):
+                a = random_bitmatrix(k, n, 2424, 100 * n + 10 * k + t)
+                if t and n > 1:  # plant zero columns: the first and the last
+                    a = BitMatrix(k, n, tuple(r & ~(1 << (n - 1)) & ~1 for r in a.rows))
+                b = a.mul_vec(int(stream(2424, 100 * n + 10 * k + t).integers(0, 1 << n)))
+                for conv in ("classical", "free"):
+                    res = mots_coset(a, conv, b=b)
+                    want = reference_witness(a, b, res.table.arg.tolist(), conv)
+                    assert serialize(res.witness) == serialize(want), (n, k, t, conv)
+                    assert res.witness == want
+                    cases += 1
+    assert cases >= 300
+
+
+def test_an_unsolvable_b_refuses_the_witness_but_not_the_value():
+    a = BitMatrix(2, 3, (0b110, 0b000))  # the second row is zero, so b = 01 has no solution
+    with pytest.raises(EmptyCosetError):
+        mots_coset(a, b=0b01)
+    assert mots_coset(a, b=0b01, witness=False).value == mots_coset(a, witness=False).value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ import pytest
 
 from statetrees.builders import build_cat
 from statetrees.codes import VandermondeParams
+from statetrees.errors import OversizeError
 from statetrees.gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
                             random_bitmatrix, rank_gf2)
-from statetrees.rank import (Partition, _reshape_rank, _split_ranks, chi_max,
+from statetrees.rank import (_SUBSET_SUM_MAX_WORK, Partition, _reshape_rank, _split_ranks, chi_max,
                              erasure_recoverability_check, partition_matrix,
                              random_partition, random_restriction,
                              rank_eps_lower_bound, rank_exact,
@@ -323,6 +325,21 @@ def test_subset_sum_coverage():
     assert rep == subset_sum_coverage(16, 8, 101, 0.2, 100, 99)
     with pytest.raises(ValueError):
         subset_sum_coverage(16, 8, 100, 0.2, 10, 0)  # composite p
+
+
+def test_subset_sum_refuses_work_past_the_budget_before_the_first_trial():
+    assert _SUBSET_SUM_MAX_WORK == 1 << 20
+    # 1024 trials of 2^10 residues each: exactly the budget, so it runs
+    rep = subset_sum_coverage(16, 10, 1000000007, 0.2, 1024, 0)
+    assert rep["coverage_min"] == rep["coverage_max"] == 1 << 10
+    t = time.perf_counter()
+    for m, p, trials in ((10, 1000000007, 1025), (20, 1000000007, 2), (21, 1000000007, 1),
+                         (8, 101, 10382)):  # 10382 * 101 is just past 2^20
+        with pytest.raises(OversizeError, match=rf"= {trials * min(1 << m, p)} exceeds the cap 2\^20"):
+            subset_sum_coverage(24, m, p, 0.2, trials, 0)
+    assert time.perf_counter() - t < 0.1
+    with pytest.raises(ValueError, match="need 0 <= m <= n"):
+        subset_sum_coverage(16, -1, 101, 0.2, 1, 0)
 
 
 def test_subset_sum_incremental_equals_naive():
