@@ -194,20 +194,51 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
     other mask splits at I = arg[mask], J = mask ^ I, into the tensor of
     (I, c) and (J, rhs ^ c) for each value c of A_I x_I, ascending, with
     rhs ^ c in the span of A_J's columns, summed with equal weights.  Each
-    (mask, rhs) is built once, so equal subtrees are one object."""
+    (mask, rhs) is built once, so equal subtrees are one object.
+
+    Each split lists the span of its lower-rank side, once per mask, and
+    tests each listed value against the other side's span: as a set where
+    listing that span costs no more than reducing every value by an
+    echelon basis of its columns, and by that reduction otherwise."""
     Coset(a, b)  # an unsolvable b raises EmptyCosetError
     cols = a.columns()
-    spans: dict[int, set[int]] = {}
+    splits: dict[int, tuple] = {}  # mask -> split(mask)
     built: dict[tuple[int, int], Node] = {}
 
-    def span(mask: int) -> set[int]:
-        if mask not in spans:
-            s = {0}
-            for j, c in enumerate(cols):
-                if mask >> j & 1:
-                    s |= {x ^ c for x in s}
-            spans[mask] = s
-        return spans[mask]
+    def reduced(x: int, vecs: list[int]) -> int:
+        for v in vecs:
+            x = min(x, x ^ v)
+        return x
+
+    def basis(mask: int) -> list[int]:
+        """An echelon basis of mask's columns, leading bits descending."""
+        vecs: list[int] = []
+        for j, c in enumerate(cols):
+            if mask >> j & 1:
+                r = reduced(c, vecs)
+                if r:
+                    vecs = sorted(vecs + [r], reverse=True)
+        return vecs
+
+    def span(vecs: list[int]) -> list[int]:
+        s = [0]
+        for v in vecs:
+            s += [x ^ v for x in s]
+        return s
+
+    def split(mask: int) -> tuple:
+        """(the lower-rank side's span, ascending; a membership test for the
+        other side's span; whether the listed side is J)."""
+        i_mask = arg[mask]
+        i_basis, j_basis = basis(i_mask), basis(mask ^ i_mask)
+        on_j = len(j_basis) < len(i_basis)
+        listed, other = (j_basis, i_basis) if on_j else (i_basis, j_basis)
+        side = sorted(span(listed))
+        if 1 << len(other) <= len(side) * len(other):
+            test = set(span(other)).__contains__
+        else:
+            test = lambda x: not reduced(x, other)
+        return side, test, on_j
 
     def build(mask: int, rhs: int) -> Node:
         if (mask, rhs) in built:
@@ -221,10 +252,17 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
             else:
                 node = Plus(((_R2, Leaf(j + 1, 1.0, 0.0)), (_R2, Leaf(j + 1, 0.0, 1.0))))
         else:
+            if mask not in splits:
+                splits[mask] = split(mask)
+            side, test, on_j = splits[mask]
+            # c is a listed value on I's side, rhs ^ a listed value on J's
+            if on_j:
+                values = sorted(rhs ^ x for x in side if test(rhs ^ x))
+            else:
+                values = [c for c in side if test(rhs ^ c)]
             i_mask = arg[mask]
             j_mask = mask ^ i_mask
-            parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c)))
-                     for c in sorted(span(i_mask)) if rhs ^ c in span(j_mask)]
+            parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c))) for c in values]
             coeff = (1.0 / len(parts)) ** 0.5
             node = parts[0] if len(parts) == 1 else Plus(tuple((coeff, p) for p in parts))
         built[mask, rhs] = node

@@ -168,34 +168,97 @@ def depth(tree: StateTree | Node) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vector engine: fold callbacks on (qubit mask, vector over those qubits in sorted order)
+# vector engine: fold callbacks on (qubit mask, amplitudes, axis order)
+#
+# A result's amplitudes are a vector whose axes are its qubits in `order`,
+# most significant first, or in sorted order where `order` is None.  A
+# tensor vertex's amplitudes stay unformed: the tuple of its children's
+# formed results, to be multiplied out in child order, with `order` the
+# concatenation of their axes.  Vectors are put in sorted order only where
+# order-dependent arithmetic (a norm, a gram) or a caller reads them.
+
+_BLOCK = 1 << 14  # amplitudes a + vertex adds at a time: 256 KiB of complex
+_ONE = np.ones(1, dtype=complex)
 
 
-def _leaf_vector(node: Leaf) -> tuple[int, np.ndarray]:
-    return 1 << (node.qubit - 1), np.array([node.alpha, node.beta], dtype=complex)
+def _leaf_vector(node: Leaf) -> tuple:
+    return 1 << (node.qubit - 1), np.array([node.alpha, node.beta], dtype=complex), None
 
 
-def _tensor_vector(kids: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
-    """Outer product of the children's vectors, axes reordered into sorted qubit order."""
-    full = 0
-    ordered = True  # each child's qubits all above the previous children's
-    out = np.ones(1, dtype=complex)
-    for m, v in kids:
-        ordered = ordered and (m & -m) > full
-        full |= m
+def _axes(mask: int, order: tuple | None) -> tuple[int, ...]:
+    return tuple(mask_qubits(mask)) if order is None else order
+
+
+def _formed(r: tuple) -> tuple:
+    """r with its amplitudes a vector: a product is multiplied out in child order."""
+    mask, amps, order = r
+    if type(amps) is not tuple:
+        return r
+    out = _ONE
+    for _, v, _ in amps:
         out = np.multiply.outer(out, v).ravel()
-    if not ordered:
-        concat = [q for m, _ in kids for q in mask_qubits(m)]
-        perm = [concat.index(q) for q in mask_qubits(full)]
-        out = out.reshape([2] * len(concat)).transpose(perm).reshape(-1)
-    return full, out
+    return mask, out, order
 
 
-def _plus_vector(node: Plus, kids: list[tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
-    acc = np.zeros_like(kids[0][1])
-    for (coeff, _), (_, v) in zip(node.children, kids):
-        acc = acc + coeff * v
-    return _union(m for m, _ in kids), acc
+def _reordered(r: tuple, order: tuple | None) -> np.ndarray:
+    """r's amplitudes as a vector in `order` (sorted order where None)."""
+    mask, v, own = _formed(r)
+    if own == order:
+        return v
+    src = _axes(mask, own)
+    perm = [src.index(q) for q in _axes(mask, order)]
+    return v.reshape([2] * len(src)).transpose(perm).reshape(-1)
+
+
+def _tensor_vector(kids: list[tuple]) -> tuple:
+    """The product of the children, unformed: their formed results in child order."""
+    factors = tuple(_formed(r) for r in kids)
+    full = 0
+    ordered = True  # each child sorted, its qubits all above the previous children's
+    for m, _, o in factors:
+        ordered = ordered and o is None and (m & -m) > full
+        full |= m
+    return full, factors, None if ordered else tuple(q for m, _, o in factors for q in _axes(m, o))
+
+
+def _blocks(amps):
+    """(rows, amplitudes, out) for a vector or an unformed product, a block
+    of rows at a time; out is room of the block's size that may be written
+    (the block itself where it was made here).  Sizes are powers of 2, so
+    every block of one vector has the same size."""
+    if type(amps) is not tuple:
+        buf = np.empty(min(_BLOCK, amps.size), dtype=complex)
+        for lo in range(0, amps.size, _BLOCK):
+            yield slice(lo, lo + _BLOCK), amps[lo:lo + _BLOCK], buf
+        return
+    *head, (_, last, _) = amps
+    prefix = _ONE
+    for _, v, _ in head:
+        prefix = np.multiply.outer(prefix, v).ravel()
+    step = min(prefix.size, max(1, _BLOCK // last.size))
+    out = None
+    for lo in range(0, prefix.size, step):
+        out = np.multiply.outer(prefix[lo:lo + step], last, out=out)
+        vals = out.reshape(-1)
+        yield slice(lo * last.size, (lo + step) * last.size), vals, vals
+
+
+def _plus_vector(node: Plus, kids: list[tuple], watch=None) -> tuple:
+    """The coefficient-weighted sum of the children, in the first child's
+    axis order, added into one vector a block at a time; no child's vector
+    is formed unless its axis order differs.  watch(i, rows, amplitudes)
+    sees child i's amplitudes at each block before they are added."""
+    mask, _, order = kids[0]
+    acc = np.zeros(1 << mask.bit_count(), dtype=complex)
+    for i, ((coeff, _), r) in enumerate(zip(node.children, kids)):
+        for rows, vals, out in _blocks(r[1] if r[2] == order else _reordered(r, order)):
+            if watch is not None:
+                watch(i, rows, vals)
+            # operands in the order of `acc + coeff * v`: swapping them moves last bits
+            np.multiply(coeff, vals, out)
+            part = acc[rows]
+            np.add(part, out, part)
+    return mask, acc, order
 
 
 def _faults(node: Tensor | Plus, kids: list) -> list[tuple]:
@@ -207,28 +270,30 @@ def _faults(node: Tensor | Plus, kids: list) -> list[tuple]:
     if kind == "plus":
         return [("plus-children-qubitset-mismatch", i, f"child {i}",
                  "plus children cover different qubit sets")
-                for i, (m, _) in enumerate(kids) if m != kids[0][0]]
+                for i, r in enumerate(kids) if r[0] != kids[0][0]]
     out, seen = [], 0
-    for i, (m, _) in enumerate(kids):
-        if m & seen:
+    for i, r in enumerate(kids):
+        if r[0] & seen:
             out.append(("tensor-children-overlap", i, f"child {i}", "tensor children overlap on qubits"))
-        seen |= m
+        seen |= r[0]
     return out
 
 
-def _checked(node: Tensor | Plus, kids, report, formed=lambda mv: mv):
-    """Tensor and plus callback over (mask, vector) pairs that checks the
-    structure first: report(fault) for each of _faults, and vector None
-    when the vertex or a child is faulty.  formed() gets each plus vertex's
-    pair; a tensor's norm is the product of its children's."""
+def _checked(node: Tensor | Plus, kids, report, plus=_plus_vector):
+    """Tensor and plus callback over the engine's results that checks the
+    structure first: report(fault) for each of _faults, and amplitudes None
+    when the vertex or a child is faulty.  plus(node, kids) sums a + vertex
+    with no fault at or below it."""
     faults = _faults(node, kids)
     for fault in faults:
         report(fault)
-    if faults or any(v is None for _, v in kids):
-        return _union(m for m, _ in kids), None
+    if faults or any(r[1] is None for r in kids):
+        for r in kids:  # a product is multiplied out even here: its overflow raises in validate
+            _formed(r)
+        return _union(r[0] for r in kids), None, None
     if isinstance(node, Tensor):
         return _tensor_vector(kids)
-    return formed(_plus_vector(node, kids))
+    return plus(node, kids)
 
 
 def _after(path: list[int], child: int | None = None) -> tuple:
@@ -237,14 +302,14 @@ def _after(path: list[int], child: int | None = None) -> tuple:
     return (*path, math.inf) if child is None else (*path, child, math.inf)
 
 
-def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tuple[int, np.ndarray]:
-    """(qubit mask, amplitude vector) of a node.
+def _vector(node: Node, plus=_plus_vector, n: int | None = None) -> tuple[int, np.ndarray]:
+    """(qubit mask, amplitude vector in sorted qubit order) of a node.
 
     Raises InvalidTreeError for the first structural fault in depth-first
     order, where a fault between two children comes right after the
     subtree of the later one; given n, a leaf outside qubits 1..n is a
-    fault too.  inspect(kids) sees the children's pairs of each + vertex
-    that has no fault at or below it.
+    fault too.  plus(node, kids) sums each + vertex that has no fault at
+    or below it.
     """
     path: list[int] = []
     faults: list[tuple[tuple, str]] = []
@@ -253,20 +318,13 @@ def _vector(node: Node, inspect=lambda kids: None, n: int | None = None) -> tupl
     def leaf(lf: Leaf):
         if n is not None and not 1 <= lf.qubit <= n:
             faults.append((_after(path), _OUTSIDE))
-            return 0, None
+            return 0, None, None
         return _leaf_vector(lf)
 
-    def plus(nd: Plus, kids):
-        mv = _checked(nd, kids, report)
-        if mv[1] is not None:
-            inspect(kids)
-        return mv
-
-    mask, vec = _fold(node, leaf, _vertices(lambda nd, kids: _checked(nd, kids, report), plus),
-                      path, faults)
+    r = _fold(node, leaf, _vertices(lambda nd, kids: _checked(nd, kids, report, plus)), path, faults)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
-    return mask, vec
+    return r[0], _reordered(r, None)
 
 
 def evaluate(tree: StateTree) -> np.ndarray:
@@ -280,13 +338,13 @@ def evaluate(tree: StateTree) -> np.ndarray:
     return _checked_vector(tree)
 
 
-def _checked_vector(tree: StateTree, inspect=lambda kids: None) -> np.ndarray:
-    """evaluate(), with inspect() passed on to _vector (numpy's overflow
+def _checked_vector(tree: StateTree, plus=_plus_vector) -> np.ndarray:
+    """evaluate(), with plus() passed on to _vector (numpy's overflow
     warnings off: inf and NaN reach the vector, which is then refused)."""
     if tree.n > MAX_QUBITS:
         raise OversizeError(f"n={tree.n} exceeds max_qubits={MAX_QUBITS}")
     with np.errstate(over="ignore", invalid="ignore"):
-        m, v = _vector(tree.root, inspect, tree.n)
+        m, v = _vector(tree.root, plus, tree.n)
     if m != (1 << tree.n) - 1:
         raise InvalidTreeError("root does not cover all qubits 1..n")
     if not np.isfinite(v).all():  # inf * 0 is NaN: a product or sum never hides an overflow
@@ -332,27 +390,29 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
     def report(rule: str, child: int | None, measured: str) -> None:
         found.append((_after(path, child), Violation(tuple(path), rule, measured)))
 
-    def normalized(mv: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-        nrm = _norm(mv[1])
+    def normalized(r: tuple) -> tuple:
+        nrm = _norm(_reordered(r, None))
         if not math.isfinite(nrm):
             raise ValueError(_OVERFLOW)
         if abs(nrm - 1.0) > tol:
             report("vertex-not-normalized", None, f"norm {nrm!r}")
-        return mv
+        return r
 
     def leaf(node: Leaf):
         if not 1 <= node.qubit <= tree.n:
             report("leaf-qubit-range", None, f"qubit {node.qubit}")
-            return 0, None
+            return 0, None, None
         return normalized(_leaf_vector(node))
 
     # an overlap is reported right after the child's subtree, a mismatch after them all
     fault = lambda f: report(f[0], f[1] if f[0] == "tensor-children-overlap" else None, f[2])
-    vertex = lambda nd, kids: _checked(nd, kids, fault, normalized)
+    plus = lambda nd, kids: normalized(_plus_vector(nd, kids))
+    vertex = lambda nd, kids: _checked(nd, kids, fault, plus)
     try:
-        # a tensor's vector has no norm to check: its overflow raises instead
+        # a product has no norm to check: its overflow raises instead, so an
+        # unformed one at the root is multiplied out too
         with np.errstate(over="raise", invalid="raise"):
-            mask, _ = _fold(tree.root, leaf, _vertices(vertex), path, found)
+            mask = _formed(_fold(tree.root, leaf, _vertices(vertex), path, found))[0]
     except FloatingPointError:
         raise ValueError(_OVERFLOW) from None
     out = [v for _, v in sorted(found, key=lambda f: f[0])]
@@ -366,15 +426,27 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
 _ROOM = np.finfo(float).max / 4
 
 
-def _disjoint(vs: list[np.ndarray]) -> bool:
-    """Whether no amplitude index is exactly nonzero in two of the vectors."""
-    seen = vs[0] != 0
+def _disjoint(vs: Sequence[np.ndarray]) -> bool:
+    """Whether no amplitude index is exactly nonzero in two of the vectors
+    (a cast to bool is a nonzero test, and faster than `!= 0`)."""
+    seen = vs[0].astype(bool)
     for v in vs[1:]:
-        held = v != 0
+        held = v.astype(bool)
         if np.logical_and(held, seen).any():
             return False
         seen |= held
     return True
+
+
+def _below_room(nrm2: float, r: tuple) -> bool:
+    """Whether a child's norm^2 is below _ROOM, given nrm2, its sum in the
+    child's axis order.  Between two orders a sum of N <= 2^20 nonnegative
+    terms moves by about N eps, so only a NaN or an nrm2 within 2^-30 of
+    _ROOM reads the child again in sorted order."""
+    if abs(nrm2 - _ROOM) > _ROOM * 2.0**-30:
+        return nrm2 < _ROOM
+    v = _reordered(r, None)
+    return np.vdot(v, v).real < _ROOM
 
 
 def _gram_labels(vs: list[np.ndarray], tol: float) -> tuple[bool, bool, bool]:
@@ -407,20 +479,36 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     it holds when each child's norm^2 is below a quarter of the largest
     float: then by Cauchy-Schwarz every gram entry stays finite however it
     is rounded.  A child whose norm^2 is not (NaN, inf or near the limit)
-    sends the vertex to the gram.
+    sends the vertex to the gram.  The supports and the norms are read
+    block by block as the vertex adds its children; only an overlap or a
+    norm^2 that is not below the limit forms the children for the gram.
     """
     manifest = orthogonal = finite = True
 
-    def inspect(kids):
+    def plus(nd: Plus, kids: list[tuple]) -> tuple:
         nonlocal manifest, orthogonal, finite
-        if len(kids) > 1:
-            vs = [v for _, v in kids]
-            if tol >= 0 and _disjoint(vs) and all(np.vdot(v, v).real < _ROOM for v in vs):
-                return
-            m, o, f = _gram_labels(vs, tol)
-            manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f
+        if len(kids) < 2:
+            return _plus_vector(nd, kids)
+        seen = np.zeros(1 << kids[0][0].bit_count(), dtype=bool) if tol >= 0 else None
+        norms = [0.0] * len(kids)  # norm^2 of each child, summed block by block
 
-    _checked_vector(tree, inspect)
+        def watch(i: int, rows: slice, vals: np.ndarray) -> None:
+            nonlocal seen
+            if seen is not None:
+                held = vals.astype(bool)
+                if _disjoint((seen[rows], held)):
+                    seen[rows] |= held
+                    norms[i] += np.vdot(vals, vals).real
+                else:
+                    seen = None
+
+        out = _plus_vector(nd, kids, watch)
+        if seen is None or not all(_below_room(s, r) for s, r in zip(norms, kids)):
+            m, o, f = _gram_labels([_reordered(r, None) for r in kids], tol)
+            manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f
+        return out
+
+    _checked_vector(tree, plus)
     if not finite:
         raise ValueError(_OVERFLOW)
     if not orthogonal:
@@ -529,9 +617,9 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     Returns (scalar, node') with scalar * eval(node') == eval(node); the
     scalar is real positive.  Raises on an exactly-zero subtree.
 
-    Up the fold, a leaf carries the (mask, vector) pair of its rescaled self
+    Up the fold, a leaf carries the engine's result of its rescaled self
     and a vertex carries its rescaled self over its children's carried
-    values.  A + vertex folds its children's into pairs with _vector's
+    values.  A + vertex folds its children's into results with _vector's
     callbacks instead of evaluating their subtrees again, so no vector is
     built that no + vertex above needs, and each is built at most once.
     """
@@ -552,16 +640,16 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     def plus(nd: Plus, kids):
         coeffs = [coeff * s for (coeff, _), (s, _, _) in zip(nd.children, kids)]
         nodes = [c for _, c, _ in kids]
-        pairs = [_fold(mv, lambda pair: pair, vertices) for _, _, mv in kids]
+        results = [_fold(carried, lambda r: r, vertices) for _, _, carried in kids]
         summed = Plus(tuple(zip(coeffs, nodes)))
-        _, v = vertex(summed, pairs)
-        if v is None:
+        r = vertex(summed, results)
+        if r[1] is None:
             _vector(summed)  # a fault below: raise the first one in depth-first order
-        nrm = float(np.linalg.norm(v))
+        nrm = float(np.linalg.norm(_reordered(r, None)))
         if nrm == 0.0:
             raise InvalidTreeError("plus vertex sums to the zero vector")
         scaled = [c / nrm for c in coeffs]
-        return nrm, Plus(tuple(zip(scaled, nodes))), Plus(tuple(zip(scaled, pairs)))
+        return nrm, Plus(tuple(zip(scaled, nodes))), Plus(tuple(zip(scaled, results)))
 
     return _fold(node, leaf, _vertices(tensor, plus))[:2]
 

@@ -396,6 +396,22 @@ def test_deep_chain_through_cli(tmp_path):
     assert np.allclose(formula_truth_values(parse_formula(r.stdout), 8), want, atol=1e-12)
 
 
+def test_deep_tensor_nests_through_cli(tmp_path):
+    # single-child tensors 10,000 deep, alone and alternating with
+    # single-child + vertices: each level multiplies out the product below it
+    leaf = "(leaf 1 0.6 0.8)"
+    nests = {"tensor": "(* " * 10_000 + leaf + ")" * 10_000,
+             "alternating": "(+ (1 (* " * 5_000 + leaf + ")))" * 5_000}
+    for name, text in nests.items():
+        tree = tmp_path / f"{name}.tree"
+        tree.write_text(text + "\n")
+        want = {"eval": "0 0.6 0\n1 0.8 0\n", "validate": "path\trule\tmeasured\n",
+                "classify": "manifestly-orthogonal\n"}
+        for cmd, stdout in want.items():
+            r = run([cmd, str(tree)])
+            assert (r.returncode, r.stdout, r.stderr) == (0, stdout, ""), (name, cmd)
+
+
 def test_deep_chain_serialize_parse_round_trip():
     from statetrees.dsl import parse, serialize
     from statetrees.trees import Leaf, Plus, Tensor

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,35 @@ def test_classify_reads_disjoint_supports_without_the_gram(monkeypatch):
         assert classify_tree(tree) == "manifestly-orthogonal"
 
 
+def test_a_wide_plus_vertex_holds_one_vector_not_its_children():
+    # 256 product children of 1 MiB each: a + vertex adds each one into its
+    # sum a block at a time, so the peak stays a few MiB above the result
+    rng = stream(8)
+    coset = Coset(BitMatrix(8, 16, tuple(int(x) for x in rng.integers(0, 1 << 16, size=8))), 0)
+    tree = build_coset_sigma1(coset)
+    assert len(tree.root.children) == 256
+    for fn in (evaluate, validate):
+        tracemalloc.start()
+        try:
+            fn(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, (fn.__name__, peak)
+
+
+def test_a_norm_near_the_limit_is_read_again_in_sorted_order():
+    # a child's norm^2 summed block by block in its own axis order decides
+    # against _ROOM only outside 2^-30 of it; within, or at NaN, the child's
+    # vector is read again (here its true norm^2 is _ROOM / 2)
+    room = float(trees_module._ROOM)
+    child = (0b11, np.array([math.sqrt(room / 2), 0, 0, 0], dtype=complex), None)
+    below = trees_module._below_room
+    assert below(room, child) and below(math.nan, child)
+    assert below(room * (1 - 2**-29), child)
+    assert not below(room * (1 + 2**-29), child) and not below(math.inf, child)
+
+
 def test_fidelity_and_l2():
     rng = stream(2)
     for _ in range(20):
@@ -357,6 +387,31 @@ def _kron_reference(node):
 def test_evaluate_is_bitwise_the_kron_product():
     for trial in range(25):
         t = random_tree(911, 1 + trial % 8, trial)
+        assert evaluate(t).tobytes() == _kron_reference(t.root)[1].tobytes()
+
+
+def _relabelled(tree: StateTree, perm: list[int]) -> StateTree:
+    """The tree with every leaf on qubit q moved to qubit perm[q - 1]."""
+    leaf = lambda lf: Leaf(perm[lf.qubit - 1], lf.alpha, lf.beta)
+    return StateTree(tree.n, _fold(tree.root, leaf, _vertices(_rebuild)))
+
+
+def test_evaluate_is_bitwise_the_kron_product_on_interleaved_qubits():
+    rng = stream(914)
+    cases = [random_tree(915, 2 + trial % 7, trial) for trial in range(25)]
+    cases += [build_cluster1d(8), build_parity(7, 1), build_hamming(6, 3)]
+    relabelled = [_relabelled(t, [int(q) + 1 for q in rng.permutation(t.n)]) for t in cases]
+    # a + vertex whose children arrive in different axis orders: products of
+    # interleaved factors in both orders, a + vertex over one, three leaves
+    # in descending order (with signed zeros), and a leaf times a + vertex
+    # whose children's orders differ too
+    a, b = Tensor((Leaf(1, 0.6, 0.8), Leaf(3, 0.8, -0.6))), Leaf(2, 0.28, 0.96j)
+    swapped = Tensor((Leaf(3, 0.8, -0.6), Leaf(1, 0.6, 0.8)))
+    mixed = Plus(((0.5, Tensor((a, b))),
+                  (0.5j, Plus(((1.0, Tensor((b, a))),))),
+                  (-0.5, Tensor((Leaf(3, -0.0, 1.0), Leaf(2, 1.0, -0.0), Leaf(1, 0.6, -0.8)))),
+                  (0.5, Tensor((b, Plus(((0.6, a), (0.8j, swapped))))))))
+    for t in relabelled + [StateTree(3, mixed)]:
         assert evaluate(t).tobytes() == _kron_reference(t.root)[1].tobytes()
 
 
