@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import BitMatrix, Coset, random_bitmatrix, row_space_basis
+from .gf2 import BitMatrix, Coset, _echelon, random_bitmatrix, row_space_basis
 from .gf2 import enumerate_coset  # noqa: F401  (no caller here; perfbench's tracer test reads it)
 from .trees import Leaf, Node, Plus, StateTree, Tensor
 
@@ -194,15 +194,12 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
     other mask splits at I = arg[mask], J = mask ^ I, into the tensor of
     (I, c) and (J, rhs ^ c) for each value c of A_I x_I, ascending, with
     rhs ^ c in the span of A_J's columns, summed with equal weights.  Each
-    (mask, rhs) is built once, so equal subtrees are one object.
-
-    Each split lists the span of its lower-rank side, once per mask, and
-    tests each listed value against the other side's span: as a set where
-    listing that span costs no more than reducing every value by an
-    echelon basis of its columns, and by that reduction otherwise."""
+    (mask, rhs) is built once, so equal subtrees are one object.  Each
+    split lists span(A_I) once per mask and tests rhs ^ c by reducing it
+    against an echelon basis of A_J's columns."""
     Coset(a, b)  # an unsolvable b raises EmptyCosetError
     cols = a.columns()
-    splits: dict[int, tuple] = {}  # mask -> split(mask)
+    splits: dict[int, tuple[list[int], list[int]]] = {}  # mask -> (sorted span(A_I), basis of A_J)
     built: dict[tuple[int, int], Node] = {}
 
     def reduced(x: int, vecs: list[int]) -> int:
@@ -211,34 +208,14 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
         return x
 
     def basis(mask: int) -> list[int]:
-        """An echelon basis of mask's columns, leading bits descending."""
-        vecs: list[int] = []
-        for j, c in enumerate(cols):
-            if mask >> j & 1:
-                r = reduced(c, vecs)
-                if r:
-                    vecs = sorted(vecs + [r], reverse=True)
-        return vecs
+        return _echelon([c for j, c in enumerate(cols) if mask >> j & 1])
 
-    def span(vecs: list[int]) -> list[int]:
-        s = [0]
-        for v in vecs:
-            s += [x ^ v for x in s]
-        return s
-
-    def split(mask: int) -> tuple:
-        """(the lower-rank side's span, ascending; a membership test for the
-        other side's span; whether the listed side is J)."""
+    def split(mask: int) -> tuple[list[int], list[int]]:
         i_mask = arg[mask]
-        i_basis, j_basis = basis(i_mask), basis(mask ^ i_mask)
-        on_j = len(j_basis) < len(i_basis)
-        listed, other = (j_basis, i_basis) if on_j else (i_basis, j_basis)
-        side = sorted(span(listed))
-        if 1 << len(other) <= len(side) * len(other):
-            test = set(span(other)).__contains__
-        else:
-            test = lambda x: not reduced(x, other)
-        return side, test, on_j
+        span = [0]
+        for v in basis(i_mask):
+            span += [x ^ v for x in span]
+        return sorted(span), basis(mask ^ i_mask)
 
     def build(mask: int, rhs: int) -> Node:
         if (mask, rhs) in built:
@@ -254,15 +231,11 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
         else:
             if mask not in splits:
                 splits[mask] = split(mask)
-            side, test, on_j = splits[mask]
-            # c is a listed value on I's side, rhs ^ a listed value on J's
-            if on_j:
-                values = sorted(rhs ^ x for x in side if test(rhs ^ x))
-            else:
-                values = [c for c in side if test(rhs ^ c)]
+            span_i, basis_j = splits[mask]
             i_mask = arg[mask]
             j_mask = mask ^ i_mask
-            parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c))) for c in values]
+            parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c)))
+                     for c in span_i if not reduced(rhs ^ c, basis_j)]
             coeff = (1.0 / len(parts)) ** 0.5
             node = parts[0] if len(parts) == 1 else Plus(tuple((coeff, p) for p in parts))
         built[mask, rhs] = node

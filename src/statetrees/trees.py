@@ -57,7 +57,7 @@ class StateTree:
     root: Node
 
 
-def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequence = ()):
+def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequence = (), keep=None):
     """Post-order fold over the vertices under `root`, with an explicit stack.
 
     table maps a vertex type to (operands, callback): operands(node) lists
@@ -71,7 +71,8 @@ def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequenc
     it; every other result is dropped once its parent has read it.  The
     one exception: a subtree whose walk added to `found` (the list the
     callbacks record their findings in) is not kept but walked again at
-    every path to it, so each finding is made with its own path.
+    every path to it, so each finding is made with its own path.  Where
+    given, keep(result) is what a kept vertex's parents read instead.
     """
     if type(root) not in table:
         return leaf(root)
@@ -101,6 +102,7 @@ def _fold(root, leaf, table: dict, path: list[int] | None = None, found: Sequenc
             result = table[type(node)][1](node, kids)
             stack.pop()
             if id(node) in shared and len(found) == start:
+                result = result if keep is None else keep(result)
                 kept[id(node)] = [result, shared[id(node)] - 1]
             if not stack:
                 return result
@@ -174,8 +176,10 @@ def depth(tree: StateTree | Node) -> int:
 # most significant first, or in sorted order where `order` is None.  A
 # tensor vertex's amplitudes stay unformed: the tuple of its children's
 # formed results, to be multiplied out in child order, with `order` the
-# concatenation of their axes.  Vectors are put in sorted order only where
-# order-dependent arithmetic (a norm, a gram) or a caller reads them.
+# concatenation of their axes; one with several parent edges is kept
+# multiplied out, so its parents do not each multiply it again.  Vectors
+# are put in sorted order only where order-dependent arithmetic (a norm,
+# a gram) or a caller reads them.
 
 _BLOCK = 1 << 14  # amplitudes a + vertex adds at a time: 256 KiB of complex
 _ONE = np.ones(1, dtype=complex)
@@ -321,7 +325,7 @@ def _vector(node: Node, plus=_plus_vector, n: int | None = None) -> tuple[int, n
             return 0, None, None
         return _leaf_vector(lf)
 
-    r = _fold(node, leaf, _vertices(lambda nd, kids: _checked(nd, kids, report, plus)), path, faults)
+    r = _fold(node, leaf, _vertices(lambda nd, kids: _checked(nd, kids, report, plus)), path, faults, _formed)
     if faults:
         raise InvalidTreeError(min(faults, key=lambda f: f[0])[1])
     return r[0], _reordered(r, None)
@@ -412,7 +416,7 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
         # a product has no norm to check: its overflow raises instead, so an
         # unformed one at the root is multiplied out too
         with np.errstate(over="raise", invalid="raise"):
-            mask = _formed(_fold(tree.root, leaf, _vertices(vertex), path, found))[0]
+            mask = _formed(_fold(tree.root, leaf, _vertices(vertex), path, found, _formed))[0]
     except FloatingPointError:
         raise ValueError(_OVERFLOW) from None
     out = [v for _, v in sorted(found, key=lambda f: f[0])]
@@ -426,16 +430,9 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
 _ROOM = np.finfo(float).max / 4
 
 
-def _disjoint(vs: Sequence[np.ndarray]) -> bool:
-    """Whether no amplitude index is exactly nonzero in two of the vectors
-    (a cast to bool is a nonzero test, and faster than `!= 0`)."""
-    seen = vs[0].astype(bool)
-    for v in vs[1:]:
-        held = v.astype(bool)
-        if np.logical_and(held, seen).any():
-            return False
-        seen |= held
-    return True
+def _disjoint(pair: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether no index is true in both of a pair of bool arrays."""
+    return not np.logical_and(*pair).any()
 
 
 def _below_room(nrm2: float, r: tuple) -> bool:
@@ -495,9 +492,10 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
         def watch(i: int, rows: slice, vals: np.ndarray) -> None:
             nonlocal seen
             if seen is not None:
-                held = vals.astype(bool)
-                if _disjoint((seen[rows], held)):
-                    seen[rows] |= held
+                held = vals.astype(bool)  # a nonzero test, faster than `!= 0`
+                part = seen[rows]
+                if _disjoint((part, held)):
+                    part |= held
                     norms[i] += np.vdot(vals, vals).real
                 else:
                     seen = None
@@ -640,7 +638,7 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
     def plus(nd: Plus, kids):
         coeffs = [coeff * s for (coeff, _), (s, _, _) in zip(nd.children, kids)]
         nodes = [c for _, c, _ in kids]
-        results = [_fold(carried, lambda r: r, vertices) for _, _, carried in kids]
+        results = [_fold(carried, lambda r: r, vertices, keep=_formed) for _, _, carried in kids]
         summed = Plus(tuple(zip(coeffs, nodes)))
         r = vertex(summed, results)
         if r[1] is None:

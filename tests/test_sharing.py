@@ -228,6 +228,22 @@ def test_evaluate_keeps_no_more_memory_than_the_unshared_tree():
     assert peaks[0] <= peaks[1] + 256 * len(_shared(tree.root)), peaks
 
 
+def test_every_parent_of_a_shared_vertex_reads_what_keep_made_of_it():
+    # the vector engine keeps a shared product multiplied out this way, so
+    # its parents do not each multiply it again
+    pair = Tensor((Leaf(1, 1.0, 0.0), Leaf(2, 0.0, 1.0)))
+    root = Plus(((0.6, pair), (0.8, Tensor((Leaf(1, 1.0, 0.0), Leaf(2, 0.0, 1.0)))), (1.0, pair)))
+    made = []
+
+    def keep(result):
+        made.append(result)
+        return ("kept", result)
+
+    got = _fold(root, lambda lf: lf.qubit, _vertices(lambda _, ks: tuple(ks)), keep=keep)
+    assert made == [(1, 2)]
+    assert got == (("kept", (1, 2)), (1, 2), ("kept", (1, 2)))
+
+
 def test_deep_shared_chain_parses_and_evaluates():
     # two copies of a depth-3000 chain of + vertices: the second copy is the
     # first object, found by child identity without hashing the subtree
