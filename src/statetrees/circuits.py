@@ -117,7 +117,12 @@ def _binarize(children: tuple[tuple[complex, Node], ...]) -> tuple[complex, Node
     """
 
     def side(part: tuple[tuple[complex, Node], ...]) -> tuple[complex, Node | None]:
-        w = math.sqrt(sum(abs(c) ** 2 for c, _ in part))
+        try:
+            w = math.sqrt(sum(abs(c) ** 2 for c, _ in part))
+        except OverflowError:  # a square past the largest float raises; a sum past it is inf
+            w = math.inf
+        if math.isinf(w):
+            raise ValueError("plus vertex weights overflow a float")
         if w == 0.0:
             return 0.0, None
         if len(part) == 1:

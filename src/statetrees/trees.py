@@ -178,8 +178,8 @@ def depth(tree: StateTree | Node) -> int:
 # formed results, to be multiplied out in child order, with `order` the
 # concatenation of their axes; one with several parent edges is kept
 # multiplied out, so its parents do not each multiply it again.  Vectors
-# are put in sorted order only where order-dependent arithmetic (a norm,
-# a gram) or a caller reads them.
+# are put in sorted order only where order-dependent arithmetic (a norm)
+# or a caller reads them.
 
 _BLOCK = 1 << 14  # amplitudes a + vertex adds at a time: 256 KiB of complex
 _ONE = np.ones(1, dtype=complex)
@@ -250,15 +250,24 @@ def _blocks(amps):
 def _plus_vector(node: Plus, kids: list[tuple], watch=None) -> tuple:
     """The coefficient-weighted sum of the children, in the first child's
     axis order, added into one vector a block at a time; no child's vector
-    is formed unless its axis order differs.  watch(i, rows, amplitudes)
-    sees child i's amplitudes at each block before they are added."""
+    is formed unless its axis order differs or the sum fits one block,
+    which takes one whole-vector step per child.  watch(i, rows,
+    amplitudes) sees child i's amplitudes at each block before they are
+    added."""
     mask, _, order = kids[0]
     acc = np.zeros(1 << mask.bit_count(), dtype=complex)
     for i, ((coeff, _), r) in enumerate(zip(node.children, kids)):
+        # operands in the order of `acc + coeff * v`: swapping them moves last bits
+        if acc.size <= _BLOCK:
+            v = _reordered(r, order)
+            if watch is not None:
+                watch(i, slice(None), v)
+            # a product is multiplied out here, so it is scaled in place
+            np.add(acc, np.multiply(coeff, v, v if type(r[1]) is tuple else None), acc)
+            continue
         for rows, vals, out in _blocks(r[1] if r[2] == order else _reordered(r, order)):
             if watch is not None:
                 watch(i, rows, vals)
-            # operands in the order of `acc + coeff * v`: swapping them moves last bits
             np.multiply(coeff, vals, out)
             part = acc[rows]
             np.add(part, out, part)
@@ -394,23 +403,32 @@ def validate(tree: StateTree, tol: float = TOLERANCE) -> list[Violation]:
     def report(rule: str, child: int | None, measured: str) -> None:
         found.append((_after(path, child), Violation(tuple(path), rule, measured)))
 
-    def normalized(r: tuple) -> tuple:
-        nrm = _norm(_reordered(r, None))
+    def normalized(r: tuple, nrm: float) -> tuple:
         if not math.isfinite(nrm):
             raise ValueError(_OVERFLOW)
         if abs(nrm - 1.0) > tol:
             report("vertex-not-normalized", None, f"norm {nrm!r}")
         return r
 
+    leaf_norms: dict[tuple, float] = {}  # (alpha, beta) -> norm: a tree has few distinct leaves
+
     def leaf(node: Leaf):
         if not 1 <= node.qubit <= tree.n:
             report("leaf-qubit-range", None, f"qubit {node.qubit}")
             return 0, None, None
-        return normalized(_leaf_vector(node))
+        r = _leaf_vector(node)
+        key = node.alpha, node.beta
+        if key not in leaf_norms:
+            leaf_norms[key] = _norm(r[1])
+        return normalized(r, leaf_norms[key])
 
     # an overlap is reported right after the child's subtree, a mismatch after them all
     fault = lambda f: report(f[0], f[1] if f[0] == "tensor-children-overlap" else None, f[2])
-    plus = lambda nd, kids: normalized(_plus_vector(nd, kids))
+
+    def plus(nd: Plus, kids: list[tuple]) -> tuple:
+        r = _plus_vector(nd, kids)
+        return normalized(r, _norm(_reordered(r, None)))
+
     vertex = lambda nd, kids: _checked(nd, kids, fault, plus)
     try:
         # a product has no norm to check: its overflow raises instead, so an
@@ -446,15 +464,65 @@ def _below_room(nrm2: float, r: tuple) -> bool:
     return np.vdot(v, v).real < _ROOM
 
 
-def _gram_labels(vs: list[np.ndarray], tol: float) -> tuple[bool, bool, bool]:
-    """(manifest, orthogonal, finite) of one + vertex's children, read off
-    their |v| > tol supports and their k x k gram."""
-    manifest = not np.any(sum(np.abs(v) > tol for v in vs) > 1)
-    stacked = np.stack(vs)
-    gram = stacked @ stacked.conj().T
+def _factors(r: tuple, order: tuple | None) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """r's amplitudes laid out in `order`, as factors: (the positions in
+    `order` of a factor's axes, its amplitudes as a 2 x .. x 2 tensor).
+    Their outer product in list order has the bits of _formed(r): a
+    product starts from _ONE, as _formed does."""
+    mask, amps, _ = r
+    pos = {q: i for i, q in enumerate(_axes(mask, order))}
+    parts = ((0, _ONE, None), *amps) if type(amps) is tuple else (r,)
+    return [(tuple(pos[q] for q in _axes(m, o)), v.reshape((2,) * m.bit_count())) for m, v, o in parts]
+
+
+def _rows(factors: list[tuple], fixed: int, block: int, row: np.ndarray) -> None:
+    """Write block number `block` of the vector of `factors`, whose leading
+    `fixed` axes hold its bits, into `row`; only the factors' entries on
+    those bits are read, and the last product is written into `row` itself
+    where no axes are to be swapped."""
+    axes = [p for pos, _ in factors for p in pos if p >= fixed]
+    into = row if axes == sorted(axes) else np.empty_like(row)
+    out = None
+    for i, (pos, t) in enumerate(factors):
+        sub = t[tuple((block >> (fixed - 1 - p)) & 1 if p < fixed else slice(None) for p in pos)].reshape(-1)
+        if out is None:
+            out = sub
+            continue
+        cols = (into if i == len(factors) - 1 else np.empty(out.size * sub.size, dtype=complex))
+        cols = cols.reshape(out.size, sub.size)  # the last product goes straight into place
+        if sub.size < out.size:  # np.multiply.outer's products, a column at a time
+            for j, x in enumerate(sub):
+                np.multiply(out, x, cols[:, j])
+        else:
+            np.multiply.outer(out, sub, out=cols)
+        out = cols.reshape(-1)
+    if len(factors) == 1:
+        into[...] = out
+    if into is not row:
+        row.reshape((2,) * len(axes))[...] = into.reshape((2,) * len(axes)).transpose(np.argsort(axes))
+
+
+def _gram_labels(vs: list[list[tuple]], tol: float) -> tuple[bool, bool, bool]:
+    """(manifest, orthogonal, finite) of one + vertex's children, given as
+    _factors in the vertex's layout: read off their |v| > tol supports and
+    their k x k gram, a block of rows at a time through one (k, block)
+    buffer.  A block is the largest power of 2 of rows for which the
+    buffer holds at most 4 _BLOCK amplitudes (1 MiB): its size stays the
+    same however many or wide the children are."""
+    n = sum(len(pos) for pos, _ in vs[0])
+    free = min(n, max(0, (4 * _BLOCK // len(vs)).bit_length() - 1))  # a block is 2^free rows
+    buf = np.empty((len(vs), 1 << free), dtype=complex)
+    manifest = True
+    for block in range(1 << (n - free)):
+        for row, factors in zip(buf, vs):
+            _rows(factors, n - free, block, row)
+        manifest = manifest and not np.any(sum(np.abs(row) > tol for row in buf) > 1)
+        part = buf @ buf.conj().T
+        gram = part if block == 0 else np.add(gram, part, gram)
+    del buf, part  # the labels read the gram alone
     finite = bool(np.isfinite(gram).all())  # NaN would pass the test below
-    off = gram - np.diag(np.diag(gram))
-    return manifest, not np.max(np.abs(off)) > tol, finite
+    np.fill_diagonal(gram, 0)  # a non-finite diagonal raises in classify_tree whatever the labels
+    return manifest, not np.max(np.abs(gram)) > tol, finite
 
 
 def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
@@ -477,8 +545,12 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     float: then by Cauchy-Schwarz every gram entry stays finite however it
     is rounded.  A child whose norm^2 is not (NaN, inf or near the limit)
     sends the vertex to the gram.  The supports and the norms are read
-    block by block as the vertex adds its children; only an overlap or a
-    norm^2 that is not below the limit forms the children for the gram.
+    block by block as the vertex adds its children.  The gram, where an
+    overlap or a norm^2 not below the limit calls for it, is read block by
+    block too, in the vertex's own layout: each child writes its rows of a
+    block into one (k, block) buffer, a product child from its factors'
+    entries on them, so no child is formed, put in sorted order or stacked
+    for it.
     """
     manifest = orthogonal = finite = True
 
@@ -502,7 +574,7 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
 
         out = _plus_vector(nd, kids, watch)
         if seen is None or not all(_below_room(s, r) for s, r in zip(norms, kids)):
-            m, o, f = _gram_labels([_reordered(r, None) for r in kids], tol)
+            m, o, f = _gram_labels([_factors(r, out[2]) for r in kids], tol)
             manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f
         return out
 

@@ -622,6 +622,23 @@ def test_an_overflowing_tree_is_one_domain_error_line(command, text):
     assert r.stderr == "ERROR domain: amplitudes or their inner products overflow a float\n"
 
 
+# orthogonal trees whose + weights have a square past the largest float, or
+# whose squares sum past it: compile's two-way split cannot weigh its halves
+OVERFLOWING_WEIGHTS = ("(+ (0.70710678118654751e308 (* (leaf 1 1 0) (leaf 2 1 0) (leaf 3 1 0)))"
+                       " (0.7071067811865475 (* (leaf 1 0 1) (leaf 2 0 1) (leaf 3 0 1))))\n")
+OVERFLOWING_WEIGHT_SUM = ("(+ (1e154 (* (leaf 1 1 0) (leaf 2 1 0))) (1e154 (* (leaf 1 0 1) (leaf 2 1 0)))"
+                          " (1e154 (* (leaf 1 1 0) (leaf 2 0 1))) (1e154 (* (leaf 1 0 1) (leaf 2 0 1))))\n")
+
+
+@pytest.mark.parametrize("text", [OVERFLOWING_WEIGHTS, OVERFLOWING_WEIGHT_SUM])
+def test_compile_refuses_plus_weights_that_overflow_in_one_error_line(text):
+    r = run(["compile", "-"], stdin=text)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "ERROR domain: plus vertex weights overflow a float\n")
+    for command in ("eval", "validate", "classify"):
+        r = run([command, "-"], stdin=text)
+        assert (r.returncode, r.stderr) == (0, ""), command
+
+
 def test_classify_reads_norms_whose_squares_are_near_the_float_limit():
     # each norm^2, about 1.7e308, is finite, but above a quarter of the largest float
     r = run(["classify", "-"], stdin="(+ (0.6 (leaf 1 1.3e154 0)) (0.8 (leaf 1 0 1.3e154)))\n")
@@ -781,3 +798,48 @@ def test_subset_sum_refuses_work_past_the_budget():
     assert time.perf_counter() - t < 5
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR oversize: trials * min(2^m, p) = 2097152 exceeds the cap 2^20\n"
+
+
+# numbers at the float limits, for the corruptions of the fuzz test below
+_LIMIT_NOISE = ("1e308", "-1.7e308", "1e154", "1e200", "1e-320", "5e-324", "-0.0", "0.0", "nan", "inf")
+_WALKERS = (["eval"], ["eval", "--skip-zeros"], ["validate"], ["validate", "--tolerance", "0"],
+            ["classify"], ["classify", "--tolerance", "0"], ["classify", "--tolerance=-1e-9"], ["compile"])
+
+
+def test_corrupted_tree_texts_through_dispatch_end_in_one_of_three_ways(tmp_path, capsys):
+    # seeded corruptions of small tree texts, through the commands that walk
+    # trees in process: each run exits 0 quietly, exits 1 with one ERROR line
+    # and no output, or is a usage error (2); anything else escapes dispatch
+    import random
+    import re
+    from collections import Counter
+
+    from conftest import random_tree
+    from test_dsl import _NOISE, _corrupt
+    from statetrees.builders import build_cat, build_cluster1d, build_parity_fourier
+    from statetrees.cli import dispatch
+    from statetrees.dsl import serialize
+
+    rnd = random.Random(26)
+    texts = [serialize(random_tree(91, 1 + t % 4, t)) for t in range(12)]
+    texts += [serialize(t) for t in (build_cat(3), build_cluster1d(4), build_parity_fourier(3, 0))]
+    texts += [OVERFLOWING_WEIGHTS, OVERFLOWING_WEIGHT_SUM, OVERFLOWING_PRODUCTS, OVERFLOWING_DISJOINT]
+    runs = [(text, ["compile"]) for text in (OVERFLOWING_WEIGHTS, OVERFLOWING_WEIGHT_SUM)]
+    runs += [(_corrupt(rnd, rnd.choice(texts), _NOISE + _LIMIT_NOISE), rnd.choice(_WALKERS)) for _ in range(1200)]
+    tree = tmp_path / "in.tree"
+    outcomes = Counter()
+    for text, (command, *flags) in runs:
+        tree.write_text(text)
+        try:
+            code = dispatch([command, str(tree), *flags])
+        except SystemExit as e:  # argparse's usage exit
+            code = e.code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "", (command, text, err)
+        elif code == 1:
+            assert out == "" and err.count("\n") == 1 and re.match(r"ERROR [a-z-]+: ", err), (command, text, err)
+        else:
+            assert code == 2, (command, text, code)
+        outcomes[command, code] += 1
+    assert all(outcomes[c, code] >= 5 for c in ("eval", "validate", "classify", "compile") for code in (0, 1)), outcomes

@@ -157,8 +157,9 @@ _NOISE = ("(", ")", " ", "\n", "\r\n", "\t", ";", "; ) (", "leaf", "+", "*", "va
           "0", "1", "7", "-0.5+0.5i", "1e3", "x", "\u0661", "\x0b", "\xa0", "\x1c", "\u2003")
 
 
-def _corrupt(rnd: random.Random, text: str) -> str:
-    """One to three edits: delete, insert or replace a short span, or cut the text."""
+def _corrupt(rnd: random.Random, text: str, noise: tuple[str, ...] = _NOISE) -> str:
+    """One to three edits: delete, insert or replace a short span with a
+    token from `noise`, or cut the text."""
     for _ in range(rnd.randint(1, 3)):
         p = rnd.randrange(len(text) + 1)
         q = min(len(text), p + rnd.randint(1, 6))
@@ -166,9 +167,9 @@ def _corrupt(rnd: random.Random, text: str) -> str:
         if edit == 0:
             text = text[:p] + text[q:]
         elif edit == 1:
-            text = text[:p] + rnd.choice(_NOISE) + text[p:]
+            text = text[:p] + rnd.choice(noise) + text[p:]
         elif edit == 2:
-            text = text[:p] + rnd.choice(_NOISE) + text[q:]
+            text = text[:p] + rnd.choice(noise) + text[q:]
         else:
             text = text[:p]
     return text

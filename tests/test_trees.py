@@ -18,7 +18,7 @@ from statetrees.errors import InvalidTreeError, NonUnitaryError, OversizeError
 from statetrees.gf2 import BitMatrix, Coset
 from statetrees.rng import stream
 from statetrees import trees as trees_module
-from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, classify_tree,
+from statetrees.trees import (TOLERANCE, Leaf, Plus, StateTree, Tensor, Violation, classify_tree,
                               depth, eps_to_delta, evaluate, fidelity, l2_distance2,
                               local_basis_change, normalize_node, restrict, tree_size,
                               validate)
@@ -210,6 +210,45 @@ def test_a_wide_plus_vertex_holds_one_vector_not_its_children():
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20, (fn.__name__, peak)
+
+
+def test_a_gram_reads_its_children_a_block_at_a_time():
+    # 8 product children of 16 qubits (1 MiB each formed), half with their
+    # leaves shuffled, whose supports overlap: the gram reads their rows a
+    # block at a time, so classify holds less than one 8 x 2^16 stack of them
+    rng = stream(12)
+    kids = []
+    for i in range(8):
+        qubits = [int(q) + 1 for q in rng.permutation(16)] if i % 2 else list(range(1, 17))
+        leaves = tuple(Leaf(q, complex(rng.normal(), 1), complex(1, rng.normal())) for q in qubits)
+        kids.append((complex(rng.normal(), rng.normal()), Tensor(leaves)))
+    tree = StateTree(16, Plus(tuple(kids)))
+    tracemalloc.start()
+    try:
+        label = classify_tree(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert label == ref_classify(tree, TOLERANCE) == "general"
+    assert peak < 8 * 2**20, peak
+
+
+def test_validate_reads_each_distinct_leaf_norm_once_and_reports_every_leaf(monkeypatch):
+    # four leaves of norm 2, one amplitude pair up to the sign of a zero, two
+    # of them under their own + vertex: each is reported at its own path
+    calls = []
+    norm = trees_module._norm
+    monkeypatch.setattr(trees_module, "_norm", lambda v: calls.append(v) or norm(v))
+    root = Tensor((Plus(((1.0, Leaf(1, 2.0, 0.0)),)), Plus(((1.0, Leaf(2, 2.0, 0.0)),)),
+                   Leaf(3, 2.0, -0.0), Leaf(4, 2.0, 0.0)))
+    found = validate(StateTree(4, root))
+    paths = [(0, 0), (0,), (1, 0), (1,), (2,), (3,)]
+    assert found == [Violation(p, "vertex-not-normalized", "norm 2.0") for p in paths]
+    assert len(calls) == 3  # one leaf norm, then each + vertex's
+    for alpha in (math.nan, complex(0, math.nan)):
+        twice = Tensor((Leaf(1, alpha, 0), Leaf(2, alpha, 0)))
+        with pytest.raises(ValueError, match="overflow a float"):
+            validate(StateTree(2, twice))
 
 
 def test_a_norm_near_the_limit_is_read_again_in_sorted_order():
