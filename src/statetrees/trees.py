@@ -475,31 +475,59 @@ def _factors(r: tuple, order: tuple | None) -> list[tuple[tuple[int, ...], np.nd
     return [(tuple(pos[q] for q in _axes(m, o)), v.reshape((2,) * m.bit_count())) for m, v, o in parts]
 
 
-def _rows(factors: list[tuple], fixed: int, block: int, row: np.ndarray) -> None:
-    """Write block number `block` of the vector of `factors`, whose leading
-    `fixed` axes hold its bits, into `row`; only the factors' entries on
-    those bits are read, and the last product is written into `row` itself
-    where no axes are to be swapped."""
+def _runs(vs: list[list[tuple]], width: int) -> list[tuple[int, int, list[tuple]]]:
+    """The children as runs (lo, hi, factors) for _rows: neighbours whose
+    factors sit at the same positions and hold fewer than `width`
+    amplitudes, as a product of leaves does, share one run, each factor
+    stacked over the run; any other child is a run of its own, a view of
+    its factors.  So a stack is smaller than the rows it stands for."""
+    runs = []
+    for i, factors in enumerate(vs):
+        pos = [p for p, _ in factors]
+        if runs and pos == runs[-1][2] and sum(t.size for _, t in factors) < width:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, pos])
+    return [(lo, hi, [(p, np.stack([vs[i][j][1] for i in range(lo, hi)]) if hi - lo > 1 else t[None])
+                      for j, (p, t) in enumerate(vs[lo])])
+            for lo, hi, _ in runs]
+
+
+def _rows(factors: list[tuple], fixed: int, block: int, rows: np.ndarray) -> None:
+    """Write block number `block` of the vectors of a run of children into
+    `rows`, one row each.  factors are (positions, amplitudes with a
+    leading axis over the run); the leading `fixed` axes hold the block's
+    bits, and only the factors' entries on those bits are read.  Each
+    entry is multiplied in factor order, first operand first, which gives
+    _formed's bits; the last product is written into `rows` itself where no
+    axes are to be swapped."""
+    g = len(rows)
     axes = [p for pos, _ in factors for p in pos if p >= fixed]
-    into = row if axes == sorted(axes) else np.empty_like(row)
+    into = rows if axes == sorted(axes) else np.empty_like(rows)
     out = None
     for i, (pos, t) in enumerate(factors):
-        sub = t[tuple((block >> (fixed - 1 - p)) & 1 if p < fixed else slice(None) for p in pos)].reshape(-1)
+        sub = t[(slice(None), *(block >> (fixed - 1 - p) & 1 if p < fixed else slice(None) for p in pos))]
+        sub = sub.reshape(g, -1)
         if out is None:
             out = sub
             continue
-        cols = (into if i == len(factors) - 1 else np.empty(out.size * sub.size, dtype=complex))
-        cols = cols.reshape(out.size, sub.size)  # the last product goes straight into place
-        if sub.size < out.size:  # np.multiply.outer's products, a column at a time
-            for j, x in enumerate(sub):
-                np.multiply(out, x, cols[:, j])
+        m, s = out.shape[1], sub.shape[1]
+        cols = (into if i == len(factors) - 1 else np.empty((g, m * s), dtype=complex)).reshape(g, m, s)
+        # np.multiply.outer's products along the shorter side, one operand
+        # broadcast: numpy buffers two broadcast operands, and its outer of
+        # two 1-entry arrays rounds otherwise
+        if s < m:
+            for j in range(s):
+                np.multiply(out, sub[:, j:j + 1], cols[:, :, j])
         else:
-            np.multiply.outer(out, sub, out=cols)
-        out = cols.reshape(-1)
+            for j in range(m):
+                np.multiply(out[:, j:j + 1], sub, cols[:, j])
+        out = cols.reshape(g, -1)
     if len(factors) == 1:
         into[...] = out
-    if into is not row:
-        row.reshape((2,) * len(axes))[...] = into.reshape((2,) * len(axes)).transpose(np.argsort(axes))
+    if into is not rows:
+        shape = (g,) + (2,) * len(axes)
+        rows.reshape(shape)[...] = into.reshape(shape).transpose(0, *(1 + np.argsort(axes)))
 
 
 def _gram_labels(vs: list[list[tuple]], tol: float) -> tuple[bool, bool, bool]:
@@ -507,16 +535,21 @@ def _gram_labels(vs: list[list[tuple]], tol: float) -> tuple[bool, bool, bool]:
     _factors in the vertex's layout: read off their |v| > tol supports and
     their k x k gram, a block of rows at a time through one (k, block)
     buffer.  A block is the largest power of 2 of rows for which the
-    buffer holds at most 4 _BLOCK amplitudes (1 MiB): its size stays the
-    same however many or wide the children are."""
-    n = sum(len(pos) for pos, _ in vs[0])
-    free = min(n, max(0, (4 * _BLOCK // len(vs)).bit_length() - 1))  # a block is 2^free rows
-    buf = np.empty((len(vs), 1 << free), dtype=complex)
+    buffer holds at most 4 _BLOCK amplitudes (1 MiB), or as many as the
+    gram where that is more: its size does not grow with the children's
+    width, and a vertex of many children adds few k x k products.
+    Children that are products of leaves at the same positions are read
+    together (_runs), so such a vertex pays its numpy calls per block, not
+    per child."""
+    n, k = sum(len(pos) for pos, _ in vs[0]), len(vs)
+    free = min(n, max(4 * _BLOCK // k, k).bit_length() - 1)  # a block is 2^free rows
+    buf = np.empty((k, 1 << free), dtype=complex)
+    runs = _runs(vs, 1 << free)
     manifest = True
     for block in range(1 << (n - free)):
-        for row, factors in zip(buf, vs):
-            _rows(factors, n - free, block, row)
-        manifest = manifest and not np.any(sum(np.abs(row) > tol for row in buf) > 1)
+        for lo, hi, factors in runs:
+            _rows(factors, n - free, block, buf[lo:hi])
+        manifest = manifest and not np.any((np.abs(buf) > tol).sum(0) > 1)
         part = buf @ buf.conj().T
         gram = part if block == 0 else np.add(gram, part, gram)
     del buf, part  # the labels read the gram alone

@@ -233,6 +233,35 @@ def test_a_gram_reads_its_children_a_block_at_a_time():
     assert peak < 8 * 2**20, peak
 
 
+def test_a_gram_reads_each_child_with_the_bits_of_its_evaluated_vector(monkeypatch):
+    # 40 product children of 12 qubits with random amplitudes: the gram reads
+    # them in 4 blocks with the two leading leaves fixed to a block's bits,
+    # four children at the same positions at a time and each shuffled one on
+    # its own; every row it reads is its child's evaluated vector, bit for bit
+    rng = stream(13)
+    kids = []
+    for i in range(40):
+        qubits = [int(q) + 1 for q in rng.permutation(12)] if i % 5 == 4 else list(range(1, 13))
+        leaves = tuple(Leaf(q, complex(*rng.normal(size=2)), complex(*rng.normal(size=2))) for q in qubits)
+        kids.append((1.0, Tensor(leaves)))
+    read = {}
+    rows = trees_module._rows
+
+    def spy(factors, fixed, block, out):
+        rows(factors, fixed, block, out)
+        read.setdefault(block, []).append(out.copy())
+
+    monkeypatch.setattr(trees_module, "_rows", spy)
+    assert classify_tree(StateTree(12, Plus(tuple(kids)))) == "general"
+    want = np.stack([evaluate(StateTree(12, child)) for _, child in kids])
+    assert sorted(read) == [0, 1, 2, 3]
+    for block, parts in read.items():
+        assert [len(p) for p in parts] == [4, 1] * 8
+        got = np.concatenate(parts)
+        width = got.shape[1]
+        assert got.tobytes() == want[:, block * width:(block + 1) * width].tobytes(), block
+
+
 def test_validate_reads_each_distinct_leaf_norm_once_and_reports_every_leaf(monkeypatch):
     # four leaves of norm 2, one amplitude pair up to the sign of a zero, two
     # of them under their own + vertex: each is reported at its own path
