@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -112,16 +112,32 @@ def _convert(args) -> str:
     return dsl.serialize(formulas.formula_to_tree(f, n))
 
 
-def _dp_table_text(table: mots.DpTable) -> str:
+def _dp_table_bytes(table: mots.DpTable) -> bytes:
     """The TSV of a dp table: one row per nonempty column mask, ascending,
-    with the mask and its argmin as n-bit strings ('-' for one column)."""
+    with the mask and its argmin as n-bit strings ('-' for one column).
+    The rows are laid out as one uint8 array of ASCII columns, the value
+    right-aligned in its digits and 0 bytes filling the unused places;
+    dropping the 0 bytes leaves the text."""
     n = len(table.val).bit_length() - 1
-    names = list(map("".join, product(*dsl._bit_tables(n))))
-    argmin = [names[i] for i in table.arg.tolist()]
-    for j in range(n):
-        argmin[1 << j] = "-"
-    rows = zip(names[1:], table.val[1:].tolist(), argmin[1:])
-    return "columns\tvalue\targmin\n" + "".join([f"{m}\t{v}\t{i}\n" for m, v, i in rows])
+    val, arg = table.val[1:], table.arg[1:]
+
+    def bits(x: np.ndarray) -> np.ndarray:  # the n-bit strings of x, one row each
+        return np.unpackbits(x.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:] + 48
+
+    digits = len(str(int(val.max())))
+    powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int32)
+    rows = np.zeros((len(val), 2 * n + digits + 3), dtype=np.uint8)
+    rows[:, :n] = bits(np.arange(1, 1 << n))
+    dec = rows[:, n + 1:n + 1 + digits]
+    dec[:] = val[:, None] // powers % 10 + 48
+    dec[:, :-1][val[:, None] < powers[:-1]] = 0  # leading zeros
+    rows[:, n + 2 + digits:-1] = bits(arg)
+    single = (1 << np.arange(n)) - 1  # row of the one-column mask 1 << j
+    rows[single, n + 2 + digits:-1] = 0
+    rows[single, n + 2 + digits] = ord("-")
+    rows[:, [n, n + 1 + digits]] = ord("\t")
+    rows[:, -1] = ord("\n")
+    return b"columns\tvalue\targmin\n" + rows[rows != 0].tobytes()
 
 
 def _mots(args) -> str:
@@ -133,7 +149,7 @@ def _mots(args) -> str:
     if need_witness:
         Path(args.witness).write_text(dsl.serialize(res.witness))
     if args.table is not None:
-        Path(args.table).write_text(_dp_table_text(res.table))
+        Path(args.table).write_bytes(_dp_table_bytes(res.table))
     rank = gf2.rank_gf2(a)
     return _tsv(["key", "value"], [
         ["value", res.value],
@@ -173,7 +189,13 @@ def _vandermonde(args) -> str:
 
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser: an option it does not declare is a usage
-    error under its own usage line, not the top-level one."""
+    error under its own usage line, not the top-level one, and a negative
+    number in scientific notation (--tolerance -1e-9) is a value, as
+    argparse already takes -0.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extra = super().parse_known_args(args, namespace)

@@ -49,16 +49,6 @@ class BitMatrix:
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(self.n)]
 
-    def column_submatrix(self, cols: list[int]) -> "BitMatrix":
-        """Matrix keeping only the given columns, in the given order."""
-        rows = []
-        for i in range(self.k):
-            r = 0
-            for j in cols:
-                r = (r << 1) | self.entry(i, j)
-            rows.append(r)
-        return BitMatrix(self.k, len(cols), tuple(rows))
-
     def row_submatrix(self, row_ids: list[int]) -> "BitMatrix":
         return BitMatrix(len(row_ids), self.n, tuple(self.rows[i] for i in row_ids))
 

@@ -20,15 +20,20 @@ masks by popcount follows the ranked layout of
 Bjorklund-Husfeldt-Kaski-Koivisto's fast subset convolution; the
 2^(rank deficit) factor makes this a structured min over splits, not a
 min-plus subset convolution, so their running time does not carry over.
-The solver then builds a witness tree from the dp's splits over
-subproblems (column mask, right-hand side), each built once and shared,
-without listing the coset's elements, and `mots_bruteforce`
+The dp runs over a stack of trials at once, the trials as the minor
+axis of its arrays: the random-matrix experiment, which reads only
+M(A), fills one dp for many small matrices and so pays numpy's per-call
+cost once per chunk of splits, not once per trial; `mots_coset` is the
+stack of one.  The solver then builds a witness tree from the dp's
+splits over subproblems (column mask, right-hand side), each built once
+and shared, without listing the coset's elements, and `mots_bruteforce`
 independently minimizes over all manifestly orthogonal trees for tiny
 explicit supports so the recurrence can be cross-checked.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -56,6 +61,10 @@ _CHUNK = 1 << 14
 # Low bits of a packed dp key that hold the value (see _split_dp).
 _VAL_BITS = 24
 _VAL_MASK = (1 << _VAL_BITS) - 1
+
+# mots_random_experiment runs up to 2^_STACK_BITS / 2^n trials in one dp,
+# so its arrays never outgrow one trial's at n = _STACK_BITS.
+_STACK_BITS = 16
 
 
 def _leaf_base(convention: str, zero_column: bool) -> int:
@@ -113,29 +122,36 @@ def _subset_ranks(a: BitMatrix) -> np.ndarray:
     return (np.bitwise_count(np.arange(1 << n)) - np.bitwise_count(zeros - 1)).astype(np.int8)
 
 
-def _split_dp(cols: list[int], rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
-    """val[mask] = M(A_mask) and, for masks of two or more columns, arg[mask] = I.
+def _split_dp(cols: list[list[int]], rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """val[mask, u] = M(A_mask) of trial u and, for masks of two or more
+    columns, arg[mask, u] = I, for a stack of T trials of n columns each:
+    rank is the (2^n, T) array of their subset ranks and cols[u] the
+    columns of trial u.  One trial is the stack of T = 1.
 
     For a mask of p columns with lowest bit `low` and rest = mask ^ low,
     d[t] deposits the bits of t into the set bits of rest, t = 0 ...
     2^(p-1) - 1.  The I sides low + d[t], t < 2^(p-1) - 1, are the proper
     splits in ascending order, and the J side of d[t] is d[2^(p-1)-1-t].
-    np.argmin returns the first minimum, so ties go to the smallest I.
+    These are the same for every trial, so one chunk's splits serve the
+    whole stack.  np.argmin returns the first minimum, so ties go to the
+    smallest I.
 
-    Layout: one int32 array key[x] = rank[x] << _VAL_BITS | val[x], so one
-    lookup per side gives key[I] + key[J], whose low _VAL_BITS bits are
-    the value sum and whose high bits are the rank sum.  Splitting off
+    Layout: one int32 array key[x, u] = rank[x, u] << _VAL_BITS | val[x, u],
+    so one lookup per side gives key[I] + key[J], whose low _VAL_BITS bits
+    are the value sum and whose high bits are the rank sum.  Splitting off
     the low column shows by induction that val[m] <= |m| 2^(|m| - rank m),
     so a value sum and a score are both at most |I| 2^|I| + |J| 2^|J| <
     n 2^n <= MAX_N 2^MAX_N < 2^_VAL_BITS; with rank sums at most 2 MAX_N,
     a key sum stays below (2 MAX_N + 1) 2^_VAL_BITS < 2^31.  The field
     holds n <= 19 (19 2^19 < 2^24); the tests check MAX_N against it.
     """
-    n = len(cols)
+    n = rank.shape[0].bit_length() - 1
+    trials = rank.shape[1]
     key = rank.astype(np.int32) << _VAL_BITS
-    arg = np.zeros(1 << n, dtype=np.int32)
-    for j, c in enumerate(cols):
-        key[1 << j] |= _leaf_base(convention, c == 0)
+    arg = np.zeros(rank.shape, dtype=np.int32)
+    stack = np.arange(trials)
+    zero = np.array([[c == 0 for c in trial] for trial in cols])
+    key[1 << np.arange(n)] |= np.where(zero.T, _leaf_base(convention, True), _leaf_base(convention, False))
     pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
     layers = np.split(np.argsort(pop, kind="stable").astype(np.int32),
                       np.cumsum(np.bincount(pop))[:-1])
@@ -146,7 +162,7 @@ def _split_dp(cols: list[int], rank: np.ndarray, convention: str) -> tuple[np.nd
         for q in range(p):
             bits[:, q] = rest & -rest
             rest ^= bits[:, q]
-        step = max(1, _CHUNK >> (p - 1))
+        step = max(1, _CHUNK // (trials << (p - 1)))
         for a in range(0, len(masks), step):
             m, b = masks[a:a + step], bits[a:a + step]
             d = np.zeros((len(m), 1 << (p - 1)), dtype=np.int32)
@@ -154,23 +170,24 @@ def _split_dp(cols: list[int], rank: np.ndarray, convention: str) -> tuple[np.nd
                 h = 1 << (q - 1)
                 np.add(d[:, :h], b[:, q:q + 1], out=d[:, h:2 * h])
             i = d[:, :-1] + b[:, :1]
-            s = np.take(key, i)
-            s += np.take(key, d[:, :0:-1])
+            s = np.take(key, i, axis=0)
+            s += np.take(key, d[:, :0:-1], axis=0)
             shift = s >> _VAL_BITS
-            shift -= rank[m, None]
+            shift -= rank[m, None, :]
             s &= _VAL_MASK
             s <<= shift
             best = np.argmin(s, axis=1)
-            rows = np.arange(len(m))
-            val = s[rows, best]
+            rows = np.arange(len(m))[:, None]
+            key[m] |= s[rows, best, stack]
             arg[m] = i[rows, best]
-            key[m] |= val
     return key & _VAL_MASK, arg
 
 
 def _check_width(n: int) -> None:
     if n > MAX_N:
-        raise OversizeError(f"n={n}: the exact MO dp scores about 3^n/2 = {3 ** n // 2:.2e} "
+        # 3^n / 2 is past the float range from n = 647 on: name its power of ten
+        splits = f"{3 ** n // 2:.2e}" if n < 600 else f"10^{n * math.log10(3) - math.log10(2):.0f}"
+        raise OversizeError(f"n={n}: the exact MO dp scores about 3^n/2 = {splits} "
                             f"column splits; the cap is n <= {MAX_N}")
 
 
@@ -183,7 +200,7 @@ def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
     leaves under the chosen convention.
     """
     _check_width(a.n)
-    val, arg = _split_dp(a.columns(), _subset_ranks(a), convention)
+    val, arg = (x[:, 0] for x in _split_dp([a.columns()], _subset_ranks(a)[:, None], convention))
     wit = _build_witness(a, b, arg.tolist(), convention) if witness else None
     return MotsResult(int(val[-1]), convention, wit, DpTable(val, arg) if table else None)
 
@@ -369,13 +386,13 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
         raise ValueError("trials must be at least 1")
     values = []
     zero_cols = 0
-    for t in range(trials):
-        a = random_bitmatrix(k, n, seed, t)
-        res = mots_coset(a, convention=convention, witness=False, table=False)
-        values.append(res.value)
-        cols = a.columns()
-        if any(c == 0 for c in cols):
-            zero_cols += 1
+    stack = max(1, (1 << _STACK_BITS) >> n)
+    for start in range(0, trials, stack):
+        mats = [random_bitmatrix(k, n, seed, t) for t in range(start, min(trials, start + stack))]
+        cols = [a.columns() for a in mats]
+        val, _ = _split_dp(cols, np.stack([_subset_ranks(a) for a in mats], axis=1), convention)
+        values += val[-1].tolist()
+        zero_cols += sum(0 in c for c in cols)
     hist: dict[int, int] = {}
     for v in values:
         hist[v] = hist.get(v, 0) + 1

@@ -15,7 +15,9 @@ b' + col(A_z); two nonzero rows are equal when A_y y agrees and
 support-disjoint otherwise.  So M is zero when [A_y A_z] x = b' has no
 solution, and otherwise has rank 2^(r(A_y) + r(A_z) - r([A_y A_z])),
 each distinct row repeated 2^(l - r(A_y)) times and holding
-2^(l - r(A_z)) ones.
+2^(l - r(A_z)) ones.  The three ranks are the sizes of echelon bases of
+A's columns, and b' reduced against the basis of [A_y A_z] is 0
+exactly when the system is solvable.
 
 No experiment calls `rank_exact`; it stays because the benchmark
 (`perfbench/spans.py`) traces it by name.
@@ -35,13 +37,15 @@ import numpy as np
 
 from .codes import VandermondeParams, build_binary_vandermonde
 from .errors import OversizeError
-from .gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
-                  rank_gf2, solve)
+from .gf2 import Coset, _echelon, invertibility_product, rank_gf2
 from .rng import stream
 
 _MERSENNE61 = (1 << 61) - 1
 _EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
 _CHI_MAX_QUBITS = 16  # widest state chi_max reads
+# widest coset the erasure check restricts: each trial lists its n variables
+# several times over in Python (about 35 ms a trial at the cap on a 2-vCPU VM)
+_ERASURE_MAX_N = 1 << 14
 _SUBSET_SUM_MAX_P = 1 << 40  # largest p _is_prime tries: about 0.06 s on a 2-vCPU VM
 # largest trials * min(2^m, p), a bound on the residues all trials build: one
 # trial at m = 20, p = 10^9 + 7 takes about 0.65 s and a 129 MiB peak on a 2-vCPU VM
@@ -281,16 +285,26 @@ def rank_eps_lower_bound(m: np.ndarray, eps: float) -> int:
 # coset indicators: closed-form partition rank
 
 
-def _split_ranks(a: BitMatrix, b: int, y: list[int],
+def _packed(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an int, its first entry the most significant bit."""
+    return (bits.astype(np.int64) << np.arange(bits.shape[1] - 1, -1, -1)).sum(axis=1).tolist()
+
+
+def _split_ranks(cols: list[int], b: int, y: list[int],
                  z: list[int]) -> tuple[int, int, int] | None:
     """(r(A_y), r(A_z), r([A_y A_z])) for the 0-based columns y, z of A,
-    or None when [A_y A_z] x = b has no solution (M is then zero)."""
+    given as A's packed columns, or None when [A_y A_z] x = b has no
+    solution (M is then zero).  Each rank is the size of an echelon basis
+    of the columns, and the system is solvable iff b reduces to 0 against
+    the basis of [A_y A_z]."""
     if not y:  # M is the single entry [b = 0]
         return (0, 0, 0) if b == 0 else None
-    ay, az, ayz = (a.column_submatrix(cols) for cols in (y, z, y + z))
-    if solve(ayz, b) is None:
-        return None
-    return rank_gf2(ay), rank_gf2(az), rank_gf2(ayz)
+    ey = _echelon([cols[j] for j in y])
+    ez = _echelon([cols[j] for j in z])
+    eyz = _echelon(ey + ez)
+    for v in eyz:  # leading bits descend, so each v clears its own
+        b = min(b, b ^ v)
+    return None if b else (len(ey), len(ez), len(eyz))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +337,11 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     perm_mismatch = 0
     for t in range(trials):
         rng = stream(seed, t)
-        a = from_numpy(rng.integers(0, 2, size=(half, n)))
+        bits = rng.integers(0, 2, size=(half, n))
         perm = rng.permutation(n) + 1
         p = Partition(tuple(sorted(int(v) for v in perm[:half])),
                       tuple(sorted(int(v) for v in perm[half:])))
-        r_y, r_z, r_a = _split_ranks(a, 0, [v - 1 for v in p.y_vars],
+        r_y, r_z, r_a = _split_ranks(_packed(bits.T), 0, [v - 1 for v in p.y_vars],
                                      [v - 1 for v in p.z_vars])
         if r_y + r_z - r_a == half:
             fullrank += 1
@@ -335,7 +349,7 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
             both += 1
             xs = np.arange(1 << n, dtype=np.int64)
             table = np.ones(1 << n, dtype=np.int8)
-            for r in a.rows:
+            for r in _packed(bits):
                 par = np.bitwise_count(xs & r).astype(np.int64) & 1
                 table &= (par == 0)
             m = partition_matrix(table, p)
@@ -392,6 +406,8 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     matrix ranks against the threshold 2^(l - l^(1/8)/2).
     """
     n = c.n
+    if n > _ERASURE_MAX_N:
+        raise OversizeError(f"erasure check capped at n <= {_ERASURE_MAX_N} variables, got n={n}")
     try:
         threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
     except OverflowError:
@@ -399,10 +415,11 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     _check_trials(trials)
     ranks = []
     multirow_counts = []
+    cols = c.a.columns()
     for t in range(trials):
         r = random_restriction(n, l, seed, t)
         x_fixed = sum(bit << (n - v) for v, bit in r.fixed)
-        split = _split_ranks(c.a, c.b ^ c.a.mul_vec(x_fixed),
+        split = _split_ranks(cols, c.b ^ c.a.mul_vec(x_fixed),
                              [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
         rank = multirow = 0
         if split is not None:
@@ -449,7 +466,11 @@ def chi_max(v: np.ndarray, mode: str = "auto", seed: int = 0,
     """Max Schmidt rank over bipartitions of the qubits.
 
     Exhaustive over all 2^(n-1) - 1 bipartitions for n <= 12 (or with
-    mode='exhaustive'), sampled otherwise.
+    mode='exhaustive'), sampled otherwise.  A split with a qubits on one
+    side has at most 2^min(a, n - a) singular values, so a split whose
+    cap is no more than the best rank so far is not ranked, and the
+    search ends once the best reaches 2^(n // 2), the largest cap.
+    Sampled mode still draws every sample.
     """
     n = int(np.log2(len(v)))
     if 1 << n != len(v):
@@ -461,22 +482,31 @@ def chi_max(v: np.ndarray, mode: str = "auto", seed: int = 0,
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError("mode must be auto, exhaustive or sampled")
     exhaustive = mode == "exhaustive" or (mode == "auto" and n <= 12)
-    best = 1
     if exhaustive:
         # qubit 1 stays on the A side: each split counted once
-        for amask in range(1, (1 << n) - 1, 2):
-            best = max(best, _reshape_rank(v, n, amask))
+        amasks = range(1, (1 << n) - 1, 2)
     else:
-        rng = stream(seed)
-        for _ in range(samples):
-            bits = rng.integers(0, 2, size=n - 1)
-            amask = 1
-            for j, b in enumerate(bits):
-                amask |= int(b) << (j + 1)
-            if amask == (1 << n) - 1:
-                amask ^= 1 << (n - 1)
+        amasks = _sampled_splits(n, stream(seed), samples)
+    best = 1
+    for amask in amasks:
+        a = amask.bit_count()
+        if 1 << min(a, n - a) > best:
             best = max(best, _reshape_rank(v, n, amask))
+            if best == 1 << (n // 2) and exhaustive:
+                break
     return best
+
+
+def _sampled_splits(n: int, rng: np.random.Generator, samples: int):
+    """The A sides of `samples` random splits, qubit 1 always in A."""
+    for _ in range(samples):
+        bits = rng.integers(0, 2, size=n - 1)
+        amask = 1
+        for j, b in enumerate(bits):
+            amask |= int(b) << (j + 1)
+        if amask == (1 << n) - 1:
+            amask ^= 1 << (n - 1)
+        yield amask
 
 
 # ---------------------------------------------------------------------------

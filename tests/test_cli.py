@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+import random
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -800,24 +803,62 @@ def test_subset_sum_refuses_work_past_the_budget():
     assert r.stderr == "ERROR oversize: trials * min(2^m, p) = 2097152 exceeds the cap 2^20\n"
 
 
+_EXACT_PREP = "qubits 2 0\nprep 0 0.6 0 0.8 0\nprep 1 0 0 1 0\n"  # norms exactly 1
+
+
+@pytest.mark.parametrize("command,source,tol", [
+    ("classify", "knill5.tree", "-1e-9"), ("validate", "knill5.tree", "-1e-9"),
+    ("eval", "knill5.tree", "-1E-9"), ("simulate", "prep.circ", "-0e0")])
+def test_a_negative_tolerance_in_scientific_notation_is_a_value(tmp_path, capsys, command, source, tol):
+    # argparse took '-1e-9' for an option ("expected one argument"), not a value
+    from statetrees.cli import dispatch
+
+    if command == "simulate":
+        source = tmp_path / source
+        source.write_text(_EXACT_PREP)
+    spelled = []
+    for argv in ([command, str(source), "--tolerance", tol], [command, str(source), f"--tolerance={tol}"]):
+        assert dispatch(argv) == 0
+        spelled.append(capsys.readouterr())
+    assert spelled[0] == spelled[1] and spelled[0].out and not spelled[0].err
+
+
 # numbers at the float limits, for the corruptions of the fuzz test below
 _LIMIT_NOISE = ("1e308", "-1.7e308", "1e154", "1e200", "1e-320", "5e-324", "-0.0", "0.0", "nan", "inf")
 _WALKERS = (["eval"], ["eval", "--skip-zeros"], ["validate"], ["validate", "--tolerance", "0"],
             ["classify"], ["classify", "--tolerance", "0"], ["classify", "--tolerance=-1e-9"], ["compile"])
 
 
-def test_corrupted_tree_texts_through_dispatch_end_in_one_of_three_ways(tmp_path, capsys):
-    # seeded corruptions of small tree texts, through the commands that walk
-    # trees in process: each run exits 0 quietly, exits 1 with one ERROR line
-    # and no output, or is a usage error (2); anything else escapes dispatch
-    import random
-    import re
-    from collections import Counter
+def _dispatch_endings(runs, path, capsys) -> Counter:
+    """Each (text, argv) run through dispatch with the text in `path`: it
+    exits 0 quietly, exits 1 with one ERROR line and no output, or is a
+    usage error (2); anything else escapes dispatch.  Counts the endings
+    by the argv's first word."""
+    from statetrees.cli import dispatch
 
+    outcomes = Counter()
+    for text, argv in runs:
+        path.write_text(text)
+        try:
+            code = dispatch(argv)
+        except SystemExit as e:  # argparse's usage exit
+            code = e.code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "", (argv, text, err)
+        elif code == 1:
+            assert out == "" and err.count("\n") == 1 and re.match(r"ERROR [a-z-]+: ", err), (argv, text, err)
+        else:
+            assert code == 2, (argv, text, code)
+        outcomes[argv[0], code] += 1
+    return outcomes
+
+
+def test_corrupted_tree_texts_through_dispatch_end_in_one_of_three_ways(tmp_path, capsys):
+    # seeded corruptions of small tree texts, through the commands that walk trees in process
     from conftest import random_tree
     from test_dsl import _NOISE, _corrupt
     from statetrees.builders import build_cat, build_cluster1d, build_parity_fourier
-    from statetrees.cli import dispatch
     from statetrees.dsl import serialize
 
     rnd = random.Random(26)
@@ -827,19 +868,47 @@ def test_corrupted_tree_texts_through_dispatch_end_in_one_of_three_ways(tmp_path
     runs = [(text, ["compile"]) for text in (OVERFLOWING_WEIGHTS, OVERFLOWING_WEIGHT_SUM)]
     runs += [(_corrupt(rnd, rnd.choice(texts), _NOISE + _LIMIT_NOISE), rnd.choice(_WALKERS)) for _ in range(1200)]
     tree = tmp_path / "in.tree"
-    outcomes = Counter()
-    for text, (command, *flags) in runs:
-        tree.write_text(text)
-        try:
-            code = dispatch([command, str(tree), *flags])
-        except SystemExit as e:  # argparse's usage exit
-            code = e.code
-        out, err = capsys.readouterr()
-        if code == 0:
-            assert err == "", (command, text, err)
-        elif code == 1:
-            assert out == "" and err.count("\n") == 1 and re.match(r"ERROR [a-z-]+: ", err), (command, text, err)
-        else:
-            assert code == 2, (command, text, code)
-        outcomes[command, code] += 1
+    outcomes = _dispatch_endings([(text, [command, str(tree), *flags]) for text, (command, *flags) in runs],
+                                 tree, capsys)
     assert all(outcomes[c, code] >= 5 for c in ("eval", "validate", "classify", "compile") for code in (0, 1)), outcomes
+
+
+# tokens of matrix texts and amplitude listings, for the corruptions below
+_MATRIX_NOISE = ("0", "1", "01", "b", "b ", " ", "\n", "\t", ";", "-1", "7", "1e3", "x", "\u0661", "\xa0", "\x0b")
+_AMPLITUDE_NOISE = ("0", "1", "10", " ", "\n", "\t", ";", "-0.5", "1e3", "x", "\u0661", "\xa0", "0.5 0")
+
+
+def test_corrupted_matrix_texts_and_listings_through_dispatch_end_in_one_of_three_ways(tmp_path, capsys):
+    # seeded corruptions of small matrix texts through mots, rank-exp erasure
+    # and build coset-sigma1, and of amplitude listings through rank-exp chi
+    from test_dsl import _corrupt
+    from statetrees.dsl import format_amplitudes
+    from statetrees.gf2 import format_matrix, random_bitmatrix
+    from statetrees.rng import stream
+
+    rnd = random.Random(27)
+    matrices = []
+    for t in range(16):
+        n = 2 + t % 7
+        a = random_bitmatrix(t % (n + 1), n, 27, t)
+        b = a.mul_vec(t * 37 % (1 << n)) if t % 3 else rnd.randrange(1 << a.k)  # some unsolvable
+        matrices.append(format_matrix(a, b if t % 4 else None))
+    listings = []
+    for t in range(8):
+        n = 1 + t % 4
+        v = stream(27, 100 + t).normal(size=1 << n) * (np.arange(1 << n) % (2 + t % 3) == 0)
+        listings.append(format_amplitudes(v, skip_zeros=bool(t % 2)))
+    matrix_commands = (["mots"], ["mots", "--convention", "free"], ["build", "coset-sigma1"],
+                       ["rank-exp", "erasure", "--l", "1", "--trials", "3"],
+                       ["rank-exp", "erasure", "--l", "2", "--trials", "3"])
+    chi_modes = (["--mode", "auto"], ["--mode", "exhaustive"], ["--mode", "sampled"])
+    path = tmp_path / "in.txt"
+    runs = [(_corrupt(rnd, rnd.choice(matrices), _MATRIX_NOISE), [*rnd.choice(matrix_commands), "--matrix", str(path)])
+            for _ in range(500)]
+    runs += [(_corrupt(rnd, rnd.choice(listings), _AMPLITUDE_NOISE + _LIMIT_NOISE),
+              ["rank-exp", "chi", "--state", str(path), *rnd.choice(chi_modes)]) for _ in range(300)]
+    runs += [(text, argv) for text in matrices for argv in ([*c, "--matrix", str(path)] for c in matrix_commands)]
+    # zero-row matrices past the caps: 3^n / 2 overflows a float at n = 647
+    runs += [(f"0 {n}\n", [*c, "--matrix", str(path)]) for n in (647, 20154, 16385) for c in matrix_commands]
+    outcomes = _dispatch_endings(runs, path, capsys)
+    assert all(outcomes[c, code] >= 5 for c in ("mots", "build", "rank-exp") for code in (0, 1)), outcomes

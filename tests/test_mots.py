@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from statetrees.builders import build_coset_sigma1
 from statetrees.cli import dispatch
 from statetrees.dsl import serialize
 from statetrees.errors import EmptyCosetError, OversizeError
-from statetrees.gf2 import BitMatrix, Coset, enumerate_coset, random_bitmatrix
+from statetrees.gf2 import BitMatrix, Coset, enumerate_coset, from_numpy, random_bitmatrix, to_numpy
 from statetrees.mots import (_CHUNK, _VAL_BITS, MAX_N, _leaf_base, _split_dp, _subset_ranks,
                              mots_bruteforce, mots_coset, mots_random_experiment)
 from statetrees.rng import stream
@@ -161,6 +162,9 @@ def test_oversize_message_names_the_work_and_the_cap():
         mots_coset(BitMatrix(1, MAX_N + 1, (0,)), witness=False, table=False)
     with pytest.raises(OversizeError):
         mots_random_experiment(MAX_N + 1, 2, 1, 0)
+    # past n = 646, 3^n / 2 overflows a float: the message names its power of ten
+    with pytest.raises(OversizeError, match=r"3\^n/2 = 10\^334 column splits"):
+        mots_coset(BitMatrix(0, 700, ()), witness=False, table=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +319,45 @@ def test_packed_kernel_matches_int64_kernel_where_chunks_hold_one_mask():
         a = _matrix(bits)
         cols, rank = a.columns(), _subset_ranks(a)
         for conv in ("classical", "free"):
-            val, arg = _split_dp(cols, rank, conv)
+            val, arg = _split_dp([cols], rank[:, None], conv)
             want_val, want_arg = _int64_split_dp(cols, rank, conv)
-            assert np.array_equal(val, want_val) and np.array_equal(arg, want_arg), (trial, kind, conv)
+            assert np.array_equal(val[:, 0], want_val) and np.array_equal(arg[:, 0], want_arg), (trial, kind, conv)
+
+
+def test_stacked_dp_equals_one_dp_per_trial():
+    # the trials of a stack share each chunk's splits: every column of the
+    # stack must be its trial's own dp, whatever the other trials hold
+    kinds = ("uniform", "zero columns", "repeated columns")
+    for n in range(1, 13):
+        for stack in (1, 2, 7, 55):
+            rng = stream(4545, 100 * n + stack)
+            mats = []
+            for t in range(stack):
+                bits = rng.integers(0, 2, size=(t % (n + 2), n))  # k = 0 .. n + 1
+                if kinds[t % 3] == "zero columns":
+                    bits[:, rng.random(n) < 0.4] = 0
+                elif kinds[t % 3] == "repeated columns":
+                    bits = bits[:, rng.integers(0, max(1, n // 2), size=n)]
+                mats.append(_matrix(bits))
+            cols = [a.columns() for a in mats]
+            ranks = np.stack([_subset_ranks(a) for a in mats], axis=1)
+            for conv in ("classical", "free"):
+                val, arg = _split_dp(cols, ranks, conv)
+                assert val.shape == arg.shape == (1 << n, stack)
+                for t in range(stack):
+                    one_val, one_arg = _split_dp(cols[t:t + 1], ranks[:, t:t + 1], conv)
+                    assert np.array_equal(val[:, t], one_val[:, 0]), (n, stack, t, conv)
+                    assert np.array_equal(arg[:, t], one_arg[:, 0]), (n, stack, t, conv)
+
+
+def test_random_experiment_across_stacks_counts_each_trial_once():
+    # n = 12 stacks 16 trials a dp: 37 trials are two full stacks and a partial one
+    for conv in ("classical", "free"):
+        rep = mots_random_experiment(12, 5, 37, 8, conv)
+        mats = [random_bitmatrix(5, 12, 8, t) for t in range(37)]
+        values = [mots_coset(a, conv, witness=False, table=False).value for a in mats]
+        assert rep["histogram"] == dict(sorted(Counter(values).items()))
+        assert rep["zero_column_fraction"] == sum(0 in a.columns() for a in mats) / 37
 
 
 def test_packed_key_layout_holds_max_n():
@@ -336,7 +376,7 @@ def _row_by_row_table_text(table, n: int) -> str:
 
 def test_table_text_matches_row_by_row_text(tmp_path):
     mat, tab = tmp_path / "a.mat", tmp_path / "t.tsv"
-    for n in range(1, 13):
+    for n in range(1, 16):
         cases = [_tie_heavy_matrix(4 * n + trial, n)[1] for trial in range(4)] + [BitMatrix(0, n, ())]
         for a in cases:
             mat.write_text(f"{a.k} {n}\n" + "".join(f"{r:0{n}b}\n" for r in a.rows))
@@ -390,7 +430,7 @@ def test_metamorphic_row_operations_and_column_permutations():
         # M depends on the row space only, so the whole table (argmin too) stays
         assert mots_coset(_row_mixed(a, rng), witness=False).table == base, trial
         perm = [int(x) for x in rng.permutation(n)]
-        moved = mots_coset(a.column_submatrix(perm), witness=False, table=True).table
+        moved = mots_coset(from_numpy(to_numpy(a)[:, perm]), witness=False, table=True).table
         # column perm[t] of a is column t of the permuted matrix
         for m, (v, _) in base.items():
             pm = sum(1 << t for t in range(n) if (m >> perm[t]) & 1)

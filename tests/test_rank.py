@@ -10,11 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from statetrees.builders import build_cat
+from statetrees.builders import build_cat, build_cluster1d, build_hamming, build_parity_fourier
 from statetrees.codes import VandermondeParams
 from statetrees.errors import OversizeError
-from statetrees.gf2 import (BitMatrix, Coset, from_numpy, invertibility_product,
-                            random_bitmatrix, rank_gf2)
+from statetrees.gf2 import (BitMatrix, Coset, _echelon, from_numpy, invertibility_product,
+                            random_bitmatrix, rank_gf2, solve, to_numpy)
 from statetrees.rank import (_SUBSET_SUM_MAX_WORK, Partition, _reshape_rank, _split_ranks, chi_max,
                              erasure_recoverability_check, partition_matrix,
                              random_partition, random_restriction,
@@ -78,7 +78,7 @@ def dense_rank_and_multirow(table: np.ndarray, r) -> tuple[int, int]:
 
 def closed_form_rank_and_multirow(c: Coset, r) -> tuple[int, int]:
     x_fixed = sum(bit << (c.n - v) for v, bit in r.fixed)
-    split = _split_ranks(c.a, c.b ^ c.a.mul_vec(x_fixed),
+    split = _split_ranks(c.a.columns(), c.b ^ c.a.mul_vec(x_fixed),
                          [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
     if split is None:
         return 0, 0
@@ -189,8 +189,9 @@ def test_subgroup_experiment_matches_dense_oracle():
                           tuple(sorted(int(v) for v in perm[half:])))
             m = partition_matrix(coset_table(Coset(a, 0)), p)
             full += rank_disjoint_rows(m) == 1 << half
-            both += (rank_gf2(a.column_submatrix([v - 1 for v in p.y_vars])) == half
-                     and rank_gf2(a.column_submatrix([v - 1 for v in p.z_vars])) == half)
+            cols = a.columns()
+            both += (len(_echelon([cols[v - 1] for v in p.y_vars])) == half
+                     and len(_echelon([cols[v - 1] for v in p.z_vars])) == half)
         rep = subgroup_rank_experiment(n, trials, seed)
         assert rep["full_rank_fraction"] == full / trials
         assert rep["both_invertible_fraction"] == both / trials
@@ -285,6 +286,75 @@ def test_erasure_needs_no_dense_table():
     a = random_bitmatrix(6, 40, 816)
     rep = erasure_recoverability_check(Coset(a, a.mul_vec(12345)), 8, 30, 3)
     assert 0 <= rep["rank_min"] <= rep["rank_max"] <= 1 << 6
+    # but each trial lists all n variables: past 2^14 of them it is refused
+    with pytest.raises(OversizeError, match="capped at n <= 16384 variables, got n=16385"):
+        erasure_recoverability_check(Coset(BitMatrix(0, 16385, ()), 0), 1, 1, 0)
+
+
+def _reference_split_ranks(a: BitMatrix, b: int, y: list[int], z: list[int]):
+    """_split_ranks from row-packed column submatrices, solve and rank_gf2."""
+    if not y:
+        return (0, 0, 0) if b == 0 else None
+    ay, az, ayz = (from_numpy(to_numpy(a)[:, cols]) for cols in (y, z, y + z))
+    if solve(ayz, b) is None:
+        return None
+    return rank_gf2(ay), rank_gf2(az), rank_gf2(ayz)
+
+
+def test_split_ranks_match_submatrix_elimination():
+    outcomes = Counter()
+    for t in range(3000):
+        rng = stream(8181, t)
+        n = int(rng.integers(1, 15))
+        k = int(rng.integers(0, n + 2))
+        a = random_bitmatrix(k, n, 8181, t)
+        l = int(rng.integers(0, n // 2 + 1))
+        perm = [int(j) for j in rng.permutation(n)]
+        y, z = perm[:l], perm[l:2 * l]
+        # a right-hand side in the column space half the time, any k bits otherwise
+        b = a.mul_vec(int(rng.integers(0, 1 << n))) if t % 2 else int(rng.integers(0, 1 << k))
+        want = _reference_split_ranks(a, b, y, z)
+        assert _split_ranks(a.columns(), b, y, z) == want, (t, a, b, y, z)
+        outcomes[want is None, not y, k == 0] += 1
+    assert all(outcomes[key] for key in [(False, False, False), (True, False, False),
+                                         (False, True, False), (True, True, False),
+                                         (False, False, True), (False, True, True)]), outcomes
+
+
+def _chi_every_split(v: np.ndarray, mode: str, seed: int = 0, samples: int = 200) -> int:
+    """Max of _reshape_rank over every split the mode names: all of them, or
+    the sampled ones drawn as chi_max draws them."""
+    n = int(np.log2(len(v)))
+    if n == 1:
+        return 1
+    if mode == "exhaustive" or (mode == "auto" and n <= 12):
+        return max(_reshape_rank(v, n, amask) for amask in range(1, (1 << n) - 1))
+    rng = stream(seed)
+    best = 1
+    for _ in range(samples):
+        amask = 1 | sum(int(bit) << (j + 1) for j, bit in enumerate(rng.integers(0, 2, size=n - 1)))
+        if amask == (1 << n) - 1:
+            amask ^= 1 << (n - 1)
+        best = max(best, _reshape_rank(v, n, amask))
+    return best
+
+
+def test_chi_equals_the_max_over_every_split_in_every_mode():
+    states = []
+    for n in range(1, 11):
+        rng = stream(8282, n)
+        dense = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        sparse = np.zeros(1 << n)
+        sparse[rng.choice(1 << n, size=min(1 << n, 2 + n % 4), replace=False)] = 1.0
+        states += [dense, sparse]
+        if n > 2:  # a product of two dense factors: no split ranks past the cut
+            states.append(np.kron(dense[:1 << (n // 2)], dense[:1 << (n - n // 2)]))
+    states += [evaluate(t) for t in (build_cat(7), build_cluster1d(8), build_parity_fourier(6, 1),
+                                     build_hamming(8, 2))]
+    for v in states:
+        for mode in ("auto", "exhaustive", "sampled"):
+            for seed, samples in ((0, 200), (5, 7)):
+                assert chi_max(v, mode, seed, samples) == _chi_every_split(v, mode, seed, samples), (len(v), mode)
 
 
 def test_chi_values():
