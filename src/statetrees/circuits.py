@@ -373,7 +373,10 @@ def _check_unitary(c: Circuit, tol: float) -> None:
     by_shape: dict[tuple[int, ...], list[int]] = {}
     for pos, g in enumerate(gates):
         if isinstance(g, Prep):
-            norm = abs(complex(g.alpha)) ** 2 + abs(complex(g.beta)) ** 2
+            try:
+                norm = abs(complex(g.alpha)) ** 2 + abs(complex(g.beta)) ** 2
+            except OverflowError:  # a float power past the float range raises
+                norm = math.inf
             if not abs(norm - 1) <= tol:
                 faults.append((pos, f"prep on wire {g.qubit}: |alpha|^2 + |beta|^2 = {norm!r}"))
         else:

@@ -19,6 +19,9 @@ import numpy as np
 from .gf2 import BitMatrix, to_numpy
 
 _IRREDUCIBLE_MAX_D = 16
+# most parities build_binary_vandermonde holds at once, a byte each (and
+# two bytes each for the masked columns they are counted from)
+_PARITY_BYTES = 1 << 20
 
 
 def _poly_deg(p: int) -> int:
@@ -119,20 +122,30 @@ class VandermondeParams:
 
 
 def build_binary_vandermonde(params: VandermondeParams) -> BitMatrix:
-    """(n 2^d) x (kd) matrix of blocks H m(i^j), i = 1..n, j = 0..k-1."""
+    """(n 2^d) x (kd) matrix of blocks H m(i^j), i = 1..n, j = 0..k-1.
+
+    Column t of m(i^j) is the element i^j x^t, and row u of label i's
+    blocks holds the parities of those columns & u, in the order (j, t),
+    the first the most significant bit.  numpy computes the rows of as
+    many labels at a time as fit _PARITY_BYTES of parities."""
     f = field(params.d)
     n, k, d = params.n, params.k, params.d
-    rows = []
+    cols = []  # cols[i - 1] = the kd columns of label i, in row order
     for i in range(1, n + 1):
-        powers = [gf2d_pow(f, i, j) for j in range(k)]
-        # column t of m(i^j) is the element i^j * x^t
-        block_cols = [[gf2d_mul(f, p, 1 << t) for t in range(d)] for p in powers]
-        for u in range(1 << d):
-            r = 0
-            for j in range(k):
-                for t in range(d):
-                    r = (r << 1) | (bin(block_cols[j][t] & u).count("1") & 1)
-            rows.append(r)
+        for j in range(k):
+            col = gf2d_pow(f, i, j)
+            for _ in range(d):
+                cols.append(col)
+                col <<= 1  # times x, reduced by the modulus
+                col ^= f.modulus if col >> d else 0
+    cols = np.array(cols, dtype=np.uint16).reshape(n, 1, k * d)  # d <= 16 bits
+    us = np.arange(1 << d, dtype=np.uint16)[:, None]
+    width = -(-k * d // 8)  # bytes of a packed row
+    rows = []
+    step = max(1, _PARITY_BYTES // (k * d << d))
+    for lo in range(0, n, step):
+        data = np.packbits(np.bitwise_count(cols[lo:lo + step] & us) & 1, axis=2).tobytes()
+        rows += [int.from_bytes(data[at:at + width], "big") >> (-k * d % 8) for at in range(0, len(data), width)]
     return BitMatrix(n * (1 << d), k * d, tuple(rows))
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyCosetError, OversizeError, ParseError
 from .rng import stream
 
@@ -48,9 +50,6 @@ class BitMatrix:
 
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(self.n)]
-
-    def row_submatrix(self, row_ids: list[int]) -> "BitMatrix":
-        return BitMatrix(len(row_ids), self.n, tuple(self.rows[i] for i in row_ids))
 
     def mul_vec(self, x: int) -> int:
         """A @ x over GF(2); x is an n-bit int, result a k-bit int."""
@@ -170,13 +169,18 @@ def enumerate_coset(c: Coset) -> list[int]:
 
 def to_numpy(a: BitMatrix):
     """(k, n) uint8 array of the entries."""
-    import numpy as np
-
     out = np.zeros((a.k, a.n), dtype=np.uint8)
     for i, r in enumerate(a.rows):
         for j in range(a.n):
             out[i, j] = (r >> (a.n - 1 - j)) & 1
     return out
+
+
+def _packed(bits: np.ndarray) -> list:
+    """Each row (last axis) of a 0/1 array of at most 63 columns as an int,
+    its first entry the most significant bit: a list, nested as the
+    leading axes are."""
+    return (bits.astype(np.int64) << np.arange(bits.shape[-1] - 1, -1, -1)).sum(axis=-1).tolist()
 
 
 def from_numpy(arr) -> BitMatrix:

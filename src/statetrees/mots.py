@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import BitMatrix, Coset, _echelon, random_bitmatrix, row_space_basis
+from .gf2 import BitMatrix, Coset, _echelon, _packed
 from .gf2 import enumerate_coset  # noqa: F401  (no caller here; perfbench's tracer test reads it)
+from .rng import streams
 from .trees import Leaf, Node, Plus, StateTree, Tensor
 
 _R2 = 2.0 ** -0.5
@@ -102,31 +103,39 @@ class MotsResult:
     table: DpTable | None
 
 
-def _subset_ranks(a: BitMatrix) -> np.ndarray:
-    """GF(2) rank of every column subset of A, as an int8 array indexed by mask.
+def _subset_ranks(rows: list[list[int]], n: int) -> np.ndarray:
+    """GF(2) rank of every column subset of each of a stack of T matrices
+    of n columns, as a (2^n, T) int8 array indexed by (mask, trial): rows[t]
+    holds trial t's rows, packed as BitMatrix packs them.  One trial is
+    the stack of T = 1.
 
     Row operations keep every subset rank, so the columns are read off an
     echelon basis of the row space and fit in n bits.  The subsets of a
     mask whose columns XOR to 0 form the kernel of its columns, 2^(|mask| -
-    rank) of them, and one subset-sum transform counts them for all masks.
+    rank) of them, and one subset-sum transform counts them for all masks
+    of all trials.
     """
-    n = a.n
-    basis = row_space_basis(a)
-    xor = np.zeros(1 << n, dtype=np.int64)
-    for j, c in enumerate(BitMatrix(len(basis), n, tuple(basis)).columns()):
-        xor[1 << j:2 << j] = xor[:1 << j] ^ c
+    basis = np.zeros((len(rows), n), dtype=np.int32)  # at most n rows each, zeros below
+    for t, r in enumerate(rows):
+        e = _echelon(r)
+        basis[t, :len(e)] = e
+    bits = basis[:, :, None] >> np.arange(n - 1, -1, -1, dtype=np.int32) & 1  # [t, row, column]
+    cols = (bits << np.arange(n, dtype=np.int32)[:, None]).sum(axis=1, dtype=np.int32)  # [t, column]
+    xor = np.zeros((1 << n, len(rows)), dtype=np.int32)
+    for j in range(n):
+        xor[1 << j:2 << j] = xor[:1 << j] ^ cols[:, j]
     zeros = (xor == 0).astype(np.int32)
     for j in range(n):
-        pairs = zeros.reshape(-1, 2, 1 << j)
+        pairs = zeros.reshape(-1, 2, 1 << j, len(rows))
         pairs[:, 1] += pairs[:, 0]
-    return (np.bitwise_count(np.arange(1 << n)) - np.bitwise_count(zeros - 1)).astype(np.int8)
+    return (np.bitwise_count(np.arange(1 << n))[:, None] - np.bitwise_count(zeros - 1)).astype(np.int8)
 
 
-def _split_dp(cols: list[list[int]], rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
+def _split_dp(rank: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
     """val[mask, u] = M(A_mask) of trial u and, for masks of two or more
     columns, arg[mask, u] = I, for a stack of T trials of n columns each:
-    rank is the (2^n, T) array of their subset ranks and cols[u] the
-    columns of trial u.  One trial is the stack of T = 1.
+    rank is the (2^n, T) array of their subset ranks (column j of trial u
+    is zero iff rank[2^j, u] == 0).  One trial is the stack of T = 1.
 
     For a mask of p columns with lowest bit `low` and rest = mask ^ low,
     d[t] deposits the bits of t into the set bits of rest, t = 0 ...
@@ -150,8 +159,8 @@ def _split_dp(cols: list[list[int]], rank: np.ndarray, convention: str) -> tuple
     key = rank.astype(np.int32) << _VAL_BITS
     arg = np.zeros(rank.shape, dtype=np.int32)
     stack = np.arange(trials)
-    zero = np.array([[c == 0 for c in trial] for trial in cols])
-    key[1 << np.arange(n)] |= np.where(zero.T, _leaf_base(convention, True), _leaf_base(convention, False))
+    single = 1 << np.arange(n)
+    key[single] |= np.where(rank[single] == 0, _leaf_base(convention, True), _leaf_base(convention, False))
     pop = np.bitwise_count(np.arange(1 << n, dtype=np.int32))
     layers = np.split(np.argsort(pop, kind="stable").astype(np.int32),
                       np.cumsum(np.bincount(pop))[:-1])
@@ -200,7 +209,7 @@ def mots_coset(a: BitMatrix, convention: str = "classical", b: int = 0,
     leaves under the chosen convention.
     """
     _check_width(a.n)
-    val, arg = (x[:, 0] for x in _split_dp([a.columns()], _subset_ranks(a)[:, None], convention))
+    val, arg = (x[:, 0] for x in _split_dp(_subset_ranks([list(a.rows)], a.n), convention))
     wit = _build_witness(a, b, arg.tolist(), convention) if witness else None
     return MotsResult(int(val[-1]), convention, wit, DpTable(val, arg) if table else None)
 
@@ -387,12 +396,14 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
     values = []
     zero_cols = 0
     stack = max(1, (1 << _STACK_BITS) >> n)
+    gens = streams(seed, trials)
     for start in range(0, trials, stack):
-        mats = [random_bitmatrix(k, n, seed, t) for t in range(start, min(trials, start + stack))]
-        cols = [a.columns() for a in mats]
-        val, _ = _split_dp(cols, np.stack([_subset_ranks(a) for a in mats], axis=1), convention)
+        # trial t's matrix is random_bitmatrix(k, n, seed, t), its rows packed from the drawn bits
+        rows = [_packed(rng.integers(0, 2, size=(k, n))) for _, rng in zip(range(min(stack, trials - start)), gens)]
+        rank = _subset_ranks(rows, n)
+        val, _ = _split_dp(rank, convention)
         values += val[-1].tolist()
-        zero_cols += sum(0 in c for c in cols)
+        zero_cols += int(np.count_nonzero((rank[1 << np.arange(n)] == 0).any(axis=0)))
     hist: dict[int, int] = {}
     for v in values:
         hist[v] = hist.get(v, 0) + 1

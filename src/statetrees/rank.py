@@ -37,15 +37,19 @@ import numpy as np
 
 from .codes import VandermondeParams, build_binary_vandermonde
 from .errors import OversizeError
-from .gf2 import Coset, _echelon, invertibility_product, rank_gf2
-from .rng import stream
+from .gf2 import Coset, _echelon, _packed, invertibility_product
+from .rng import stream, streams
 
 _MERSENNE61 = (1 << 61) - 1
 _EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
 _CHI_MAX_QUBITS = 16  # widest state chi_max reads
 # widest coset the erasure check restricts: each trial lists its n variables
-# several times over in Python (about 35 ms a trial at the cap on a 2-vCPU VM)
+# several times over in Python (about 30 ms a trial at the cap on a 2-vCPU VM,
+# after reading A's columns once bit by bit: about 0.5 s for 64 rows)
 _ERASURE_MAX_N = 1 << 14
+# most uint64 words in one stack of the Vandermonde experiment's picked rows,
+# so its arrays do not grow with the trial count
+_STACK_WORDS = 1 << 16
 _SUBSET_SUM_MAX_P = 1 << 40  # largest p _is_prime tries: about 0.06 s on a 2-vCPU VM
 # largest trials * min(2^m, p), a bound on the residues all trials build: one
 # trial at m = 20, p = 10^9 + 7 takes about 0.65 s and a 129 MiB peak on a 2-vCPU VM
@@ -88,18 +92,17 @@ def random_partition(n: int, seed: int, index: int = 0) -> Partition:
                      tuple(sorted(int(v) for v in perm[half:])))
 
 
-def random_restriction(n: int, l: int, seed: int, index: int = 0) -> Restriction:
-    """2l variables renamed into y and z, the rest fixed uniformly."""
+def random_restriction(n: int, l: int, seed: int | np.random.Generator, index: int = 0) -> Restriction:
+    """2l variables renamed into y and z, the rest fixed uniformly.  The
+    draws, a permutation and then the fixed bits, come from the Philox
+    stream (seed, index), or from seed itself where it is a generator."""
     if 2 * l > n:
         raise ValueError("need 2l <= n")
-    rng = stream(seed, index)
-    perm = rng.permutation(n) + 1
-    y = tuple(sorted(int(v) for v in perm[:l]))
-    z = tuple(sorted(int(v) for v in perm[l:2 * l]))
-    rest = [int(v) for v in perm[2 * l:]]
-    bits = rng.integers(0, 2, size=len(rest))
-    fixed = tuple(sorted((v, int(b)) for v, b in zip(rest, bits)))
-    return Restriction(y, z, fixed)
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, index)
+    perm = (rng.permutation(n) + 1).tolist()
+    rest = perm[2 * l:]
+    bits = rng.integers(0, 2, size=len(rest)).tolist()
+    return Restriction(tuple(sorted(perm[:l])), tuple(sorted(perm[l:2 * l])), tuple(sorted(zip(rest, bits))))
 
 
 def _index_contrib(vars_: tuple[int, ...], n: int) -> np.ndarray:
@@ -285,11 +288,6 @@ def rank_eps_lower_bound(m: np.ndarray, eps: float) -> int:
 # coset indicators: closed-form partition rank
 
 
-def _packed(bits: np.ndarray) -> list[int]:
-    """Each row of a 0/1 array as an int, its first entry the most significant bit."""
-    return (bits.astype(np.int64) << np.arange(bits.shape[1] - 1, -1, -1)).sum(axis=1).tolist()
-
-
 def _split_ranks(cols: list[int], b: int, y: list[int],
                  z: list[int]) -> tuple[int, int, int] | None:
     """(r(A_y), r(A_z), r([A_y A_z])) for the 0-based columns y, z of A,
@@ -335,23 +333,19 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     fullrank = 0
     perm_confirmed = 0
     perm_mismatch = 0
-    for t in range(trials):
-        rng = stream(seed, t)
+    xs = np.arange(1 << n, dtype=np.int64)
+    for rng in streams(seed, trials):
         bits = rng.integers(0, 2, size=(half, n))
-        perm = rng.permutation(n) + 1
-        p = Partition(tuple(sorted(int(v) for v in perm[:half])),
-                      tuple(sorted(int(v) for v in perm[half:])))
-        r_y, r_z, r_a = _split_ranks(_packed(bits.T), 0, [v - 1 for v in p.y_vars],
-                                     [v - 1 for v in p.z_vars])
+        perm = rng.permutation(n).tolist()  # 0-based: y takes the first half
+        r_y, r_z, r_a = _split_ranks(_packed(bits.T), 0, perm[:half], perm[half:])
         if r_y + r_z - r_a == half:
             fullrank += 1
         if r_y == r_z == half:
             both += 1
-            xs = np.arange(1 << n, dtype=np.int64)
             table = np.ones(1 << n, dtype=np.int8)
             for r in _packed(bits):
-                par = np.bitwise_count(xs & r).astype(np.int64) & 1
-                table &= (par == 0)
+                table &= (np.bitwise_count(xs & r) & 1) == 0
+            p = Partition(tuple(sorted(v + 1 for v in perm[:half])), tuple(sorted(v + 1 for v in perm[half:])))
             m = partition_matrix(table, p)
             ok = (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1))
             if ok:
@@ -378,13 +372,19 @@ def vandermonde_rank_experiment(params: VandermondeParams, trials: int, seed: in
     if pick_rows > vbin.k:
         raise ValueError("kd + c exceeds the number of rows")
     _check_trials(trials)
+    words = -(-kd // 64)
+    # bit i of row r in word i // 64 at bit i % 64: the columns in reverse, which keeps every rank
+    data = b"".join(r.to_bytes(8 * words, "little") for r in vbin.rows)
+    vrows = np.frombuffer(data, dtype="<u8").reshape(vbin.k, words)
+    stack = max(1, _STACK_WORDS // (pick_rows * words))
+    picks = np.empty((min(stack, trials), pick_rows), dtype=np.intp)
+    gens = streams(seed, trials)
     full = 0
-    for t in range(trials):
-        rng = stream(seed, t)
-        rows = sorted(int(i) for i in rng.choice(vbin.k, size=pick_rows, replace=False))
-        sub = vbin.row_submatrix(rows)
-        if rank_gf2(sub) == kd:
-            full += 1
+    for start in range(0, trials, stack):
+        count = min(stack, trials - start)
+        for j, rng in zip(range(count), gens):
+            picks[j] = rng.choice(vbin.k, size=pick_rows, replace=False)
+        full += int(np.count_nonzero(_gf2_ranks(vrows[picks[:count]], kd) == kd))
     bound = 1.0 - (1.0 + params.k / params.n) ** kd * (0.5 + params.k / (2 * params.n)) ** params.c
     return {
         "n": params.n,
@@ -396,6 +396,24 @@ def vandermonde_rank_experiment(params: VandermondeParams, trials: int, seed: in
         "full_rank_fraction": full / trials,
         "union_bound": bound,
     }
+
+
+def _gf2_ranks(rows: np.ndarray, width: int) -> np.ndarray:
+    """GF(2) rank of each matrix of a (T, r, w) uint64 stack whose rows
+    hold `width` bits, bit i in word i // 64 at bit i % 64; the stack is
+    eliminated in place.  One step per bit for all T at once: each matrix
+    takes its first row holding the bit as pivot and XORs it into every
+    row holding the bit, itself included.  That clears the bit from every
+    row and the pivot to 0, and the rows left span one dimension less."""
+    rank = np.zeros(len(rows), dtype=np.int64)
+    stack = np.arange(len(rows))
+    for i in range(width):
+        w = i // 64
+        held = rows[:, :, w] >> (i % 64) & 1
+        pivot = rows[stack, held.argmax(axis=1), w:]  # row 0 where no row holds the bit
+        rank += held.any(axis=1)
+        rows[:, :, w:] ^= (0 - held)[:, :, None] & pivot[:, None, :]
+    return rank
 
 
 def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> dict:
@@ -416,8 +434,8 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     ranks = []
     multirow_counts = []
     cols = c.a.columns()
-    for t in range(trials):
-        r = random_restriction(n, l, seed, t)
+    for rng in streams(seed, trials):
+        r = random_restriction(n, l, rng)
         x_fixed = sum(bit << (n - v) for v, bit in r.fixed)
         split = _split_ranks(cols, c.b ^ c.a.mul_vec(x_fixed),
                              [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
@@ -537,6 +555,20 @@ def subset_sums_mod_p(places: list[int], p: int) -> set[int]:
     return residues
 
 
+def _coverage(places: list[int], p: int) -> int:
+    """|subset_sums_mod_p(places, p)|.  Where p <= 2^len(places) the
+    residues are the set bits of a p-bit int: adding 2^a mod p to each
+    rotates the int by that much."""
+    if p > 1 << len(places):
+        return len(subset_sums_mod_p(places, p))
+    full = (1 << p) - 1
+    hit = 1  # residue 0, the empty sum
+    for a in places:
+        e = pow(2, a, p)
+        hit |= (hit << e | hit >> (p - e)) & full
+    return hit.bit_count()
+
+
 def subset_sum_coverage(n: int, m: int, p: int, gamma: float,
                         trials: int, seed: int) -> dict:
     """Coverage |S mod p| of random m-element subsets of {2^0..2^(n-1)}."""
@@ -556,10 +588,8 @@ def subset_sum_coverage(n: int, m: int, p: int, gamma: float,
     target = (1.0 + gamma) * p / 2.0
     coverages = []
     hits = 0
-    for t in range(trials):
-        rng = stream(seed, t)
-        places = sorted(int(a) for a in rng.choice(n, size=m, replace=False))
-        cov = len(subset_sums_mod_p(places, p))
+    for rng in streams(seed, trials):
+        cov = _coverage(rng.choice(n, size=m, replace=False).tolist(), p)
         coverages.append(cov)
         if cov >= target:
             hits += 1

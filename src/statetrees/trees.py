@@ -569,21 +569,23 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
     products that overflow: no label can be read off them.
 
     A + vertex's labels come from its children's |v| > tol supports and
-    their gram, with one exact shortcut that builds no gram.  Where tol >= 0
+    their gram, with exact shortcuts that build no gram.  Where tol >= 0
     and no amplitude index is exactly nonzero in two children, every
     off-diagonal product has an exact zero factor, so the off-diagonal
     gram is exactly 0 and the tol supports, subsets of the exact ones, are
-    disjoint: the vertex keeps both labels.  Only finiteness is left, and
-    it holds when each child's norm^2 is below a quarter of the largest
-    float: then by Cauchy-Schwarz every gram entry stays finite however it
-    is rounded.  A child whose norm^2 is not (NaN, inf or near the limit)
-    sends the vertex to the gram.  The supports and the norms are read
-    block by block as the vertex adds its children.  The gram, where an
-    overlap or a norm^2 not below the limit calls for it, is read block by
-    block too, in the vertex's own layout: each child writes its rows of a
-    block into one (k, block) buffer, a product child from its factors'
-    entries on them, so no child is formed, put in sorted order or stacked
-    for it.
+    disjoint: the vertex keeps both labels.  Where tol < 0, every |v| and
+    every gram modulus is more than tol, so the vertex loses both; a NaN
+    tol passes no test, so the vertex keeps both.  Only finiteness is
+    left, and it holds when each child's norm^2 is below a quarter of the
+    largest float: then by Cauchy-Schwarz every gram entry stays finite
+    however it is rounded.  A child whose norm^2 is not (NaN, inf or near
+    the limit) sends the vertex to the gram.  The supports and the norms
+    are read block by block as the vertex adds its children.  The gram,
+    where an overlap or a norm^2 not below the limit calls for it, is read
+    block by block too, in the vertex's own layout: each child writes its
+    rows of a block into one (k, block) buffer, a product child from its
+    factors' entries on them, so no child is formed, put in sorted order
+    or stacked for it.
     """
     manifest = orthogonal = finite = True
 
@@ -591,24 +593,29 @@ def classify_tree(tree: StateTree, tol: float = TOLERANCE) -> str:
         nonlocal manifest, orthogonal, finite
         if len(kids) < 2:
             return _plus_vector(nd, kids)
-        seen = np.zeros(1 << kids[0][0].bit_count(), dtype=bool) if tol >= 0 else None
+        seen = np.zeros(1 << kids[0][0].bit_count(), dtype=bool) if tol >= 0 else None  # exact supports
+        overlap = False
         norms = [0.0] * len(kids)  # norm^2 of each child, summed block by block
 
         def watch(i: int, rows: slice, vals: np.ndarray) -> None:
-            nonlocal seen
+            nonlocal overlap
+            if overlap:
+                return
             if seen is not None:
                 held = vals.astype(bool)  # a nonzero test, faster than `!= 0`
                 part = seen[rows]
-                if _disjoint((part, held)):
-                    part |= held
-                    norms[i] += np.vdot(vals, vals).real
-                else:
-                    seen = None
+                if not _disjoint((part, held)):
+                    overlap = True
+                    return
+                part |= held
+            norms[i] += np.vdot(vals, vals).real
 
         out = _plus_vector(nd, kids, watch)
-        if seen is None or not all(_below_room(s, r) for s, r in zip(norms, kids)):
+        if overlap or not all(_below_room(s, r) for s, r in zip(norms, kids)):
             m, o, f = _gram_labels([_factors(r, out[2]) for r in kids], tol)
             manifest, orthogonal, finite = manifest and m, orthogonal and o, finite and f
+        elif tol < 0:  # every |v| > tol and every finite gram modulus > tol: both labels go
+            manifest = orthogonal = False
         return out
 
     _checked_vector(tree, plus)
@@ -748,7 +755,7 @@ def normalize_node(node: Node) -> tuple[complex, Node]:
         r = vertex(summed, results)
         if r[1] is None:
             _vector(summed)  # a fault below: raise the first one in depth-first order
-        nrm = float(np.linalg.norm(_reordered(r, None)))
+        nrm = _norm(_reordered(r, None))  # scaled where the squares overflow
         if nrm == 0.0:
             raise InvalidTreeError("plus vertex sums to the zero vector")
         scaled = [c / nrm for c in coeffs]

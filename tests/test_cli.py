@@ -912,3 +912,54 @@ def test_corrupted_matrix_texts_and_listings_through_dispatch_end_in_one_of_thre
     runs += [(f"0 {n}\n", [*c, "--matrix", str(path)]) for n in (647, 20154, 16385) for c in matrix_commands]
     outcomes = _dispatch_endings(runs, path, capsys)
     assert all(outcomes[c, code] >= 5 for c in ("mots", "build", "rank-exp") for code in (0, 1)), outcomes
+
+
+# tokens of circuit texts, for the corruptions below; formula texts take test_dsl's _NOISE
+_CIRCUIT_NOISE = ("qubits", "prep", "u", "csub", "ornot", "{", "}", "0", "1", "2", "7", "-1", "99999",
+                  "0.5", "-0.7", "1e3", " ", "\n", "\t", ";", "x", "١", "\xa0", "\x0b")
+
+
+def test_corrupted_circuit_and_formula_texts_through_dispatch_end_in_one_of_three_ways(tmp_path, capsys):
+    # seeded corruptions of small compiled circuits through simulate, and of
+    # small formulas through balance and convert --to tree
+    from test_dsl import _NOISE, _corrupt
+    from statetrees.builders import build_cat, build_hamming, build_parity, build_parity_fourier
+    from statetrees.circuits import compile_tree, format_circuit
+    from statetrees.formulas import serialize_formula, tree_to_formula
+
+    rnd = random.Random(28)
+    trees = [build_cat(2), build_cat(3), build_parity(3, 1), build_parity_fourier(2, 0), build_hamming(3, 1)]
+    circuits = [format_circuit(compile_tree(t)) for t in trees] + [_EXACT_PREP]
+    formulas = [serialize_formula(tree_to_formula(t)) for t in trees]
+    path = tmp_path / "in.txt"
+    simulate = (["simulate"], ["simulate", "--skip-zeros"], ["simulate", "--tolerance", "0"],
+                ["simulate", "--tolerance=-1e-9"])
+    formula_commands = (["balance"], ["convert", "--to", "tree"], ["convert", "--to", "tree", "--n", "3"],
+                        ["convert", "--to", "tree", "--n", "1"], ["convert", "--to", "tree", "--n", "-2"])
+    runs = [(_corrupt(rnd, rnd.choice(circuits), _CIRCUIT_NOISE + _LIMIT_NOISE), rnd.choice(simulate))
+            for _ in range(600)]
+    runs += [(_corrupt(rnd, rnd.choice(formulas), _NOISE + _LIMIT_NOISE), rnd.choice(formula_commands))
+             for _ in range(600)]
+    runs += [(text, c) for text in circuits for c in simulate]
+    runs += [(text, c) for text in formulas for c in formula_commands]
+    t = time.perf_counter()
+    outcomes = _dispatch_endings([(text, [command, str(path), *flags]) for text, (command, *flags) in runs],
+                                 path, capsys)
+    assert time.perf_counter() - t < 5
+    assert all(outcomes[c, code] >= 5 for c in ("simulate", "balance", "convert") for code in (0, 1)), outcomes
+
+
+def test_simulate_refuses_a_prep_whose_square_overflows_and_convert_scales_a_huge_norm(tmp_path, capsys):
+    # found by the fuzz test above: |alpha|^2 raised OverflowError out of
+    # dispatch, and the + vertex norm of a formula with huge constants
+    # overflowed to inf, warned on stderr and zeroed every weight
+    from statetrees.cli import dispatch
+
+    path = tmp_path / "in.txt"
+    path.write_text("qubits 2 0\nprep 0 0.6 -1.7e308 0.8 0\nprep 1 0 0 1 0\n")
+    assert dispatch(["simulate", str(path)]) == 1
+    assert capsys.readouterr() == ("", "ERROR non-unitary: prep on wire 0: |alpha|^2 + |beta|^2 = inf\n")
+    path.write_text("(+ (* (const 0.7e200) (var 1)) (* (const 0.7e200) (var 2)))\n")
+    assert dispatch(["convert", str(path), "--to", "tree"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("(0.577350269189626 ") == 2, out

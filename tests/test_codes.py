@@ -67,3 +67,36 @@ def test_vandermonde_min_weight_exhaustive():
 def test_invalid_field():
     with pytest.raises(ValueError):
         GF2dField(3, 0b1001)  # x^3 + 1 = (x+1)(x^2+x+1)
+
+
+def _loop_vandermonde_rows(d: int) -> list[int]:
+    """The rows of labels 1 .. 2^d - 1 at k = 2^d - 2, bit by bit: block
+    column t of m(i^j) is i^j * x^t, and row u's bit (j, t) its parity with u."""
+    f = field(d)
+    k = (1 << d) - 2
+    parity = [[bin(c & u).count("1") & 1 for u in range(1 << d)] for c in range(1 << d)]
+    rows = []
+    for i in range(1, 1 << d):
+        block_cols = [gf2d_mul(f, gf2d_pow(f, i, j), 1 << t) for j in range(k) for t in range(d)]
+        for u in range(1 << d):
+            r = 0
+            for c in block_cols:
+                r = (r << 1) | parity[c][u]
+            rows.append(r)
+    return rows
+
+
+def test_vandermonde_rows_match_the_bit_by_bit_loop():
+    # labels and powers come first in a row, so (n, k)'s rows are the first
+    # n 2^d rows of the widest matrix's, each cut to its leading kd bits;
+    # every (n, k) up to d = 5, and at d = 6 (1891 pairs take 13 s) every k
+    # at n = 63 and every n at k = 1 and n - 1
+    for d in range(2, 7):
+        wide, top = _loop_vandermonde_rows(d), (1 << d) - 2
+        pairs = [(n, k) for n in range(2, 1 << d) for k in range(1, n)]
+        if d == 6:
+            pairs = [(n, k) for n, k in pairs if n == 63 or k in (1, n - 1)]
+        for n, k in pairs:
+            vbin = build_binary_vandermonde(VandermondeParams(n, k, d, 0))
+            assert (vbin.k, vbin.n) == (n << d, k * d)
+            assert list(vbin.rows) == [r >> (top - k) * d for r in wide[:n << d]], (n, k, d)

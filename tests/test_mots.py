@@ -250,7 +250,22 @@ def test_subset_ranks_match_basis_insertion():
         n = int(rng.integers(1, 12))
         k = int(rng.integers(0, 80))  # past 62 rows the columns no longer fit an int64
         a = _matrix(rng.integers(0, 2, size=(k, n))) if k else BitMatrix(0, n, ())
-        assert _subset_ranks(a).tolist() == _loop_ranks(a.columns()), trial
+        assert _subset_ranks([list(a.rows)], n)[:, 0].tolist() == _loop_ranks(a.columns()), trial
+
+
+def test_stacked_subset_ranks_equal_one_stack_per_matrix():
+    # each trial is reduced to its echelon basis first, so the stack holds
+    # matrices of 0 to 90 rows side by side, past 63 too
+    for n in (1, 2, 5, 9, 12):
+        rng = stream(4344, n)
+        mats = [rng.integers(0, 2, size=(k, n)) for k in (0, 1, n, 64, 90, 3, n + 1)]
+        mats[-1][:, ::2] = 0  # zero columns
+        rows = [[int("".join(map(str, row)), 2) for row in bits] for bits in mats]
+        stacked = _subset_ranks(rows, n)
+        assert stacked.shape == (1 << n, len(rows)) and stacked.dtype == np.int8
+        for t, (bits, r) in enumerate(zip(mats, rows)):
+            assert np.array_equal(stacked[:, t], _subset_ranks([r], n)[:, 0]), (n, t)
+            assert stacked[:, t].tolist() == _loop_ranks(_matrix(bits).columns()), (n, t)
 
 
 def test_kernel_matches_split_loop():
@@ -317,10 +332,10 @@ def test_packed_kernel_matches_int64_kernel_where_chunks_hold_one_mask():
         elif kind == "repeated columns":
             bits = bits[:, rng.integers(0, n // 2, size=n)]
         a = _matrix(bits)
-        cols, rank = a.columns(), _subset_ranks(a)
+        rank = _subset_ranks([list(a.rows)], n)
         for conv in ("classical", "free"):
-            val, arg = _split_dp([cols], rank[:, None], conv)
-            want_val, want_arg = _int64_split_dp(cols, rank, conv)
+            val, arg = _split_dp(rank, conv)
+            want_val, want_arg = _int64_split_dp(a.columns(), rank[:, 0], conv)
             assert np.array_equal(val[:, 0], want_val) and np.array_equal(arg[:, 0], want_arg), (trial, kind, conv)
 
 
@@ -339,13 +354,12 @@ def test_stacked_dp_equals_one_dp_per_trial():
                 elif kinds[t % 3] == "repeated columns":
                     bits = bits[:, rng.integers(0, max(1, n // 2), size=n)]
                 mats.append(_matrix(bits))
-            cols = [a.columns() for a in mats]
-            ranks = np.stack([_subset_ranks(a) for a in mats], axis=1)
+            ranks = _subset_ranks([list(a.rows) for a in mats], n)
             for conv in ("classical", "free"):
-                val, arg = _split_dp(cols, ranks, conv)
+                val, arg = _split_dp(ranks, conv)
                 assert val.shape == arg.shape == (1 << n, stack)
                 for t in range(stack):
-                    one_val, one_arg = _split_dp(cols[t:t + 1], ranks[:, t:t + 1], conv)
+                    one_val, one_arg = _split_dp(ranks[:, t:t + 1], conv)
                     assert np.array_equal(val[:, t], one_val[:, 0]), (n, stack, t, conv)
                     assert np.array_equal(arg[:, t], one_arg[:, 0]), (n, stack, t, conv)
 

@@ -6,16 +6,21 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 import numpy as np
 import pytest
 
 from statetrees.builders import build_cat, build_cluster1d, build_hamming, build_parity_fourier
-from statetrees.codes import VandermondeParams
+from statetrees import rank as rank_module
+from statetrees.codes import VandermondeParams, build_binary_vandermonde
 from statetrees.errors import OversizeError
 from statetrees.gf2 import (BitMatrix, Coset, _echelon, from_numpy, invertibility_product,
                             random_bitmatrix, rank_gf2, solve, to_numpy)
-from statetrees.rank import (_SUBSET_SUM_MAX_WORK, Partition, _reshape_rank, _split_ranks, chi_max,
+from statetrees.rank import (_SUBSET_SUM_MAX_WORK, Partition, _coverage, _gf2_ranks, _reshape_rank, _split_ranks,
+                             chi_max,
                              erasure_recoverability_check, partition_matrix,
                              random_partition, random_restriction,
                              rank_eps_lower_bound, rank_exact,
@@ -209,6 +214,47 @@ def test_vandermonde_experiment():
     fracs = [vandermonde_rank_experiment(VandermondeParams(15, 3, 4, c), 300, 7)
              ["full_rank_fraction"] for c in (2, 4, 8, 16)]
     assert all(a <= b + 0.02 for a, b in zip(fracs, fracs[1:]))
+
+
+def _words(rows: list[int], width: int) -> np.ndarray:
+    """Packed rows as _gf2_ranks reads them: bit i in word i // 64 at bit i % 64."""
+    words = -(-width // 64)
+    return np.array([[r >> 64 * w & (1 << 64) - 1 for w in range(words)] for r in rows], dtype=np.uint64)
+
+
+def test_stacked_gf2_ranks_equal_rank_gf2_per_matrix():
+    # full-rank, deficient and zero matrices of one to three words, square (c = 0) and tall
+    for width in (1, 12, 63, 64, 65, 128, 129, 200):
+        for extra in (0, 3):
+            r = width + extra if width < 100 else width // 2
+            rng = stream(6060, 10 * width + extra)
+            mats = []
+            for t in range(9):  # rows from a random basis of 1 + t width / 9 rows; t = 8 all zero
+                basis = [int.from_bytes(rng.bytes(32), "big") % (1 << width) for _ in range(1 + t * width // 9)]
+                picks = rng.integers(0, 2, size=(r, len(basis))).tolist()
+                mats.append([reduce(xor, compress(basis, pick), 0) if t < 8 else 0 for pick in picks])
+            stack = np.stack([_words(rows, width) for rows in mats])
+            want = [rank_gf2(BitMatrix(r, width, tuple(int(x) for x in rows))) for rows in mats]
+            assert _gf2_ranks(stack, width).tolist() == want, (width, extra)
+            assert len(set(want)) > min(2, width), (width, extra)
+
+
+def test_vandermonde_experiment_equals_one_rank_gf2_per_trial(monkeypatch):
+    # kd = 12, 64, 65 and 132, c = 0 and c > 0, and stacks of 3 trials over
+    # 10: the last stack is partial
+    for params in (VandermondeParams(15, 3, 4, 0), VandermondeParams(9, 8, 8, 0), VandermondeParams(9, 8, 8, 2),
+                   VandermondeParams(14, 13, 5, 0), VandermondeParams(14, 13, 5, 1), VandermondeParams(23, 22, 6, 0)):
+        vbin = build_binary_vandermonde(params)
+        kd = params.k * params.d
+        full = 0
+        for t in range(10):
+            rows = stream(70, t).choice(vbin.k, size=kd + params.c, replace=False)
+            full += rank_gf2(BitMatrix(len(rows), kd, tuple(vbin.rows[i] for i in rows))) == kd
+        want = vandermonde_rank_experiment(params, 10, 70)
+        assert want["full_rank_fraction"] == full / 10, params
+        monkeypatch.setattr(rank_module, "_STACK_WORDS", 3 * (kd + params.c) * -(-kd // 64))
+        assert vandermonde_rank_experiment(params, 10, 70) == want, params
+        monkeypatch.undo()
 
 
 def test_erasure_cases():
@@ -410,6 +456,16 @@ def test_subset_sum_refuses_work_past_the_budget_before_the_first_trial():
     assert time.perf_counter() - t < 0.1
     with pytest.raises(ValueError, match="need 0 <= m <= n"):
         subset_sum_coverage(16, -1, 101, 0.2, 1, 0)
+
+
+def test_subset_sum_coverage_equals_naive_on_both_sides_of_p_equal_2_to_the_m():
+    # p <= 2^m reads the residues off a p-bit int, p > 2^m off the set engine
+    for n, m, p in [(8, 3, 7), (8, 3, 11), (10, 4, 13), (10, 4, 17), (12, 5, 31), (12, 5, 37), (16, 7, 127),
+                    (16, 7, 131), (12, 12, 4093), (6, 0, 2), (6, 0, 3), (6, 1, 2), (6, 1, 3), (6, 3, 2), (1, 1, 2)]:
+        for t in range(6):
+            places = stream(56, 100 * m + t).choice(n, size=m, replace=False).tolist()
+            naive = {sum(1 << places[i] for i in range(m) if mask >> i & 1) % p for mask in range(1 << m)}
+            assert _coverage(places, p) == len(naive), (n, m, p, places)
 
 
 def test_subset_sum_incremental_equals_naive():

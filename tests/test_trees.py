@@ -195,6 +195,23 @@ def test_classify_reads_disjoint_supports_without_the_gram(monkeypatch):
         assert classify_tree(tree) == "manifestly-orthogonal"
 
 
+@pytest.mark.parametrize("tol, label", [(-1e-9, "general"), (math.nan, "manifestly-orthogonal")])
+def test_classify_below_zero_or_at_nan_builds_no_gram_for_finite_children(tol, label):
+    # 1024 product children of 11 qubits: below 0 every |v| and gram modulus
+    # passes the test and at NaN none does, so the labels are known once each
+    # child's norm^2 is finite; a 1024 x 1024 gram alone would take 16 MiB
+    tree = build_coset_sigma1(Coset(BitMatrix(1, 11, ((1 << 11) - 1,)), 0))
+    assert len(tree.root.children) == 1024
+    tracemalloc.start()
+    try:
+        got = classify_tree(tree, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == label
+    assert peak < 6 * 2**20, peak
+
+
 def test_a_wide_plus_vertex_holds_one_vector_not_its_children():
     # 256 product children of 1 MiB each: a + vertex adds each one into its
     # sum a block at a time, so the peak stays a few MiB above the result
