@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import COSET_CAP, Coset, enumerate_coset, rank_gf2, row_space_basis, solve
+from .gf2 import COSET_CAP, Coset, _span, enumerate_coset, rank_gf2, row_space_basis, solve
 from .trees import Leaf, Node, Plus, StateTree, Tensor, basis_product, local_basis_change
 
 _R2 = 1.0 / math.sqrt(2.0)
@@ -235,16 +235,11 @@ def build_coset_fourier_otree(c: Coset) -> StateTree:
     _refuse_oversize(f"coset-fourier({c.a.k} x {n})", n << r)
     x0 = solve(c.a, c.b)
     assert x0 is not None
-    basis = row_space_basis(c.a)
-    supp = [0]
-    for v in basis:
-        supp += [u ^ v for u in supp]
-    supp.sort()
     amp = 2.0 ** (-r / 2.0)
     qubits = list(range(1, n + 1))
     terms = []
-    for u in supp:
-        sign = -1.0 if (bin(u & x0).count("1") & 1) else 1.0
+    for u in _span(row_space_basis(c.a)):
+        sign = -1.0 if (u & x0).bit_count() & 1 else 1.0
         terms.append((sign * amp, basis_product(qubits, u)))
     node: Node = terms[0][1] if len(terms) == 1 else Plus(tuple(terms))
     dual = StateTree(n, node)

@@ -16,11 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import BitMatrix, to_numpy
+from .gf2 import BitMatrix, _pack, to_numpy
 
 _IRREDUCIBLE_MAX_D = 16
-# most parities build_binary_vandermonde holds at once, a byte each (and
-# two bytes each for the masked columns they are counted from)
+# most parities build_binary_vandermonde holds at once, a byte each (two
+# bytes each for the masked columns they are counted from, and eight for
+# the int64 copy _pack sums 62 columns at a time)
 _PARITY_BYTES = 1 << 20
 
 
@@ -140,12 +141,10 @@ def build_binary_vandermonde(params: VandermondeParams) -> BitMatrix:
                 col ^= f.modulus if col >> d else 0
     cols = np.array(cols, dtype=np.uint16).reshape(n, 1, k * d)  # d <= 16 bits
     us = np.arange(1 << d, dtype=np.uint16)[:, None]
-    width = -(-k * d // 8)  # bytes of a packed row
     rows = []
     step = max(1, _PARITY_BYTES // (k * d << d))
     for lo in range(0, n, step):
-        data = np.packbits(np.bitwise_count(cols[lo:lo + step] & us) & 1, axis=2).tobytes()
-        rows += [int.from_bytes(data[at:at + width], "big") >> (-k * d % 8) for at in range(0, len(data), width)]
+        rows += _pack((np.bitwise_count(cols[lo:lo + step] & us) & 1).reshape(-1, k * d))
     return BitMatrix(n * (1 << d), k * d, tuple(rows))
 
 

@@ -5,6 +5,11 @@ entry (i, j), so a row prints naturally as a 0/1 string and a vector's
 integer value equals its index under the package-wide convention that
 variable 1 is the most significant bit.  Python ints give arbitrary-width
 packed words, so elimination works one row-XOR at a time.
+
+This module owns that layout for the package: `_pack` packs the rows of
+a 0/1 array and `to_numpy` unpacks a matrix, `_span` lists a span in
+sorted order and `_reduce` reduces a vector against an echelon basis
+(`_echelon`), so the coset side calls these rather than re-deriving them.
 """
 
 from __future__ import annotations
@@ -38,24 +43,15 @@ class BitMatrix:
             if not 0 <= r < top:
                 raise ValueError("row has bits outside the n columns")
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> (self.n - 1 - j)) & 1
-
-    def column(self, j: int) -> int:
-        """Column j packed MSB-first over the k rows."""
-        c = 0
-        for i in range(self.k):
-            c = (c << 1) | self.entry(i, j)
-        return c
-
     def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.n)]
+        """The n columns, each packed MSB-first over the k rows."""
+        return _pack(to_numpy(self).T)
 
     def mul_vec(self, x: int) -> int:
         """A @ x over GF(2); x is an n-bit int, result a k-bit int."""
         out = 0
         for r in self.rows:
-            out = (out << 1) | (bin(r & x).count("1") & 1)
+            out = (out << 1) | ((r & x).bit_count() & 1)
         return out
 
 
@@ -71,6 +67,25 @@ def _echelon(rows: list[int]) -> list[int]:
                 basis[lead] = r
                 break
     return [basis[lead] for lead in sorted(basis, reverse=True)]
+
+
+def _reduce(x: int, basis: list[int]) -> int:
+    """x reduced against an echelon basis (leading bits descending, as
+    _echelon gives it): each basis vector clears its own leading bit, so
+    the result is 0 iff x lies in the span."""
+    for v in basis:
+        x = min(x, x ^ v)
+    return x
+
+
+def _span(basis: list[int], start: int = 0) -> list[int]:
+    """start ^ span(basis), in increasing order; the basis vectors must be
+    independent for the elements to be distinct."""
+    out = [start]
+    for v in basis:
+        out += [x ^ v for x in out]
+    out.sort()
+    return out
 
 
 def _reduced(rows: list[int]) -> list[int]:
@@ -159,40 +174,37 @@ def enumerate_coset(c: Coset) -> list[int]:
         raise OversizeError(f"coset has {count} elements, cap is {COSET_CAP}")
     x0 = solve(c.a, c.b)
     assert x0 is not None
-    basis = kernel_basis(c.a)
-    out = [x0]
-    for v in basis:
-        out += [x ^ v for x in out]
-    out.sort()
-    return out
+    return _span(kernel_basis(c.a), x0)
 
 
 def to_numpy(a: BitMatrix):
     """(k, n) uint8 array of the entries."""
-    out = np.zeros((a.k, a.n), dtype=np.uint8)
-    for i, r in enumerate(a.rows):
-        for j in range(a.n):
-            out[i, j] = (r >> (a.n - 1 - j)) & 1
+    width = -(-a.n // 8)  # bytes per row, the pad bits at the end
+    data = b"".join((r << (-a.n % 8)).to_bytes(width, "big") for r in a.rows)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(a.k, width), axis=1, count=a.n)
+
+
+# columns packed per int64 shift-sum in _pack: their sum stays below 2^62
+_PACK_COLS = 62
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as an int of any width, its first entry
+    the most significant bit: one int64 shift-sum per _PACK_COLS columns,
+    the words joined by shifts."""
+    out = [0] * len(bits)
+    for lo in range(0, bits.shape[1], _PACK_COLS):
+        part = bits[:, lo:lo + _PACK_COLS].astype(np.int64)
+        w = part.shape[1]
+        words = (part << np.arange(w - 1, -1, -1)).sum(axis=1).tolist()
+        out = [o << w | x for o, x in zip(out, words)] if lo else words
     return out
-
-
-def _packed(bits: np.ndarray) -> list:
-    """Each row (last axis) of a 0/1 array of at most 63 columns as an int,
-    its first entry the most significant bit: a list, nested as the
-    leading axes are."""
-    return (bits.astype(np.int64) << np.arange(bits.shape[-1] - 1, -1, -1)).sum(axis=-1).tolist()
 
 
 def from_numpy(arr) -> BitMatrix:
     """Matrix of a (k, n) array, entries taken mod 2; k may be 0."""
     k, n = arr.shape
-    rows = []
-    for row in arr.tolist():
-        v = 0
-        for x in row:
-            v = (v << 1) | (int(x) & 1)
-        rows.append(v)
-    return BitMatrix(k, n, tuple(rows))
+    return BitMatrix(k, n, tuple(_pack(arr & 1)))
 
 
 def random_bitmatrix(k: int, n: int, seed: int, index: int = 0) -> BitMatrix:

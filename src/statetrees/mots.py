@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OversizeError
-from .gf2 import BitMatrix, Coset, _echelon, _packed
+from .gf2 import BitMatrix, Coset, _echelon, _pack, _reduce, _span
 from .gf2 import enumerate_coset  # noqa: F401  (no caller here; perfbench's tracer test reads it)
 from .rng import streams
 from .trees import Leaf, Node, Plus, StateTree, Tensor
@@ -228,20 +228,8 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
     splits: dict[int, tuple[list[int], list[int]]] = {}  # mask -> (sorted span(A_I), basis of A_J)
     built: dict[tuple[int, int], Node] = {}
 
-    def reduced(x: int, vecs: list[int]) -> int:
-        for v in vecs:
-            x = min(x, x ^ v)
-        return x
-
     def basis(mask: int) -> list[int]:
         return _echelon([c for j, c in enumerate(cols) if mask >> j & 1])
-
-    def split(mask: int) -> tuple[list[int], list[int]]:
-        i_mask = arg[mask]
-        span = [0]
-        for v in basis(i_mask):
-            span += [x ^ v for x in span]
-        return sorted(span), basis(mask ^ i_mask)
 
     def build(mask: int, rhs: int) -> Node:
         if (mask, rhs) in built:
@@ -255,13 +243,13 @@ def _build_witness(a: BitMatrix, b: int, arg: list[int], convention: str) -> Sta
             else:
                 node = Plus(((_R2, Leaf(j + 1, 1.0, 0.0)), (_R2, Leaf(j + 1, 0.0, 1.0))))
         else:
-            if mask not in splits:
-                splits[mask] = split(mask)
-            span_i, basis_j = splits[mask]
             i_mask = arg[mask]
             j_mask = mask ^ i_mask
+            if mask not in splits:
+                splits[mask] = _span(basis(i_mask)), basis(j_mask)
+            span_i, basis_j = splits[mask]
             parts = [Tensor((build(i_mask, c), build(j_mask, rhs ^ c)))
-                     for c in span_i if not reduced(rhs ^ c, basis_j)]
+                     for c in span_i if not _reduce(rhs ^ c, basis_j)]
             coeff = (1.0 / len(parts)) ** 0.5
             node = parts[0] if len(parts) == 1 else Plus(tuple((coeff, p) for p in parts))
         built[mask, rhs] = node
@@ -399,7 +387,7 @@ def mots_random_experiment(n: int, k: int, trials: int, seed: int,
     gens = streams(seed, trials)
     for start in range(0, trials, stack):
         # trial t's matrix is random_bitmatrix(k, n, seed, t), its rows packed from the drawn bits
-        rows = [_packed(rng.integers(0, 2, size=(k, n))) for _, rng in zip(range(min(stack, trials - start)), gens)]
+        rows = [_pack(rng.integers(0, 2, size=(k, n))) for _, rng in zip(range(min(stack, trials - start)), gens)]
         rank = _subset_ranks(rows, n)
         val, _ = _split_dp(rank, convention)
         values += val[-1].tolist()

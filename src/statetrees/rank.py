@@ -37,15 +37,15 @@ import numpy as np
 
 from .codes import VandermondeParams, build_binary_vandermonde
 from .errors import OversizeError
-from .gf2 import Coset, _echelon, _packed, invertibility_product
+from .gf2 import Coset, _echelon, _pack, _reduce, invertibility_product
 from .rng import stream, streams
 
 _MERSENNE61 = (1 << 61) - 1
 _EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
 _CHI_MAX_QUBITS = 16  # widest state chi_max reads
 # widest coset the erasure check restricts: each trial lists its n variables
-# several times over in Python (about 30 ms a trial at the cap on a 2-vCPU VM,
-# after reading A's columns once bit by bit: about 0.5 s for 64 rows)
+# several times over in Python (about 15 ms a trial at the cap on a 2-vCPU VM,
+# after packing A's columns once: about 0.01 s for 64 rows)
 _ERASURE_MAX_N = 1 << 14
 # most uint64 words in one stack of the Vandermonde experiment's picked rows,
 # so its arrays do not grow with the trial count
@@ -96,8 +96,8 @@ def random_restriction(n: int, l: int, seed: int | np.random.Generator, index: i
     """2l variables renamed into y and z, the rest fixed uniformly.  The
     draws, a permutation and then the fixed bits, come from the Philox
     stream (seed, index), or from seed itself where it is a generator."""
-    if 2 * l > n:
-        raise ValueError("need 2l <= n")
+    if not 0 <= 2 * l <= n:
+        raise ValueError("need 0 <= 2l <= n")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed, index)
     perm = (rng.permutation(n) + 1).tolist()
     rest = perm[2 * l:]
@@ -300,9 +300,7 @@ def _split_ranks(cols: list[int], b: int, y: list[int],
     ey = _echelon([cols[j] for j in y])
     ez = _echelon([cols[j] for j in z])
     eyz = _echelon(ey + ez)
-    for v in eyz:  # leading bits descend, so each v clears its own
-        b = min(b, b ^ v)
-    return None if b else (len(ey), len(ez), len(eyz))
+    return None if _reduce(b, eyz) else (len(ey), len(ez), len(eyz))
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +335,13 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     for rng in streams(seed, trials):
         bits = rng.integers(0, 2, size=(half, n))
         perm = rng.permutation(n).tolist()  # 0-based: y takes the first half
-        r_y, r_z, r_a = _split_ranks(_packed(bits.T), 0, perm[:half], perm[half:])
+        r_y, r_z, r_a = _split_ranks(_pack(bits.T), 0, perm[:half], perm[half:])
         if r_y + r_z - r_a == half:
             fullrank += 1
         if r_y == r_z == half:
             both += 1
             table = np.ones(1 << n, dtype=np.int8)
-            for r in _packed(bits):
+            for r in _pack(bits):
                 table &= (np.bitwise_count(xs & r) & 1) == 0
             p = Partition(tuple(sorted(v + 1 for v in perm[:half])), tuple(sorted(v + 1 for v in perm[half:])))
             m = partition_matrix(table, p)
@@ -426,6 +424,8 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     n = c.n
     if n > _ERASURE_MAX_N:
         raise OversizeError(f"erasure check capped at n <= {_ERASURE_MAX_N} variables, got n={n}")
+    if not 0 <= 2 * l <= n:  # as random_restriction, before a negative l reaches the threshold
+        raise ValueError("need 0 <= 2l <= n")
     try:
         threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
     except OverflowError:
@@ -436,9 +436,11 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     cols = c.a.columns()
     for rng in streams(seed, trials):
         r = random_restriction(n, l, rng)
-        x_fixed = sum(bit << (n - v) for v, bit in r.fixed)
-        split = _split_ranks(cols, c.b ^ c.a.mul_vec(x_fixed),
-                             [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
+        rhs = c.b  # b + A x_F: the columns of the variables fixed to 1 added in
+        for v, bit in r.fixed:
+            if bit:
+                rhs ^= cols[v - 1]
+        split = _split_ranks(cols, rhs, [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
         rank = multirow = 0
         if split is not None:
             r_y, r_z, r_yz = split

@@ -166,11 +166,20 @@ def test_rank_exp_erasure_past_the_dense_table(tmp_path):
 
 
 def test_rank_exp_erasure_threshold_overflow_is_an_error_line(tmp_path):
-    mat = tmp_path / "sub.mat"
-    mat.write_text("2 6\n111000\n000111\n")
-    r = run(["rank-exp", "erasure", "--matrix", str(mat), "--l", "2000", "--trials", "3"])
+    # wide enough for l = 2000 halves, so the threshold is the one fault
+    wide = tmp_path / "wide.mat"
+    wide.write_text("2 4000\n" + "1" * 4000 + "\n" + "01" * 2000 + "\n")
+    r = run(["rank-exp", "erasure", "--matrix", str(wide), "--l", "2000", "--trials", "3"])
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == "ERROR oversize: threshold 2^(l - l^(1/8)/2) overflows a float at l=2000\n"
+    # an l outside 0 <= 2l <= n is refused before the threshold is taken
+    one = tmp_path / "one.mat"
+    one.write_text("1 1\n1\n")
+    sub = tmp_path / "sub.mat"
+    sub.write_text("2 6\n111000\n000111\n")
+    for mat, l in ((one, "-1"), (sub, "-1"), (sub, "4"), (sub, "2000")):
+        r = run(["rank-exp", "erasure", "--matrix", str(mat), "--l", l, "--trials", "3"])
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", "ERROR domain: need 0 <= 2l <= n\n"), (mat, l)
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -1,13 +1,33 @@
-"""GF(2) linear algebra: ranks, kernels, solving, coset enumeration."""
+"""GF(2) linear algebra: ranks, kernels, solving, coset enumeration, and
+the bit layout helpers (packing, unpacking, spans, reduction)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from statetrees.errors import EmptyCosetError, OversizeError
-from statetrees.gf2 import (BitMatrix, Coset, enumerate_coset, from_numpy,
-                            invertibility_product, kernel_basis, random_bitmatrix,
+from statetrees.gf2 import (BitMatrix, Coset, _echelon, _pack, _reduce, _span, enumerate_coset,
+                            from_numpy, invertibility_product, kernel_basis, random_bitmatrix,
                             rank_gf2, solve, to_numpy)
+
+# widths around the 62-column words of _pack, and the erasure check's cap
+LAYOUT_WIDTHS = (1, 61, 62, 63, 124, 125, 1 << 14)
+
+
+def ref_entry(a: BitMatrix, i: int, j: int) -> int:
+    return (a.rows[i] >> (a.n - 1 - j)) & 1
+
+
+def ref_columns(a: BitMatrix) -> list[int]:
+    """Each column packed MSB-first over the rows, one entry at a time."""
+    cols = []
+    for j in range(a.n):
+        c = 0
+        for i in range(a.k):
+            c = (c << 1) | ref_entry(a, i, j)
+        cols.append(c)
+    return cols
 
 
 def test_rank_examples():
@@ -109,3 +129,37 @@ def test_numpy_bridge_roundtrip():
     empty = BitMatrix(0, 5, ())
     assert from_numpy(to_numpy(empty)) == empty
     assert random_bitmatrix(0, 5, 12) == empty
+    rng = np.random.default_rng(14)
+    for t, n in enumerate(LAYOUT_WIDTHS):
+        for k in (0, 1, 3, 64 if n < 1 << 14 else 4):
+            a = random_bitmatrix(k, n, 13, 10 * t + k)
+            arr = to_numpy(a)
+            assert (arr.shape, arr.dtype) == ((k, n), np.uint8)
+            assert arr.tolist() == [[ref_entry(a, i, j) for j in range(n)] for i in range(k)]
+            cols = ref_columns(a)
+            assert a.columns() == cols == _pack(arr.T)  # k = 0: n zero-width rows
+            assert _pack(arr) == list(a.rows) == _pack(arr.astype(bool))
+            assert from_numpy(arr) == a
+            # entries are taken mod 2: negatives, large values and bools
+            assert from_numpy(arr.astype(np.int64) + 2 * rng.integers(-5, 5, size=(k, n))) == a
+            assert from_numpy(arr.astype(bool)) == a
+            if k:
+                assert from_numpy(arr.T).rows == tuple(cols)
+
+
+def test_span_and_reduce_match_brute_force_membership():
+    rng = np.random.default_rng(15)
+    for t in range(60):
+        width = 1 + t % 12
+        vecs = [int(v) for v in rng.integers(0, 1 << width, size=t % 7)]
+        basis = _echelon(vecs)
+        members = {0}  # every XOR of a subset of vecs
+        for v in vecs:
+            members |= {x ^ v for x in members}
+        start = int(rng.integers(0, 1 << width))
+        assert _span(basis) == sorted(members)
+        assert _span(basis, start) == sorted(x ^ start for x in members)
+        for x in range(1 << width):
+            r = _reduce(x, basis)
+            assert (r == 0) == (x in members)
+            assert r ^ x in members  # x moves by a span element only

@@ -111,6 +111,9 @@ def test_random_partition_uniform_and_deterministic():
 def test_restriction_with_l_half_is_a_partition():
     r = random_restriction(6, 3, 11)
     assert r.fixed == ()
+    for l in (-1, 4):
+        with pytest.raises(ValueError, match=r"need 0 <= 2l <= n"):
+            random_restriction(6, l, 11)
     table = stream(0).normal(size=64)
     p = Partition(r.y_vars, r.z_vars)
     assert np.array_equal(partition_matrix(table, p), restriction_matrix(table, r))
