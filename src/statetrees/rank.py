@@ -15,9 +15,12 @@ b' + col(A_z); two nonzero rows are equal when A_y y agrees and
 support-disjoint otherwise.  So M is zero when [A_y A_z] x = b' has no
 solution, and otherwise has rank 2^(r(A_y) + r(A_z) - r([A_y A_z])),
 each distinct row repeated 2^(l - r(A_y)) times and holding
-2^(l - r(A_z)) ones.  The three ranks are the sizes of echelon bases of
-A's columns, and b' reduced against the basis of [A_y A_z] is 0
-exactly when the system is solvable.
+2^(l - r(A_z)) ones.  The experiments rank A_y, A_z, [A_y A_z] and
+[A_y A_z | b'] of all their trials in one stacked elimination
+(`_gf2_ranks`); the system is solvable exactly when b' adds no rank.
+The erasure check row-reduces [A | b] once first: row operations keep
+the rank of every set of columns, so each column is eliminated over at
+most min(k, n + 1) bits.
 
 No experiment calls `rank_exact`; it stays because the benchmark
 (`perfbench/spans.py`) traces it by name.
@@ -37,18 +40,19 @@ import numpy as np
 
 from .codes import VandermondeParams, build_binary_vandermonde
 from .errors import OversizeError
-from .gf2 import Coset, _echelon, _pack, _reduce, invertibility_product
+from .gf2 import BitMatrix, Coset, _echelon, invertibility_product, to_numpy
 from .rng import stream, streams
 
 _MERSENNE61 = (1 << 61) - 1
 _EPS_RANK_MAX_SIDE = 1024  # widest matrix rank_eps_lower_bound takes an SVD of
 _CHI_MAX_QUBITS = 16  # widest state chi_max reads
-# widest coset the erasure check restricts: each trial lists its n variables
-# several times over in Python (about 15 ms a trial at the cap on a 2-vCPU VM,
-# after packing A's columns once: about 0.01 s for 64 rows)
+# widest coset the erasure check restricts: each trial's draw lists its n
+# variables several times over in Python (about 12 ms a trial at the cap on a
+# 2-vCPU VM, nearly all of it random_restriction, after about 4 ms to row-reduce
+# a 64-row [A | b] once)
 _ERASURE_MAX_N = 1 << 14
-# most uint64 words in one stack of the Vandermonde experiment's picked rows,
-# so its arrays do not grow with the trial count
+# most uint64 words in one stack an experiment hands `_gf2_ranks` (unless one
+# trial alone is larger), so its arrays do not grow with the trial count
 _STACK_WORDS = 1 << 16
 _SUBSET_SUM_MAX_P = 1 << 40  # largest p _is_prime tries: about 0.06 s on a 2-vCPU VM
 # largest trials * min(2^m, p), a bound on the residues all trials build: one
@@ -114,23 +118,14 @@ def _index_contrib(vars_: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-def partition_matrix(f: np.ndarray, p: Partition) -> np.ndarray:
-    """M[y, z] = f at the input assembled from the two index halves."""
-    return _index_matrix(f, Restriction(p.y_vars, p.z_vars, ()), "partition")
-
-
 def restriction_matrix(f: np.ndarray, r: Restriction) -> np.ndarray:
-    return _index_matrix(f, r, "restriction")
-
-
-def _index_matrix(f: np.ndarray, r: Restriction, name: str) -> np.ndarray:
     """M[y, z] = f at the input assembled from r's fixed bits and the two
-    index halves; name is the kind of split, for the error text."""
+    index halves."""
     n = int(np.log2(len(f)))
     if 1 << n != len(f):
         raise ValueError("table length must be a power of 2")
     if len(r.y_vars) + len(r.z_vars) + len(r.fixed) != n:
-        raise ValueError(f"{name} does not cover all variables")
+        raise ValueError("restriction does not cover all variables")
     base = 0
     for v, b in r.fixed:
         base += b << (n - v)
@@ -288,19 +283,52 @@ def rank_eps_lower_bound(m: np.ndarray, eps: float) -> int:
 # coset indicators: closed-form partition rank
 
 
-def _split_ranks(cols: list[int], b: int, y: list[int],
-                 z: list[int]) -> tuple[int, int, int] | None:
-    """(r(A_y), r(A_z), r([A_y A_z])) for the 0-based columns y, z of A,
-    given as A's packed columns, or None when [A_y A_z] x = b has no
-    solution (M is then zero).  Each rank is the size of an echelon basis
-    of the columns, and the system is solvable iff b reduces to 0 against
-    the basis of [A_y A_z]."""
-    if not y:  # M is the single entry [b = 0]
-        return (0, 0, 0) if b == 0 else None
-    ey = _echelon([cols[j] for j in y])
-    ez = _echelon([cols[j] for j in z])
-    eyz = _echelon(ey + ez)
-    return None if _reduce(b, eyz) else (len(ey), len(ez), len(eyz))
+def _column_words(bits: np.ndarray) -> np.ndarray:
+    """The last axis of a 0/1 array packed into uint64 words as `_gf2_ranks`
+    reads them, entry i in word i // 64 at bit i % 64; one word at least."""
+    out = np.zeros(bits.shape[:-1] + (8 * max(1, -(-bits.shape[-1] // 64)),), dtype=np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _stacked_split_ranks(width: int, ay: np.ndarray, az: np.ndarray,
+                         rhs: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """r(A_y), r(A_z), r([A_y A_z]) and whether [A_y A_z] x = b' has a
+    solution, for each trial of the (T, columns, words) stacks ay and az of
+    A's columns (`width` bits each, as `_gf2_ranks` reads them) and the
+    (T, words) stack rhs of b'; every trial is solvable where rhs is None.
+    A_y, A_z, [A_y A_z] and [A_y A_z | b'] are padded with zero columns to
+    2l + 1 and ranked in one `_gf2_ranks` call; the system is solvable iff
+    b' adds no rank."""
+    trials, l, words = ay.shape
+    mats = 3 if rhs is None else 4
+    rows = np.zeros((mats, trials, 2 * l + 1, words), dtype=np.uint64)
+    rows[0, :, :l] = ay
+    rows[1, :, :l] = az
+    rows[2:, :, :l] = ay
+    rows[2:, :, l:2 * l] = az
+    if rhs is not None:
+        rows[3, :, 2 * l] = rhs
+    ranks = _gf2_ranks(rows.reshape(mats * trials, 2 * l + 1, words), width).reshape(mats, trials)
+    solvable = np.ones(trials, dtype=bool) if rhs is None else ranks[3] == ranks[2]
+    return ranks[0], ranks[1], ranks[2], solvable
+
+
+def _syndromes(cols: np.ndarray) -> np.ndarray:
+    """A y for every y over GF(2), for A given as its packed columns, y's
+    bit j the coefficient of column j: the span doubled column by column."""
+    s = np.zeros(1 << len(cols), dtype=cols.dtype)
+    for j, c in enumerate(cols):
+        s[1 << j:2 << j] = s[:1 << j] ^ c
+    return s
+
+
+def _is_permutation(ay: np.ndarray, az: np.ndarray) -> bool:
+    """Whether the partition matrix of {x : Ax = 0}, M[y, z] = [A_y y = A_z z],
+    has exactly one 1 in every row and every column."""
+    m = _syndromes(ay)[:, None] == _syndromes(az)[None, :]
+    return bool(np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +346,10 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     Per trial an n/2 x n matrix A and a partition P are drawn; the trial
     reports whether the two n/2 x n/2 column submatrices A_y, A_z are
     invertible and whether the partition matrix has full rank (both in
-    closed form), and - when both submatrices are invertible - builds M
-    and verifies entrywise that it is a permutation of the identity.
+    closed form, all trials of a stack in one elimination), and - when
+    both submatrices are invertible - builds M from the 2^(n/2) values of
+    A_y y and of A_z z and verifies entrywise that it is a permutation of
+    the identity.
     """
     if n % 2 or n < 2:
         raise ValueError("n must be even and positive")
@@ -331,22 +361,22 @@ def subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
     fullrank = 0
     perm_confirmed = 0
     perm_mismatch = 0
-    xs = np.arange(1 << n, dtype=np.int64)
-    for rng in streams(seed, trials):
-        bits = rng.integers(0, 2, size=(half, n))
-        perm = rng.permutation(n).tolist()  # 0-based: y takes the first half
-        r_y, r_z, r_a = _split_ranks(_pack(bits.T), 0, perm[:half], perm[half:])
-        if r_y + r_z - r_a == half:
-            fullrank += 1
-        if r_y == r_z == half:
+    stack = max(1, _STACK_WORDS // (3 * (n + 1)))  # A_y, A_z and A, each padded to n + 1 one-word columns
+    bits = np.empty((min(stack, trials), half, n), dtype=np.int64)
+    perms = np.empty((min(stack, trials), n), dtype=np.intp)
+    gens = streams(seed, trials)
+    for start in range(0, trials, stack):
+        count = min(stack, trials - start)
+        for j, rng in zip(range(count), gens):
+            bits[j] = rng.integers(0, 2, size=(half, n))
+            perms[j] = rng.permutation(n)  # 0-based: y takes the first half
+        # A's columns in the drawn order, as one word of half <= 12 bits each
+        cols = np.take_along_axis(_column_words(bits[:count].transpose(0, 2, 1))[:, :, 0], perms[:count], axis=1)
+        r_y, r_z, r_a, _ = _stacked_split_ranks(half, cols[:, :half, None], cols[:, half:, None])
+        fullrank += int(np.count_nonzero(r_y + r_z - r_a == half))
+        for t in np.flatnonzero((r_y == half) & (r_z == half)):
             both += 1
-            table = np.ones(1 << n, dtype=np.int8)
-            for r in _pack(bits):
-                table &= (np.bitwise_count(xs & r) & 1) == 0
-            p = Partition(tuple(sorted(v + 1 for v in perm[:half])), tuple(sorted(v + 1 for v in perm[half:])))
-            m = partition_matrix(table, p)
-            ok = (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1))
-            if ok:
+            if _is_permutation(cols[t, :half], cols[t, half:]):
                 perm_confirmed += 1
             else:
                 perm_mismatch += 1
@@ -370,10 +400,8 @@ def vandermonde_rank_experiment(params: VandermondeParams, trials: int, seed: in
     if pick_rows > vbin.k:
         raise ValueError("kd + c exceeds the number of rows")
     _check_trials(trials)
-    words = -(-kd // 64)
-    # bit i of row r in word i // 64 at bit i % 64: the columns in reverse, which keeps every rank
-    data = b"".join(r.to_bytes(8 * words, "little") for r in vbin.rows)
-    vrows = np.frombuffer(data, dtype="<u8").reshape(vbin.k, words)
+    vrows = _column_words(to_numpy(vbin))
+    words = vrows.shape[1]
     stack = max(1, _STACK_WORDS // (pick_rows * words))
     picks = np.empty((min(stack, trials), pick_rows), dtype=np.intp)
     gens = streams(seed, trials)
@@ -431,24 +459,36 @@ def erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> di
     except OverflowError:
         raise OversizeError(f"threshold 2^(l - l^(1/8)/2) overflows a float at l={l}") from None
     _check_trials(trials)
+    # [A | b] row-reduced once, b as the last column: row operations keep the
+    # rank of every set of columns, and leave at most min(k, n + 1) rows
+    reduced = _echelon([r << 1 | c.b >> (c.a.k - 1 - i) & 1 for i, r in enumerate(c.a.rows)])
+    cols = _column_words(to_numpy(BitMatrix(len(reduced), n + 1, tuple(reduced))).T)
+    words = cols.shape[1]
+    stack = max(1, _STACK_WORDS // (4 * (2 * l + 1) * words))  # A_y, A_z, [A_y A_z] and [A_y A_z | b']
     ranks = []
     multirow_counts = []
-    cols = c.a.columns()
-    for rng in streams(seed, trials):
-        r = random_restriction(n, l, rng)
-        rhs = c.b  # b + A x_F: the columns of the variables fixed to 1 added in
-        for v, bit in r.fixed:
-            if bit:
-                rhs ^= cols[v - 1]
-        split = _split_ranks(cols, rhs, [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
-        rank = multirow = 0
-        if split is not None:
-            r_y, r_z, r_yz = split
-            rank = 1 << (r_y + r_z - r_yz)
-            if r_z < l:  # every nonzero row holds 2^(l - r_z) >= 2 ones
-                multirow = rank << (l - r_y)
-        ranks.append(rank)
-        multirow_counts.append(multirow)
+    gens = streams(seed, trials)
+    for start in range(0, trials, stack):
+        count = min(stack, trials - start)
+        ys, zs, starts, added = [], [], [], []
+        for _, rng in zip(range(count), gens):
+            r = random_restriction(n, l, rng)
+            ys.append(r.y_vars)
+            zs.append(r.z_vars)
+            # b' = b + A x_F: the columns of the variables fixed to 1 added in
+            starts.append(len(added))
+            added += [n] + [v - 1 for v, bit in r.fixed if bit]
+        ay, az = (cols[np.array(vs, dtype=np.intp).reshape(count, l) - 1] for vs in (ys, zs))
+        rhs = np.bitwise_xor.reduceat(cols[added], starts)
+        split = _stacked_split_ranks(len(reduced), ay, az, rhs)
+        for r_y, r_z, r_yz, solvable in zip(*(x.tolist() for x in split)):
+            rank = multirow = 0
+            if solvable:
+                rank = 1 << (r_y + r_z - r_yz)
+                if r_z < l:  # every nonzero row holds 2^(l - r_z) >= 2 ones
+                    multirow = rank << (l - r_y)
+            ranks.append(rank)
+            multirow_counts.append(multirow)
     ranks_arr = np.array(ranks)
     multi = np.array(multirow_counts)
     return {
@@ -613,7 +653,7 @@ def subset_sum_coverage(n: int, m: int, p: int, gamma: float,
 
 __all__ = [
     "Partition", "Restriction", "chi_max", "erasure_recoverability_check",
-    "partition_matrix", "random_partition", "random_restriction",
+    "random_partition", "random_restriction",
     "rank_eps_lower_bound", "rank_exact", "restriction_matrix",
     "subgroup_rank_experiment", "subset_sum_coverage", "subset_sums_mod_p",
     "vandermonde_rank_experiment",

@@ -17,18 +17,23 @@ from statetrees.builders import build_cat, build_cluster1d, build_hamming, build
 from statetrees import rank as rank_module
 from statetrees.codes import VandermondeParams, build_binary_vandermonde
 from statetrees.errors import OversizeError
-from statetrees.gf2 import (BitMatrix, Coset, _echelon, from_numpy, invertibility_product,
+from statetrees.gf2 import (BitMatrix, Coset, _echelon, _pack, _reduce, from_numpy, invertibility_product,
                             random_bitmatrix, rank_gf2, solve, to_numpy)
-from statetrees.rank import (_SUBSET_SUM_MAX_WORK, Partition, _coverage, _gf2_ranks, _reshape_rank, _split_ranks,
-                             chi_max,
-                             erasure_recoverability_check, partition_matrix,
+from statetrees.rank import (_STACK_WORDS, _SUBSET_SUM_MAX_WORK, Partition, Restriction, _column_words, _coverage,
+                             _gf2_ranks, _is_permutation, _reshape_rank, _stacked_split_ranks, chi_max,
+                             erasure_recoverability_check,
                              random_partition, random_restriction,
                              rank_eps_lower_bound, rank_exact,
                              restriction_matrix, subgroup_rank_experiment,
                              subset_sum_coverage, subset_sums_mod_p,
                              vandermonde_rank_experiment)
-from statetrees.rng import stream
+from statetrees.rng import stream, streams
 from statetrees.trees import evaluate
+
+
+def partition_matrix(f: np.ndarray, p: Partition) -> np.ndarray:
+    """M[y, z] = f at the input assembled from the two index halves."""
+    return restriction_matrix(f, Restriction(p.y_vars, p.z_vars, ()))
 
 
 def fraction_rank(m) -> int:
@@ -81,13 +86,21 @@ def dense_rank_and_multirow(table: np.ndarray, r) -> tuple[int, int]:
     return rank_disjoint_rows(m), int(np.sum((m != 0).sum(axis=1) >= 2))
 
 
+def column_words(a: BitMatrix, b: int) -> np.ndarray:
+    """A's columns and then b as one more, packed as _stacked_split_ranks
+    reads them, with no row reduction."""
+    aug = BitMatrix(a.k, a.n + 1, tuple(r << 1 | b >> (a.k - 1 - i) & 1 for i, r in enumerate(a.rows)))
+    return _column_words(to_numpy(aug).T)
+
+
 def closed_form_rank_and_multirow(c: Coset, r) -> tuple[int, int]:
     x_fixed = sum(bit << (c.n - v) for v, bit in r.fixed)
-    split = _split_ranks(c.a.columns(), c.b ^ c.a.mul_vec(x_fixed),
-                         [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
-    if split is None:
+    cols = column_words(c.a, c.b ^ c.a.mul_vec(x_fixed))
+    y, z = [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars]
+    r_y, r_z, r_yz, solvable = (int(x[0]) for x in _stacked_split_ranks(c.a.k, cols[None, y], cols[None, z],
+                                                                          cols[None, c.n]))
+    if not solvable:
         return 0, 0
-    r_y, r_z, r_yz = split
     l = len(r.y_vars)
     rank = 2 ** (r_y + r_z - r_yz)
     return rank, (rank * 2 ** (l - r_y) if r_z < l else 0)
@@ -341,7 +354,8 @@ def test_erasure_needs_no_dense_table():
 
 
 def _reference_split_ranks(a: BitMatrix, b: int, y: list[int], z: list[int]):
-    """_split_ranks from row-packed column submatrices, solve and rank_gf2."""
+    """(r(A_y), r(A_z), r([A_y A_z])), or None where [A_y A_z] x = b has no
+    solution, from row-packed column submatrices, solve and rank_gf2."""
     if not y:
         return (0, 0, 0) if b == 0 else None
     ay, az, ayz = (from_numpy(to_numpy(a)[:, cols]) for cols in (y, z, y + z))
@@ -351,7 +365,9 @@ def _reference_split_ranks(a: BitMatrix, b: int, y: list[int], z: list[int]):
 
 
 def test_split_ranks_match_submatrix_elimination():
+    # the cases of one l go to _stacked_split_ranks as one stack
     outcomes = Counter()
+    cases: dict[int, list] = {}
     for t in range(3000):
         rng = stream(8181, t)
         n = int(rng.integers(1, 15))
@@ -363,11 +379,194 @@ def test_split_ranks_match_submatrix_elimination():
         # a right-hand side in the column space half the time, any k bits otherwise
         b = a.mul_vec(int(rng.integers(0, 1 << n))) if t % 2 else int(rng.integers(0, 1 << k))
         want = _reference_split_ranks(a, b, y, z)
-        assert _split_ranks(a.columns(), b, y, z) == want, (t, a, b, y, z)
+        cols = column_words(a, b)
+        cases.setdefault(l, []).append((cols[y], cols[z], cols[n], want, (t, a, b, y, z)))
         outcomes[want is None, not y, k == 0] += 1
+    for l, group in cases.items():
+        ay, az, rhs = (np.stack([case[i] for case in group]) for i in range(3))
+        got = _stacked_split_ranks(15, ay, az, rhs)
+        for case, r_y, r_z, r_yz, solvable in zip(group, *(x.tolist() for x in got)):
+            assert ((r_y, r_z, r_yz) if solvable else None) == case[3], case[4]
     assert all(outcomes[key] for key in [(False, False, False), (True, False, False),
                                          (False, True, False), (True, True, False),
                                          (False, False, True), (False, True, True)]), outcomes
+
+
+# ---------------------------------------------------------------------------
+# the per-trial experiment loops the stacked ones replaced, as references
+
+
+def old_split_ranks(cols: list[int], b: int, y: list[int],
+                    z: list[int]) -> tuple[int, int, int] | None:
+    """(r(A_y), r(A_z), r([A_y A_z])) for the 0-based columns y, z of A,
+    given as A's packed columns, or None when [A_y A_z] x = b has no
+    solution (M is then zero).  Each rank is the size of an echelon basis
+    of the columns, and the system is solvable iff b reduces to 0 against
+    the basis of [A_y A_z]."""
+    if not y:  # M is the single entry [b = 0]
+        return (0, 0, 0) if b == 0 else None
+    ey = _echelon([cols[j] for j in y])
+    ez = _echelon([cols[j] for j in z])
+    eyz = _echelon(ey + ez)
+    return None if _reduce(b, eyz) else (len(ey), len(ez), len(eyz))
+
+
+def old_subgroup_rank_experiment(n: int, trials: int, seed: int) -> dict:
+    """The per-trial subgroup loop: M built from the 2^n table of {x : Ax = 0}."""
+    half = n // 2
+    both = 0
+    fullrank = 0
+    perm_confirmed = 0
+    perm_mismatch = 0
+    xs = np.arange(1 << n, dtype=np.int64)
+    for rng in streams(seed, trials):
+        bits = rng.integers(0, 2, size=(half, n))
+        perm = rng.permutation(n).tolist()  # 0-based: y takes the first half
+        r_y, r_z, r_a = old_split_ranks(_pack(bits.T), 0, perm[:half], perm[half:])
+        if r_y + r_z - r_a == half:
+            fullrank += 1
+        if r_y == r_z == half:
+            both += 1
+            table = np.ones(1 << n, dtype=np.int8)
+            for r in _pack(bits):
+                table &= (np.bitwise_count(xs & r) & 1) == 0
+            p = Partition(tuple(sorted(v + 1 for v in perm[:half])), tuple(sorted(v + 1 for v in perm[half:])))
+            m = partition_matrix(table, p)
+            ok = (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1))
+            if ok:
+                perm_confirmed += 1
+            else:
+                perm_mismatch += 1
+    return {
+        "n": n,
+        "trials": trials,
+        "seed": seed,
+        "both_invertible_fraction": both / trials,
+        "expected_both_invertible": invertibility_product(half) ** 2,
+        "full_rank_fraction": fullrank / trials,
+        "permutation_confirmed": perm_confirmed,
+        "permutation_mismatch": perm_mismatch,
+    }
+
+
+def old_erasure_recoverability_check(c: Coset, l: int, trials: int, seed: int) -> dict:
+    """The per-trial erasure loop: three echelon bases of packed columns a trial."""
+    n = c.n
+    threshold = 2.0 ** (l - (l ** 0.125) / 2.0)
+    ranks = []
+    multirow_counts = []
+    cols = c.a.columns()
+    for rng in streams(seed, trials):
+        r = random_restriction(n, l, rng)
+        rhs = c.b  # b + A x_F: the columns of the variables fixed to 1 added in
+        for v, bit in r.fixed:
+            if bit:
+                rhs ^= cols[v - 1]
+        split = old_split_ranks(cols, rhs, [v - 1 for v in r.y_vars], [v - 1 for v in r.z_vars])
+        rank = multirow = 0
+        if split is not None:
+            r_y, r_z, r_yz = split
+            rank = 1 << (r_y + r_z - r_yz)
+            if r_z < l:  # every nonzero row holds 2^(l - r_z) >= 2 ones
+                multirow = rank << (l - r_y)
+        ranks.append(rank)
+        multirow_counts.append(multirow)
+    ranks_arr = np.array(ranks)
+    multi = np.array(multirow_counts)
+    return {
+        "n": n,
+        "l": l,
+        "trials": trials,
+        "seed": seed,
+        "rank_min": int(ranks_arr.min()),
+        "rank_median": float(np.median(ranks_arr)),
+        "rank_max": int(ranks_arr.max()),
+        "threshold": threshold,
+        "prob_rank_ge_threshold": float(np.mean(ranks_arr >= threshold)),
+        # rows with >= 2 consistent completions: the witness that a string
+        # is not pinned down by the bits outside z
+        "nonrecoverable_rows_mean": float(multi.mean()),
+        "nonrecoverable_fraction": float(np.mean(multi > 0)),
+    }
+
+
+# (n, trials, seed): at n = 24 seed 27 draws two both-invertible trials, whose
+# reference builds a 2^24 table
+SUBGROUP_CASES = [(2, 50, 1), (4, 80, 2), (8, 200, 3), (12, 150, 4), (16, 60, 5), (24, 8, 27)]
+
+
+def _erasure_cases():
+    """(coset, l, trials, seed): k = 0, two-word columns (k > 64), k > n,
+    l = 0, 2l = n, and cosets where a fixing contradicts the system."""
+    out = []
+    for k, n, ls in [(0, 6, (0, 1, 3)), (70, 90, (0, 5, 45)), (130, 140, (3, 70)), (20, 10, (0, 2, 5)),
+                     (3, 9, (0, 1, 4)), (6, 14, (4, 7)), (9, 2, (0, 1)), (1, 1, (0,))]:
+        a = random_bitmatrix(k, n, 8383, k * 1000 + n)
+        c = Coset(a, a.mul_vec(int(stream(8384, k).integers(0, 1 << min(n, 62)))))
+        out += [(c, l, 40, 7 + l) for l in ls]
+    out.append((Coset(BitMatrix(4, 8, (0b11000000, 0b00110000, 0b00001100, 0b00000011)), 0), 3, 40, 5))
+    return out
+
+
+def test_subgroup_experiment_equals_the_per_trial_loop():
+    for n, trials, seed in SUBGROUP_CASES:
+        rep = subgroup_rank_experiment(n, trials, seed)
+        assert rep == old_subgroup_rank_experiment(n, trials, seed), (n, trials, seed)
+        assert rep["permutation_confirmed"] > 0 or n == 2, (n, trials, seed)
+
+
+def test_erasure_check_equals_the_per_trial_loop():
+    seen = Counter()
+    for c, l, trials, seed in _erasure_cases():
+        rep = erasure_recoverability_check(c, l, trials, seed)
+        assert rep == old_erasure_recoverability_check(c, l, trials, seed), (c.a.k, c.n, l)
+        seen["unsolvable"] += rep["rank_min"] == 0
+        seen["rank>1"] += rep["rank_max"] > 1
+    assert seen["unsolvable"] >= 3 and seen["rank>1"] >= 3, seen
+
+
+def test_stacks_stay_within_the_word_budget(monkeypatch):
+    # one stack of _STACK_WORDS words at most, unless it holds a single trial
+    # (3 matrices for the subgroup, 4 for the erasure check, 1 for Vandermonde)
+    shapes = []
+
+    def recording(rows, width):
+        shapes.append((rows.shape, rank_module._STACK_WORDS))
+        return _gf2_ranks(rows, width)
+
+    monkeypatch.setattr(rank_module, "_gf2_ranks", recording)
+    runs = [(subgroup_rank_experiment, (n, trials, seed), 3) for n, trials, seed in SUBGROUP_CASES[:5]]
+    runs += [(erasure_recoverability_check, case, 4) for case in _erasure_cases()]
+    runs.append((vandermonde_rank_experiment, (VandermondeParams(15, 3, 4, 2), 30, 7), 1))
+    for words in (_STACK_WORDS, 1, 101, 7):
+        for func, args, mats in runs:
+            monkeypatch.setattr(rank_module, "_STACK_WORDS", _STACK_WORDS)
+            want = func(*args)
+            monkeypatch.setattr(rank_module, "_STACK_WORDS", words)
+            shapes.clear()
+            assert func(*args) == want, (func.__name__, words)
+            assert shapes
+            for shape, budget in shapes:
+                assert np.prod(shape) <= budget or shape[0] == mats, (func.__name__, words, shape)
+            if words == 1:  # one trial a stack
+                assert all(shape[0] == mats for shape, _ in shapes) and len(shapes) == args[-2]
+
+
+def test_permutation_check_counts_a_mismatch(monkeypatch):
+    # a singular A_y (a repeated column, or a zero one) against an invertible A_z
+    eye = np.array([1, 2, 4, 8], dtype=np.uint64)
+    assert _is_permutation(eye, eye[::-1])
+    for bad in ([1, 2, 4, 4], [1, 2, 4, 0], [1, 2, 3, 8 ^ 3]):
+        bad = np.array(bad, dtype=np.uint64)
+        assert not _is_permutation(bad, eye) and not _is_permutation(eye, bad), bad.tolist()
+    # and the experiment counts it: claim every trial has both halves invertible
+    real = subgroup_rank_experiment(8, 200, 17)
+    half = np.full(1, 4)
+    monkeypatch.setattr(rank_module, "_stacked_split_ranks", lambda width, ay, az, rhs=None: (
+        np.repeat(half, len(ay)), np.repeat(half, len(ay)), np.repeat(half, len(ay)), None))
+    rep = subgroup_rank_experiment(8, 200, 17)
+    assert rep["permutation_confirmed"] == real["permutation_confirmed"] > 0
+    assert rep["permutation_mismatch"] == 200 - real["permutation_confirmed"] > 0
 
 
 def _chi_every_split(v: np.ndarray, mode: str, seed: int = 0, samples: int = 200) -> int:
